@@ -297,10 +297,25 @@ def _stop_reached(cfg: ExperimentConfig, cell: CampaignCell) -> bool:
     return False
 
 
+def _workers(cfg: ExperimentConfig) -> int:
+    """The worker count: ``SURFMC_WORKERS`` when set, else the config's."""
+    raw = os.environ.get(WORKERS_ENV_VAR)
+    if raw is None:
+        return cfg.workers
+    bad = ConfigError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise bad from None
+    if workers < 1:
+        raise bad
+    return workers
+
+
 def run_campaign(cfg: ExperimentConfig, keep_trials: bool = False) -> CampaignResult:
     """Run the sweep; deterministic in (config, seed), whatever the worker count."""
     cfg.validate()
-    workers = int(os.environ.get(WORKERS_ENV_VAR, cfg.workers))
+    workers = _workers(cfg)
     cells: list[CampaignCell] = []
     cell_index = 0
     executor = None
@@ -565,6 +580,8 @@ def oracle_check(
     verdicts track the random truth), with the bar set at the lower 95%
     confidence bound of the measured oracle success rate.
     """
+    if n_syndromes < 1:
+        raise InvalidParameterError(f"n_syndromes must be >= 1, got {n_syndromes}")
     layout = _cached_layout(L)
     model = make_model(DEPOLARIZING, p)
     cfg = SingleTempConfig(beta_bar(model), n_sample_factor * L ** 4)

@@ -302,41 +302,6 @@ def decode_standard(layout: CodeLayout, syndrome: Syndrome, model: NoiseModel) -
     return DecoderVerdict(cls, {cls: float(total)}, frame)
 
 
-def _move_energy_fn(model: NoiseModel):
-    """Exact energy change of applying a stabilizer mask to bit-planes (x, z)."""
-    w_x, w_y, w_z = qubit_energy_weights(model)
-    if model.kind == "independent_xz":
-
-        def delta(x: int, z: int, m: int, x_kind: bool) -> float:
-            if x_kind:
-                return w_x * (((x ^ m) & m).bit_count() - (x & m).bit_count())
-            return w_z * (((z ^ m) & m).bit_count() - (z & m).bit_count())
-
-    elif model.kind == "depolarizing":
-
-        def delta(x: int, z: int, m: int, x_kind: bool) -> float:
-            if x_kind:
-                d = (((x ^ m) | z) & m).bit_count() - ((x | z) & m).bit_count()
-            else:
-                d = (((z ^ m) | x) & m).bit_count() - ((x | z) & m).bit_count()
-            return w_x * d
-
-    else:  # general Pauli: transitions I<->X and Z<->Y (or I<->Z and X<->Y)
-
-        def delta(x: int, z: int, m: int, x_kind: bool) -> float:
-            if x_kind:
-                plain = (m & ~z).bit_count()
-                dressed = (m & z).bit_count()
-                de = w_x * (plain - 2 * (m & x & ~z).bit_count())
-                return de + (w_y - w_z) * (dressed - 2 * (m & x & z).bit_count())
-            plain = (m & ~x).bit_count()
-            dressed = (m & x).bit_count()
-            de = w_z * (plain - 2 * (m & z & ~x).bit_count())
-            return de + (w_y - w_x) * (dressed - 2 * (m & z & x).bit_count())
-
-    return delta
-
-
 _PLATEAU_TOL = 1e-12
 
 
@@ -376,13 +341,19 @@ def refine_frame(
     Breadth-first search over at most ``plateau_budget`` states, so plateaus
     of equally-short reroutings are crossed and every downhill basin reachable
     through them is inspected rather than greedily committing to the first
-    one.  Deterministic, and never leaves the syndrome/class orbit.
+    one.  Deterministic, and never leaves the syndrome/class orbit.  The
+    energy of a move is its plane's weight times the Metropolis count change,
+    so models without an integer error count are rejected.
     """
+    from .mcmc import MoveKernel  # mcmc imports this module
+
+    delta = MoveKernel(layout, model).delta
     weights = qubit_energy_weights(model)
     if plateau_budget <= 0 or not all(map(math.isfinite, weights)):
         return frame.copy()
-    delta = _move_energy_fn(model)
-    moves = _refinement_moves(layout)
+    w_x, _, w_z = weights
+    moves = [(mask, x_plane, w_x if x_plane else w_z)
+             for mask, x_plane in _refinement_moves(layout)]
     # allow excursions one error above the start so equal-weight reroutings
     # separated by a unit barrier are still reached
     ceiling = max(weights) + _PLATEAU_TOL
@@ -393,11 +364,11 @@ def refine_frame(
     queue = deque([(frame.x, frame.z, 0.0)])
     while queue:
         x, z, e = queue.popleft()
-        for mask, x_plane in moves:
+        for mask, x_plane, w in moves:
             if len(visited) >= plateau_budget:
                 queue.clear()
                 break
-            ne = e + delta(x, z, mask, x_plane)
+            ne = e + w * delta(x, z, mask, x_plane)
             if ne > ceiling:
                 continue
             key = (x ^ mask, z) if x_plane else (x, z ^ mask)

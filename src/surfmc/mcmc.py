@@ -7,6 +7,9 @@ model's error count (sigma-y counts once for depolarizing noise).  One step
 picks a stabilizer uniformly at random, computes the count change Delta n on
 its 3-4 support qubits, applies it when Delta n <= 0 and with probability
 exp(-beta * Delta n) otherwise, then accumulates the post-move count.
+``MoveKernel`` holds that move for one layout and noise model: the masks, the
+acceptance table, the reference ``delta`` and the batch loop; the chains, the
+rectangle sweep, the refinement descent and the spacetime chain all use it.
 
 The single-temperature decoder runs one chain per equivalence class from the
 minimum-weight hypothesis of that class and picks the class with the smallest
@@ -28,7 +31,7 @@ from scipy.integrate import simpson
 from .errors import DecoderInternalError, InvalidParameterError
 from .geometry import EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
-from .noise import DEPOLARIZING, INDEPENDENT_XZ, NoiseModel, beta_bar
+from .noise import DEPOLARIZING, INDEPENDENT_XZ, NoiseModel, beta_bar, error_score
 
 _CHUNK_BATCHES = 32
 
@@ -63,21 +66,104 @@ def default_single_temp_config(
     return SingleTempConfig(beta_star_factor * beta_bar(model), n_sample, burn_in)
 
 
-def _acceptance_table(beta: float) -> list[float]:
-    # Delta n of a single 3-4 qubit stabilizer move is at most 4
-    if math.isinf(beta):
-        return [1.0, 0.0, 0.0, 0.0, 0.0]
-    return [1.0] + [math.exp(-beta * d) for d in (1, 2, 3, 4)]
+def batch_means_se(batch_sums: list[tuple[int, int]]) -> float:
+    """Batch-means standard error of a mean count from (steps, summed count)
+    batches; only batches as long as the first count, NaN with fewer than two."""
+    means = [c / s for s, c in batch_sums if s == batch_sums[0][0]]
+    if len(means) < 2:
+        return math.nan
+    return float(np.std(means, ddof=1) / math.sqrt(len(means)))
+
+
+class MoveKernel:
+    """The single-stabilizer move of one layout under one noise model.
+
+    Holds the stabilizer masks and kinds and the acceptance table.  ``delta``
+    is the reference change Delta n of the model's error count
+    (``noise.error_score``) when one stabilizer, or any mask, is multiplied
+    into a frame; ``batch`` is the Metropolis loop every chain drives, with
+    the same formulas written inline per model because it is the hot path.
+    """
+
+    def __init__(self, layout: CodeLayout, model: NoiseModel):
+        if model.kind not in (DEPOLARIZING, INDEPENDENT_XZ):
+            raise InvalidParameterError(
+                f"Metropolis chains need an integer error count; model kind "
+                f"{model.kind!r} has none"
+            )
+        self.independent = model.kind == INDEPENDENT_XZ
+        self.masks = [s.mask for s in layout.stabilizers]
+        self.x_kind = [s.kind == "X" for s in layout.stabilizers]
+
+    @staticmethod
+    def acceptance(beta: float) -> list[float]:
+        """Metropolis acceptance probability indexed by Delta n."""
+        # Delta n of a single 3-4 qubit stabilizer move is at most 4
+        if math.isinf(beta):
+            return [1.0, 0.0, 0.0, 0.0, 0.0]
+        return [1.0] + [math.exp(-beta * d) for d in (1, 2, 3, 4)]
+
+    def delta(self, x: int, z: int, mask: int, x_plane: bool) -> int:
+        """Count change of flipping ``mask`` in the x plane (else the z plane)."""
+        if not x_plane:
+            x, z = z, x  # the formulas below flip the x plane
+        if self.independent:
+            return ((x ^ mask) & mask).bit_count() - (x & mask).bit_count()
+        return (((x ^ mask) | z) & mask).bit_count() - ((x | z) & mask).bit_count()
+
+    def batch(
+        self, x: int, z: int, n: int, idx: list[int], us: list[float], acc: list[float]
+    ) -> tuple[int, int, int, int]:
+        """Propose the stabilizers ``idx`` in turn, accepting a move of
+        Delta n > 0 iff its uniform draw is below ``acc[Delta n]``.
+
+        Returns the final (x, z, n) and the sum of the post-move counts.
+        """
+        masks = self.masks
+        x_kind = self.x_kind
+        cum = 0
+        if self.independent:
+            for s, u in zip(idx, us):
+                m = masks[s]
+                if x_kind[s]:
+                    d = ((x ^ m) & m).bit_count() - (x & m).bit_count()
+                    if d <= 0 or u < acc[d]:
+                        x ^= m
+                        n += d
+                else:
+                    d = ((z ^ m) & m).bit_count() - (z & m).bit_count()
+                    if d <= 0 or u < acc[d]:
+                        z ^= m
+                        n += d
+                cum += n
+        else:
+            for s, u in zip(idx, us):
+                m = masks[s]
+                if x_kind[s]:
+                    nx = x ^ m
+                    d = ((nx | z) & m).bit_count() - ((x | z) & m).bit_count()
+                    if d <= 0 or u < acc[d]:
+                        x = nx
+                        n += d
+                else:
+                    nz = z ^ m
+                    d = ((nz | x) & m).bit_count() - ((x | z) & m).bit_count()
+                    if d <= 0 or u < acc[d]:
+                        z = nz
+                        n += d
+                cum += n
+        return x, z, n, cum
 
 
 class MetropolisChain:
     """One Markov chain over the stabilizer orbit of its seed frame.
 
     The frame is owned by the chain (single writer).  ``run`` is the bulk
-    sampler; ``step`` advances by a single proposal.  ``estimate`` is the
-    running average of the error count over all proposals since the end of
-    burn-in; by default nothing is discarded, since heating up from a
-    minimum-weight seed is faster than cooling from a random one.
+    sampler; ``step`` is the same path on a single proposal, and records no
+    batch for ``standard_error``.  ``estimate`` is the running average of the
+    error count over all proposals since the end of burn-in; by default
+    nothing is discarded, since heating up from a minimum-weight seed is
+    faster than cooling from a random one.
     """
 
     def __init__(
@@ -88,11 +174,7 @@ class MetropolisChain:
         frame: PauliFrame,
         rng: np.random.Generator,
     ):
-        if model.kind not in (DEPOLARIZING, INDEPENDENT_XZ):
-            raise InvalidParameterError(
-                f"Metropolis chains need an integer error count; model kind "
-                f"{model.kind!r} has none"
-            )
+        self._kernel = MoveKernel(layout, model)
         if beta < 0:
             raise InvalidParameterError(f"beta must be >= 0, got {beta}")
         self.layout = layout
@@ -101,21 +183,13 @@ class MetropolisChain:
         self.rng = rng
         self._x = frame.x
         self._z = frame.z
-        self._independent = model.kind == INDEPENDENT_XZ
-        self._masks = [s.mask for s in layout.stabilizers]
-        self._x_kind = [s.kind == "X" for s in layout.stabilizers]
-        self._acc = _acceptance_table(beta)
-        self._n = self._score()
+        self._acc = MoveKernel.acceptance(beta)
+        self._n = error_score(model, frame)
         self.step_count = 0
         self.cumulative_n = 0
         self._batch_sums: list[tuple[int, int]] = []  # (steps, summed counts)
         self._seed_syndrome = layout.syndrome_of(frame)
         self._seed_class = layout.class_of(frame)
-
-    def _score(self) -> int:
-        if self._independent:
-            return self._x.bit_count() + self._z.bit_count()
-        return (self._x | self._z).bit_count()
 
     @property
     def frame(self) -> PauliFrame:
@@ -134,97 +208,41 @@ class MetropolisChain:
 
     def standard_error(self) -> float:
         """Batch-means standard error of ``estimate`` (autocorrelation-aware)."""
-        full = [(s, c) for s, c in self._batch_sums if s == self._batch_sums[0][0]]
-        if len(full) < 2:
+        se = batch_means_se(self._batch_sums)
+        if math.isnan(se):
             raise InvalidParameterError("need >= 2 equal batches for a standard error")
-        means = np.array([c / s for s, c in full])
-        return float(means.std(ddof=1) / math.sqrt(len(means)))
+        return se
 
     def step(self) -> None:
         """Advance by one proposal and accumulate the post-move count."""
-        s = int(self.rng.integers(0, len(self._masks)))
+        # scalar draws continue the stream exactly as size-1 block draws would
+        s = int(self.rng.integers(0, len(self._kernel.masks)))
         u = float(self.rng.random())
-        self._propose(s, u, accumulate=True)
+        self.cumulative_n += self._moves([s], [u])
+        self.step_count += 1
 
-    def _propose(self, s: int, u: float, accumulate: bool) -> None:
-        m = self._masks[s]
-        x, z = self._x, self._z
-        if self._x_kind[s]:
-            if self._independent:
-                d = ((x ^ m) & m).bit_count() - (x & m).bit_count()
-            else:
-                d = (((x ^ m) | z) & m).bit_count() - ((x | z) & m).bit_count()
-            if d <= 0 or u < self._acc[d]:
-                self._x = x ^ m
-                self._n += d
-        else:
-            if self._independent:
-                d = ((z ^ m) & m).bit_count() - (z & m).bit_count()
-            else:
-                d = (((z ^ m) | x) & m).bit_count() - ((x | z) & m).bit_count()
-            if d <= 0 or u < self._acc[d]:
-                self._z = z ^ m
-                self._n += d
-        if accumulate:
-            self.step_count += 1
-            self.cumulative_n += self._n
+    def _moves(self, idx: list[int], us: list[float]) -> int:
+        """Make the proposals; returns the summed post-move counts."""
+        self._x, self._z, self._n, cum = self._kernel.batch(
+            self._x, self._z, self._n, idx, us, self._acc
+        )
+        return cum
 
     def run(self, n_steps: int, accumulate: bool = True) -> None:
         """Advance by ``n_steps`` proposals (tight loop, block-drawn randomness)."""
-        if n_steps <= 0:
-            return
-        rng = self.rng
-        masks = self._masks
-        x_kind = self._x_kind
-        acc = self._acc
-        n_stab = len(masks)
-        x, z, cur = self._x, self._z, self._n
-        independent = self._independent
+        n_stab = len(self._kernel.masks)
         chunk_size = max(1024, n_steps // _CHUNK_BATCHES)
         done = 0
         while done < n_steps:
             todo = min(chunk_size, n_steps - done)
-            idx = rng.integers(0, n_stab, size=todo).tolist()
-            us = rng.random(size=todo).tolist()
-            cum = 0
-            if independent:
-                for i in range(todo):
-                    s = idx[i]
-                    m = masks[s]
-                    if x_kind[s]:
-                        d = ((x ^ m) & m).bit_count() - (x & m).bit_count()
-                        if d <= 0 or us[i] < acc[d]:
-                            x ^= m
-                            cur += d
-                    else:
-                        d = ((z ^ m) & m).bit_count() - (z & m).bit_count()
-                        if d <= 0 or us[i] < acc[d]:
-                            z ^= m
-                            cur += d
-                    cum += cur
-            else:
-                for i in range(todo):
-                    s = idx[i]
-                    m = masks[s]
-                    if x_kind[s]:
-                        nx = x ^ m
-                        d = ((nx | z) & m).bit_count() - ((x | z) & m).bit_count()
-                        if d <= 0 or us[i] < acc[d]:
-                            x = nx
-                            cur += d
-                    else:
-                        nz = z ^ m
-                        d = ((nz | x) & m).bit_count() - ((x | z) & m).bit_count()
-                        if d <= 0 or us[i] < acc[d]:
-                            z = nz
-                            cur += d
-                    cum += cur
+            idx = self.rng.integers(0, n_stab, size=todo).tolist()
+            us = self.rng.random(size=todo).tolist()
+            cum = self._moves(idx, us)
             done += todo
             if accumulate:
                 self.step_count += todo
                 self.cumulative_n += cum
                 self._batch_sums.append((todo, cum))
-        self._x, self._z, self._n = x, z, cur
 
     def verify_confinement(self) -> None:
         """Assert the chain never left its seed's syndrome/class orbit."""
@@ -265,10 +283,7 @@ def decode_single_temperature(
         chain.run(cfg.n_sample)
         chain.verify_confinement()
         scores[cls] = chain.estimate
-        try:
-            ses[cls] = chain.standard_error()
-        except InvalidParameterError:
-            ses[cls] = math.nan
+        ses[cls] = batch_means_se(chain._batch_sums)
     cls = _pick_class(scores)
     return DecoderVerdict(cls, scores, seeds.frame_for(cls), detail={"se": ses})
 
@@ -362,12 +377,10 @@ def decode_free_energy(
             chain.run(n_sample)
             chain.verify_confinement()
             means[k] = chain.estimate
-            try:
-                ses[k] = chain.standard_error()
-            except InvalidParameterError:
-                ses[k] = math.nan
+            ses[k] = batch_means_se(chain._batch_sums)
         integral = float(simpson(means, x=temps))
-        integral_se = float(np.sqrt(np.nansum((simpson_coef * ses) ** 2)))
+        # NaN as soon as one positive-temperature chain has no standard error
+        integral_se = float(np.sqrt(np.sum((simpson_coef * ses) ** 2)))
         log_z = layout.n_stab * math.log(2.0) - integral
         estimates[cls] = FreeEnergyEstimate(temps, means, ses, integral, integral_se, log_z)
         scores[cls] = integral
@@ -535,11 +548,8 @@ def run_parallel_sweep(
     update equals the parallel one.  The error count is accumulated after
     every step, once ``burn_in`` steps have been discarded.
     """
-    if model.kind not in (DEPOLARIZING, INDEPENDENT_XZ):
-        raise InvalidParameterError(f"unsupported model kind {model.kind!r}")
-    independent = model.kind == INDEPENDENT_XZ
-    acc = _acceptance_table(beta)
-    stabs = layout.stabilizers
+    kernel = MoveKernel(layout, model)
+    acc = kernel.acceptance(beta)
     seed_syndrome = layout.syndrome_of(frame)
     seed_class = layout.class_of(frame)
 
@@ -548,7 +558,7 @@ def run_parallel_sweep(
     ]
     n_groups = len(group_rects)
     x, z = frame.x, frame.z
-    cur = (x.bit_count() + z.bit_count()) if independent else (x | z).bit_count()
+    cur = error_score(model, frame)
     cum = 0
     batch_sums: list[tuple[int, int]] = []
     chunk = max(256, n_steps // _CHUNK_BATCHES)
@@ -563,26 +573,8 @@ def run_parallel_sweep(
         for i in range(todo):
             rects = group_rects[(done + i) % n_groups]
             row_pick = pick[i]
-            row_u = us[i]
-            for k, stab_ids in enumerate(rects):
-                s = stabs[stab_ids[int(row_pick[k] * len(stab_ids))]]
-                m = s.mask
-                if s.kind == "X":
-                    if independent:
-                        d = ((x ^ m) & m).bit_count() - (x & m).bit_count()
-                    else:
-                        d = (((x ^ m) | z) & m).bit_count() - ((x | z) & m).bit_count()
-                    if d <= 0 or row_u[k] < acc[d]:
-                        x ^= m
-                        cur += d
-                else:
-                    if independent:
-                        d = ((z ^ m) & m).bit_count() - (z & m).bit_count()
-                    else:
-                        d = (((z ^ m) | x) & m).bit_count() - ((x | z) & m).bit_count()
-                    if d <= 0 or row_u[k] < acc[d]:
-                        z ^= m
-                        cur += d
+            idx = [ids[int(row_pick[k] * len(ids))] for k, ids in enumerate(rects)]
+            x, z, cur, _ = kernel.batch(x, z, cur, idx, us[i], acc)
             chunk_cum += cur
         if done >= 0:
             cum += chunk_cum
@@ -592,10 +584,5 @@ def run_parallel_sweep(
     out = PauliFrame(layout.n_qubits, x, z)
     if layout.syndrome_of(out) != seed_syndrome or layout.class_of(out) != seed_class:
         raise DecoderInternalError("parallel sweep escaped its orbit")
-    full = [(s, c) for s, c in batch_sums if s == batch_sums[0][0]]
-    if len(full) >= 2:
-        means = np.array([c / s for s, c in full])
-        se = float(means.std(ddof=1) / math.sqrt(len(means)))
-    else:
-        se = math.nan
+    se = batch_means_se(batch_sums)
     return SweepResult(cum / n_steps, se, n_steps, out)

@@ -1,11 +1,12 @@
 """Brute-force ground truth on small codes.
 
-Enumerates the full stabilizer subgroup (2^n_stab elements, Gray-code order so
-each successive frame differs by one stabilizer application) to obtain the
+Enumerates the full stabilizer subgroup (2^n_stab elements) to obtain the
 exact weight histogram of an equivalence class, and from it exact partition
-functions, Boltzmann averages, and in-class minimum weights.  Restricted to
-n_stab <= 16; the L = 3 code (2^12 = 4096 deformations per class) is the main
-use.
+functions, Boltzmann averages, and in-class minimum weights.  X-stabilizers
+act on the x plane and Z-stabilizers on the z plane only, so the orbit is the
+outer product of the subset-XOR tables of the two kinds, and its weights are
+popcounts taken as whole numpy arrays.  Restricted to n_stab <= 16; the L = 3
+code (2^12 = 4096 deformations per class) is the main use.
 """
 
 from __future__ import annotations
@@ -41,6 +42,22 @@ class ClassOrbit:
         return min(w for w, c in self.weight_histogram.items() if c)
 
 
+def _subset_xor(masks: list[int]) -> np.ndarray:
+    """XOR of every subset of ``masks``; bit i of the index selects masks[i]."""
+    table = np.zeros(1, dtype=np.int64)
+    for m in masks:
+        table = np.concatenate([table, table ^ m])
+    return table
+
+
+def _popcounts(n_bits: int) -> np.ndarray:
+    """Bit counts of 0 .. 2^n_bits - 1."""
+    table = np.zeros(1 << n_bits, dtype=np.intp)
+    for b in range(n_bits):
+        table[1 << b:2 << b] = table[:1 << b] + 1
+    return table
+
+
 def enumerate_orbit(layout: CodeLayout, representative: PauliFrame) -> ClassOrbit:
     """Histogram the weights of representative * S over the whole stabilizer group."""
     m = layout.n_stab
@@ -48,24 +65,10 @@ def enumerate_orbit(layout: CodeLayout, representative: PauliFrame) -> ClassOrbi
         raise InvalidParameterError(
             f"orbit enumeration is desk-scale only (n_stab <= {ENUMERATION_LIMIT}, got {m})"
         )
-    masks = [s.mask for s in layout.stabilizers]
-    x_kind = [s.kind == "X" for s in layout.stabilizers]
-    counts = [0] * (layout.n_qubits + 1)
-    x, z = representative.x, representative.z
-    cur = (x | z).bit_count()
-    counts[cur] += 1
-    for k in range(1, 1 << m):
-        g = (k & -k).bit_length() - 1  # Gray code: flip one generator per step
-        mask = masks[g]
-        if x_kind[g]:
-            nx = x ^ mask
-            cur += ((nx | z) & mask).bit_count() - ((x | z) & mask).bit_count()
-            x = nx
-        else:
-            nz = z ^ mask
-            cur += ((nz | x) & mask).bit_count() - ((x | z) & mask).bit_count()
-            z = nz
-        counts[cur] += 1
+    xs = representative.x ^ _subset_xor([s.mask for s in layout.x_stabilizers])
+    zs = representative.z ^ _subset_xor([s.mask for s in layout.z_stabilizers])
+    weights = _popcounts(layout.n_qubits)[xs[:, None] | zs[None, :]]
+    counts = np.bincount(weights.ravel(), minlength=layout.n_qubits + 1).tolist()
     histogram = {w: c for w, c in enumerate(counts) if c}
     return ClassOrbit(layout.class_of(representative), representative.copy(), histogram)
 

@@ -28,6 +28,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .geometry import CodeLayout, EquivalenceClass, PauliFrame
+from .mcmc import MoveKernel
 from .noise import NoiseModel, beta_bar, error_score
 
 
@@ -220,7 +221,7 @@ class SpacetimeChain:
         self.hyp = hyp.copy()
         self.n = hyp.error_count(model)
         self.m = hyp.flip_count()
-        self._independent = model.kind == "independent_xz"
+        self._delta = MoveKernel(layout, model).delta
         t_max = hyp.record.t_max
         self._n_spatial = layout.n_stab * (t_max - 1)
         self._n_deform = 2 * layout.n_qubits * max(0, t_max - 2)
@@ -234,15 +235,6 @@ class SpacetimeChain:
     def energy(self) -> float:
         return self.n + self.mm.xi * self.m
 
-    def _frame_delta(self, frame: PauliFrame, mask: int, x_plane: bool) -> int:
-        x, z = frame.x, frame.z
-        if self._independent:
-            plane = x if x_plane else z
-            return ((plane ^ mask) & mask).bit_count() - (plane & mask).bit_count()
-        if x_plane:
-            return (((x ^ mask) | z) & mask).bit_count() - ((x | z) & mask).bit_count()
-        return (((z ^ mask) | x) & mask).bit_count() - ((x | z) & mask).bit_count()
-
     def step(self) -> None:
         total = self._n_spatial + self._n_deform
         pick = int(self.rng.integers(0, total))
@@ -250,7 +242,7 @@ class SpacetimeChain:
             stab = self.layout.stabilizers[pick % self.layout.n_stab]
             k = pick // self.layout.n_stab
             frame = self.hyp.frames[k]
-            dn = self._frame_delta(frame, stab.mask, stab.kind == "X")
+            dn = self._delta(frame.x, frame.z, stab.mask, stab.kind == "X")
             if self._accept(dn):
                 if stab.kind == "X":
                     frame.x ^= stab.mask
@@ -264,13 +256,9 @@ class SpacetimeChain:
         t = 2 + pick % (self.hyp.record.t_max - 2)
         pauli = "X" if pick // (self.hyp.record.t_max - 2) == 0 else "Z"
         bit = 1 << q
-        dn = 0
-        for k in (t - 2, t - 1):
-            frame = self.hyp.frames[k]
-            if pauli == "X":
-                dn += self._frame_delta(frame, bit, True)
-            else:
-                dn += self._frame_delta(frame, bit, False)
+        dn = sum(
+            self._delta(f.x, f.z, bit, pauli == "X") for f in self.hyp.frames[t - 2:t]
+        )
         anti = self._anti[(q, pauli)]
         flips = self.hyp.flips[t - 1]
         dm = (flips ^ anti).bit_count() - flips.bit_count()

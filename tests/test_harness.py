@@ -324,3 +324,22 @@ def test_workers_env_override(monkeypatch):
     cfg = tiny_config(max_trials=64, workers=4)
     expected = format_results_csv(run_campaign(tiny_config(max_trials=64)))
     assert format_results_csv(run_campaign(cfg)) == expected
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_cli_rejects_bad_workers_env(monkeypatch, capsys, tmp_path, value):
+    monkeypatch.setenv("SURFMC_WORKERS", value)
+    code = cli_main(["campaign", "--L", "3", "--p", "0.1", "--seed", "1",
+                     "--trials", "10", "--out", str(tmp_path / "res.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "SURFMC_WORKERS" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "res.csv").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_oracle_check_rejects_syndrome_count(capsys, count):
+    code = cli_main(["oracle-check", "--syndromes", count])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "n_syndromes" in err and len(err.strip().splitlines()) == 1

@@ -8,6 +8,7 @@ from surfmc import (
     CLASS_I,
     EQUIV_CLASSES,
     InfeasibleMatchingError,
+    InvalidParameterError,
     NoiseModel,
     PauliFrame,
     Syndrome,
@@ -334,3 +335,19 @@ def test_independent_model_scoring(layout3, rng):
             f = chain_set.frame_for(cls)
             expect = (f.x.bit_count() + f.z.bit_count()) * math.log(0.92 / 0.08)
             assert verdict.scores[cls] == pytest.approx(expect)
+
+
+def test_refine_rejects_model_without_integer_count(layout3):
+    model = NoiseModel.general_pauli(0.05, 0.02, 0.05)
+    with pytest.raises(InvalidParameterError):
+        refine_frame(layout3, model, layout3.identity_frame(), 64)
+
+
+def test_refine_independent_noise_keeps_syndrome_and_class(layout5, rng):
+    model = NoiseModel.independent_xz(0.1, 0.1)
+    for _ in range(20):
+        syn, frame = random_syndrome(layout5, rng, model)
+        refined = refine_frame(layout5, model, frame, 256)
+        assert layout5.syndrome_of(refined) == syn
+        assert layout5.class_of(refined) == layout5.class_of(frame)
+        assert chain_energy(model, refined) <= chain_energy(model, frame) + 1e-9

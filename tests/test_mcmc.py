@@ -19,13 +19,14 @@ from surfmc import (
     decode_single_temperature,
     default_single_temp_config,
     distinguishability,
+    error_score,
     free_energy_temperatures,
     parallel_sweep_schedule,
     run_parallel_sweep,
     sample_frame,
     zero_temperature_score,
 )
-from surfmc.mcmc import SweepResult
+from surfmc.mcmc import MoveKernel, SweepResult, batch_means_se
 from surfmc.oracle import enumerate_orbit, exact_boltzmann
 
 MODEL = NoiseModel.depolarizing(0.1)
@@ -233,6 +234,7 @@ def test_free_energy_log_z_matches_oracle(layout3, rng):
             layout3.n_stab * math.log(2) - est.integral
         )
         # statistical noise plus a small Simpson bias allowance
+        assert math.isfinite(est.integral_se)
         assert abs(est.log_z - exact_log_z) <= 3 * est.integral_se + 0.2
 
 
@@ -356,3 +358,54 @@ def test_parallel_matches_sequential(layout5, rng):
             )
             combined = math.hypot(chain.standard_error(), par.standard_error)
             assert abs(chain.estimate - par.estimate) <= 3 * combined
+
+
+@pytest.mark.parametrize("model", [MODEL, NoiseModel.independent_xz(0.1, 0.1)])
+def test_batch_loop_matches_delta(layout5, rng, model):
+    kernel = MoveKernel(layout5, model)
+    for _ in range(20):
+        frame = sample_frame(NoiseModel.depolarizing(0.4), layout5, rng)
+        x, z = frame.x, frame.z
+        n = error_score(model, frame)
+        for s, stab in enumerate(layout5.stabilizers):
+            x_plane = stab.kind == "X"
+            d = kernel.delta(x, z, stab.mask, x_plane)
+            moved = (x ^ stab.mask, z) if x_plane else (x, z ^ stab.mask)
+            assert error_score(model, PauliFrame(layout5.n_qubits, *moved)) == n + d
+            # beta = 0 accepts every move, beta = inf only non-increasing ones
+            hot = kernel.batch(x, z, n, [s], [0.5], kernel.acceptance(0.0))
+            assert hot == (*moved, n + d, n + d)
+            cold = kernel.batch(x, z, n, [s], [0.5], kernel.acceptance(math.inf))
+            assert cold == ((*moved, n + d, n + d) if d <= 0 else (x, z, n, n))
+
+
+def test_step_is_run_on_one_proposal(layout4):
+    frame = sample_frame(MODEL, layout4, np.random.default_rng(1))
+    a = MetropolisChain(layout4, MODEL, BB, frame, np.random.default_rng(2))
+    b = MetropolisChain(layout4, MODEL, BB, frame, np.random.default_rng(2))
+    for _ in range(300):
+        a.step()
+        b.run(1)
+    assert a.frame == b.frame
+    assert a.cumulative_n == b.cumulative_n and a.step_count == b.step_count == 300
+    # step() records no batch, so it leaves the standard error undefined
+    with pytest.raises(InvalidParameterError):
+        a.standard_error()
+    assert math.isfinite(b.standard_error())
+
+
+def test_batch_means_se():
+    assert batch_means_se([(4, 8), (4, 12), (2, 100)]) == pytest.approx(0.5)
+    assert math.isnan(batch_means_se([(4, 8), (2, 100)]))
+    assert math.isnan(batch_means_se([]))
+
+
+def test_free_energy_se_nan_with_single_batch_chains(layout5, rng):
+    # n_sample = L^4 = 625 is one RNG batch per chain: no batch-means SE exists
+    syn, _, chain_set = seeded_chain_set(layout5, rng)
+    verdict = decode_free_energy(
+        layout5, syn, MODEL, free_energy_temperatures(MODEL, 3), 625, chain_set,
+        np.random.SeedSequence(4),
+    )
+    for est in verdict.detail["free_energy"].values():
+        assert math.isnan(est.ses[1]) and math.isnan(est.integral_se)

@@ -121,3 +121,16 @@ def test_orbit_beta0_mean_is_reported_per_orbit(layout3, rng):
         orbit = enumerate_orbit(layout3, chain_set.frame_for(cls))
         _, mean0 = exact_boltzmann(orbit, 0.0)
         assert mean0 == pytest.approx(0.75 * layout3.n_qubits)
+
+
+def test_orbit_matches_stabilizer_walk(layout3, rng):
+    # independent of the subset-XOR tables: apply generators along a Gray code
+    for _ in range(3):
+        frame = sample_frame(MODEL, layout3, rng)
+        walk = {}
+        f = frame
+        for k in range(1 << layout3.n_stab):
+            if k:
+                f = layout3.apply_stabilizer(f, layout3.stabilizers[(k & -k).bit_length() - 1])
+            walk[f.weight()] = walk.get(f.weight(), 0) + 1
+        assert enumerate_orbit(layout3, frame).weight_histogram == walk
