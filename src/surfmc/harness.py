@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
 from .geometry import CodeLayout, PauliFrame, build_layout
-from .matching import ClassChainSet, decode_both, decode_enhanced, decode_standard
+from .matching import decode_both, decode_enhanced
 from .mcmc import (
     SingleTempConfig,
     decode_free_energy,
@@ -200,17 +200,11 @@ def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
     true_cls = layout.class_of(frame)
     syndrome = layout.syndrome_of(frame)
 
-    need_enhanced = any(a != STANDARD for a in spec.algorithms)
     verdicts: dict[str, str] = {}
     scores: dict[str, dict[str, float]] = {}
-    chain_set: ClassChainSet | None = None
-    if need_enhanced:
-        std_verdict, enh_verdict, chain_set = decode_both(
-            layout, syndrome, model, refine_steps=spec.refine_steps
-        )
-    else:
-        std_verdict = decode_standard(layout, syndrome, model)
-        enh_verdict = None
+    std_verdict, enh_verdict, chain_set = decode_both(
+        layout, syndrome, model, refine_steps=spec.refine_steps
+    )
 
     def put(alg, verdict):
         verdicts[alg] = verdict.cls.label
@@ -533,8 +527,7 @@ def fatal_pattern_suite(L_values: tuple[int, ...], p: float = 0.1) -> FatalPatte
         for name, frame, expect_std, expect_enh in patterns:
             true_cls = layout.class_of(frame)
             syndrome = layout.syndrome_of(frame)
-            std = decode_standard(layout, syndrome, model)
-            enh, _ = decode_enhanced(layout, syndrome, model)
+            std, enh, _ = decode_both(layout, syndrome, model)
             cases.append(FatalPatternCase(
                 L, name,
                 std.cls == true_cls, enh.cls == true_cls,

@@ -1,19 +1,19 @@
 """Anyon matching graphs and the two matching-based decoders.
 
-Standard decoding pairs each species of anyon independently (via an exact
-minimum-weight perfect matching over real anyons, their virtual boundary
-partners, and zero-weight edges inside each boundary's virtual clique) and
-undoes the resulting chain.
+Each species of anyon gets two exact minimum-weight perfect matchings.  The
+unforced problem holds the real anyons, their virtual partners on the closer
+absorbing boundary, and a zero-weight clique among each boundary's virtuals.
+The forced problem adds one extra virtual anyon per absorbing boundary (joined
+to the boundary's virtuals at zero weight, to every real anyon at its distance
+to that boundary, and to the opposite extra at weight L), so every perfect
+matching of it realizes the complementary class bit.
 
-The class-forced variant additionally builds, per species, a second matching
-problem with one extra virtual anyon per absorbing boundary (joined to the
-boundary's virtuals at zero weight, to every real anyon at its distance to
-that boundary, and to the opposite extra at weight L).  Every perfect matching
-of the forced problem realizes the complementary class bit, so the 2x2
-combinations of forced/unforced chains yield one minimum-weight hypothesis per
-equivalence class.  The four hypotheses are then compared under the true
-correlated error count, where an x- and a z-error on the same qubit cost one
-sigma-y rather than two errors.
+Standard decoding takes, per species, the lighter of the two chains (ties go
+to fewer boundary exits, then to the unforced one): plain matching with free
+boundaries.  The class-forced decoder combines the 2x2 chains into one
+minimum-weight hypothesis per equivalence class and compares the four under
+the true correlated error count, where an x- and a z-error on the same qubit
+cost one sigma-y rather than two errors.
 
 A deterministic zero-temperature descent (stabilizer moves that never increase
 the correlated energy, with best-seen tracking) optionally tightens each class
@@ -158,30 +158,6 @@ def build_problem(
     return MatchingProblem(species, force_class_flip, tuple(vertices), tuple(edges))
 
 
-def build_standard_problem(
-    layout: CodeLayout, anyons: tuple[int, ...], species: str
-) -> MatchingProblem:
-    """Matching graph of the plain (class-agnostic) decoder.
-
-    Same as the unforced class-pure graph but with zero-weight edges between
-    ALL virtual anyons, including across opposite boundaries: leftover virtual
-    partners can then always annihilate freely, so the matcher returns the
-    globally minimal pairing over both classes instead of the one pinned by
-    nearest-boundary parities.
-    """
-    base = build_problem(layout, anyons, species, False)
-    n = len(anyons)
-    extra_edges = [
-        (n + i, n + j, 0)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if base.vertices[n + i].boundary != base.vertices[n + j].boundary
-    ]
-    return MatchingProblem(
-        species, False, base.vertices, base.edges + tuple(extra_edges)
-    )
-
-
 def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
     """Globally minimal perfect matching (exact blossom algorithm)."""
     n = len(problem.vertices)
@@ -290,16 +266,9 @@ def _safe_energy(model: NoiseModel, frame: PauliFrame) -> float:
 
 
 def decode_standard(layout: CodeLayout, syndrome: Syndrome, model: NoiseModel) -> DecoderVerdict:
-    """Plain matching: both species paired independently, no class awareness."""
-    frame = layout.identity_frame()
-    total = 0
-    for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
-        prob = build_standard_problem(layout, anyons, species)
-        m = min_weight_perfect_matching(prob)
-        frame = frame * chain_from_matching(layout, prob, m)
-        total += m.total_weight
-    cls = layout.class_of(frame)
-    return DecoderVerdict(cls, {cls: float(total)}, frame)
+    """Plain matching: each species takes the lighter of its two class-pure
+    chains, with no class awareness across species."""
+    return _standard_from_chains(layout, _species_chains(layout, syndrome))
 
 
 _PLATEAU_TOL = 1e-12
@@ -382,25 +351,45 @@ def refine_frame(
     return PauliFrame(frame.n_qubits, best[0], best[1])
 
 
+#: (chain, matching weight, boundary exits) of one class-pure matching
+SpeciesChain = tuple[PauliFrame, int, int]
+
+
 def _species_chains(
     layout: CodeLayout, syndrome: Syndrome
-) -> tuple[dict[tuple[str, bool], PauliFrame], dict[tuple[str, bool], int]]:
-    chains: dict[tuple[str, bool], PauliFrame] = {}
-    weights: dict[tuple[str, bool], int] = {}
+) -> dict[tuple[str, bool], SpeciesChain]:
+    """The four class-pure matchings, keyed by (species, force_class_flip)."""
+    chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
         for flip in (False, True):
             prob = build_problem(layout, anyons, species, flip)
             m = min_weight_perfect_matching(prob)
-            chains[(species, flip)] = chain_from_matching(layout, prob, m)
-            weights[(species, flip)] = m.total_weight
-    return chains, weights
+            verts = prob.vertices
+            exits = sum((verts[u].kind == REAL) != (verts[v].kind == REAL) for u, v in m.pairs)
+            chains[(species, flip)] = (chain_from_matching(layout, prob, m), m.total_weight, exits)
+    return chains
+
+
+def _standard_from_chains(
+    layout: CodeLayout, chains: dict[tuple[str, bool], SpeciesChain]
+) -> DecoderVerdict:
+    frame = layout.identity_frame()
+    total = 0
+    for species in (SPECIES_P, SPECIES_S):
+        # lighter chain first, then fewer boundary exits, then unforced
+        flip = min((False, True), key=lambda f: (*chains[(species, f)][1:], f))
+        chain, weight, _ = chains[(species, flip)]
+        frame = frame * chain
+        total += weight
+    cls = layout.class_of(frame)
+    return DecoderVerdict(cls, {cls: float(total)}, frame)
 
 
 def _enhanced_from_chains(
     layout: CodeLayout,
     syndrome: Syndrome,
     model: NoiseModel,
-    chains: dict[tuple[str, bool], PauliFrame],
+    chains: dict[tuple[str, bool], SpeciesChain],
     refine_steps: int | None,
 ) -> tuple[DecoderVerdict, ClassChainSet]:
     if refine_steps is None:
@@ -411,7 +400,7 @@ def _enhanced_from_chains(
     frames: list[PauliFrame | None] = [None] * 4
     for fp in (False, True):
         for fs in (False, True):
-            combined = chains[(SPECIES_P, fp)] * chains[(SPECIES_S, fs)]
+            combined = chains[(SPECIES_P, fp)][0] * chains[(SPECIES_S, fs)][0]
             cls = layout.class_of(combined)
             if refine_steps:
                 combined = refine_frame(layout, model, combined, refine_steps)
@@ -445,7 +434,7 @@ def decode_enhanced(
     correlated model.  Returns the winning verdict and the per-class chain
     set used to seed the Monte Carlo decoders.
     """
-    chains, _ = _species_chains(layout, syndrome)
+    chains = _species_chains(layout, syndrome)
     return _enhanced_from_chains(layout, syndrome, model, chains, refine_steps)
 
 
@@ -455,8 +444,7 @@ def decode_both(
     model: NoiseModel,
     refine_steps: int | None = None,
 ) -> tuple[DecoderVerdict, DecoderVerdict, ClassChainSet]:
-    """Standard and class-forced verdicts on the same syndrome."""
-    std = decode_standard(layout, syndrome, model)
-    chains, _ = _species_chains(layout, syndrome)
+    """Standard and class-forced verdicts, both read off the same four matchings."""
+    chains = _species_chains(layout, syndrome)
     enh, chain_set = _enhanced_from_chains(layout, syndrome, model, chains, refine_steps)
-    return std, enh, chain_set
+    return _standard_from_chains(layout, chains), enh, chain_set

@@ -19,7 +19,6 @@ from scipy.special import logsumexp
 
 from .errors import InvalidParameterError
 from .geometry import EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
-from .matching import decode_enhanced
 from .noise import DEPOLARIZING, NoiseModel, beta_bar
 
 ENUMERATION_LIMIT = 16
@@ -88,19 +87,26 @@ def exact_boltzmann(orbit: ClassOrbit, beta: float) -> tuple[float, float]:
     return log_z, mean_n
 
 
-def class_orbits(
-    layout: CodeLayout, syndrome: Syndrome, refine_steps: int = 0
-) -> dict[EquivalenceClass, ClassOrbit]:
-    """Orbits of all four classes, seeded from the class-forced matcher.
+def class_orbits(layout: CodeLayout, syndrome: Syndrome) -> dict[EquivalenceClass, ClassOrbit]:
+    """Orbits of all four classes.
 
-    The histogram is representative-invariant, so the cheap unrefined
-    hypotheses are used by default.
+    The histogram is representative-invariant, so the representatives are the
+    syndrome's pure error (sigma-x from each p-anyon straight up to row -1,
+    sigma-z from each s-anyon straight left to column -1) times each of I,
+    X_L, Z_L and X_L Z_L.
     """
-    model = NoiseModel.depolarizing(0.1)  # scores irrelevant, any valid rate
-    _, chain_set = decode_enhanced(layout, syndrome, model, refine_steps=refine_steps)
-    return {
-        cls: enumerate_orbit(layout, chain_set.frame_for(cls)) for cls in EQUIV_CLASSES
-    }
+    index = layout.qubit_index
+    x = z = 0
+    for a in syndrome.p_anyons:
+        r, c = layout.z_stabilizers[a].coord
+        x ^= sum(1 << index[(k, c)] for k in range(0, r, 2))
+    for a in syndrome.s_anyons:
+        r, c = layout.x_stabilizers[a].coord
+        z ^= sum(1 << index[(r, k)] for k in range(0, c, 2))
+    orbits = (enumerate_orbit(layout, PauliFrame(layout.n_qubits, x ^ lx, z ^ lz))
+              for lx in (0, layout.logical_x_mask) for lz in (0, layout.logical_z_mask))
+    by_cls = {orbit.cls: orbit for orbit in orbits}
+    return {cls: by_cls[cls] for cls in EQUIV_CLASSES}
 
 
 def exact_class_log_z(

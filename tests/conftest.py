@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,34 @@ def brute_force_min_matching(n_vertices: int, edges) -> int | None:
         return best
 
     return rec(frozenset(range(n_vertices)))
+
+
+def brute_force_free_boundary_weight(layout, anyons, species: str) -> int:
+    """Minimum free-boundary pairing of one species' anyons; exhaustive.
+
+    Each anyon pairs with another at their lattice distance or exits at its
+    nearer absorbing boundary (rows -1 / 2L-1 for "p", columns for "s").
+    Independent of the production matcher: recursion over pairings, memoized
+    on the set of anyons still unpaired.
+    """
+    stabs = layout.z_stabilizers if species == "p" else layout.x_stabilizers
+    coords = [stabs[a].coord for a in anyons]
+    edge = 2 * layout.L - 1
+    axis = 0 if species == "p" else 1
+    exits = [min((rc[axis] + 1) // 2, (edge - rc[axis]) // 2) for rc in coords]
+
+    @functools.cache
+    def rec(unpaired: int) -> int:
+        if not unpaired:
+            return 0
+        u = (unpaired & -unpaired).bit_length() - 1
+        rest = unpaired & ~(1 << u)
+        best = exits[u] + rec(rest)
+        for v in range(u + 1, len(coords)):
+            if rest >> v & 1:
+                (r1, c1), (r2, c2) = coords[u], coords[v]
+                dist = (abs(r1 - r2) + abs(c1 - c2)) // 2
+                best = min(best, dist + rec(rest & ~(1 << v)))
+        return best
+
+    return rec((1 << len(coords)) - 1)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from conftest import brute_force_min_matching
+from conftest import brute_force_free_boundary_weight, brute_force_min_matching
 from surfmc import (
     CLASS_I,
     EQUIV_CLASSES,
@@ -17,9 +17,11 @@ from surfmc import (
     MetropolisChain,
     NoiseModel,
     SpacetimeChain,
+    Syndrome,
     beta_bar,
     build_layout,
     decode_enhanced,
+    decode_standard,
     enumerate_orbit,
     exact_boltzmann,
     initial_hypothesis,
@@ -39,7 +41,7 @@ from surfmc.harness import (
     paired_comparison_pvalue,
     run_campaign,
 )
-from surfmc.matching import SPECIES_P, SPECIES_S, build_problem, build_standard_problem
+from surfmc.matching import SPECIES_P, SPECIES_S, build_problem
 from surfmc.stats import wilson_interval
 
 MODEL = NoiseModel.depolarizing(0.1)
@@ -276,12 +278,18 @@ def test_criterion_09_matching_optimality():
             check(build_problem(layout, anyons, species, False))
         elif style == 1:
             check(build_problem(layout, anyons, species, True))
-        else:
-            check(build_standard_problem(layout, anyons, species))
+        elif anyons:  # plain matching on a one-species syndrome
+            syndrome = Syndrome(anyons, ()) if species == SPECIES_P else Syndrome((), anyons)
+            verdict = decode_standard(layout, syndrome, MODEL)
+            checked += 1
+            if verdict.scores[verdict.cls] != brute_force_free_boundary_weight(
+                layout, anyons, species
+            ):
+                mismatches += 1
     _report(
         9, mismatches == 0,
-        f"{checked} matching problems (<= 12 vertices) against brute-force "
-        f"enumeration, {mismatches} mismatches",
+        f"{checked} matching problems and plain-matching decodes (<= 12 vertices) "
+        f"against brute-force enumeration, {mismatches} mismatches",
     )
 
 

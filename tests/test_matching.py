@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_min_matching
+from conftest import brute_force_free_boundary_weight, brute_force_min_matching
 from surfmc import (
     CLASS_I,
     EQUIV_CLASSES,
@@ -31,7 +31,6 @@ from surfmc.matching import (
     VIRTUAL,
     MatchingProblem,
     MatchVertex,
-    build_standard_problem,
 )
 from surfmc.oracle import enumerate_orbit
 
@@ -150,10 +149,9 @@ def test_matcher_equals_brute_force_structured(layout4, rng):
             expect = brute_force_min_matching(len(prob.vertices), prob.edges)
             assert expect is not None
             assert min_weight_perfect_matching(prob).total_weight == expect
-        std = build_standard_problem(layout4, anyons, SPECIES_P)
-        if std.vertices:
-            expect = brute_force_min_matching(len(std.vertices), std.edges)
-            assert min_weight_perfect_matching(std).total_weight == expect
+        std = decode_standard(layout4, Syndrome(anyons, ()), MODEL)
+        expect = brute_force_free_boundary_weight(layout4, anyons, SPECIES_P)
+        assert std.scores[std.cls] == expect
 
 
 def test_odd_vertex_count_rejected():
@@ -162,24 +160,24 @@ def test_odd_vertex_count_rejected():
         min_weight_perfect_matching(prob)
 
 
+def _x_on(layout, coords):
+    return PauliFrame.from_paulis(layout.n_qubits, {layout.qubit_index[rc]: "X" for rc in coords})
+
+
 def test_two_anyons_pair_directly(layout5):
     # stabilizer-lattice distance 2, cheaper than the combined boundary exits
     idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
     anyons = tuple(sorted((idx[(3, 4)], idx[(7, 4)])))
-    prob = build_standard_problem(layout5, anyons, SPECIES_P)
-    m = min_weight_perfect_matching(prob)
-    assert m.total_weight == 2
-    pair_kinds = {
-        tuple(sorted((prob.vertices[u].kind, prob.vertices[v].kind))) for u, v in m.pairs
-    }
-    assert ("real", "real") in pair_kinds
+    v = decode_standard(layout5, Syndrome(anyons, ()), MODEL)
+    assert v.scores == {CLASS_I: 2.0}
+    assert v.correction == _x_on(layout5, [(4, 4), (6, 4)])
 
 
 def test_single_anyon_pairs_with_boundary(layout5):
     idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
-    prob = build_standard_problem(layout5, (idx[(1, 2)],), SPECIES_P)
-    m = min_weight_perfect_matching(prob)
-    assert m.total_weight == 1
+    v = decode_standard(layout5, Syndrome((idx[(1, 2)],), ()), MODEL)
+    assert v.scores == {v.cls: 1.0}
+    assert v.correction == _x_on(layout5, [(0, 2)])
 
 
 def test_single_pair_chain(layout5):
@@ -225,6 +223,49 @@ def test_standard_pairs_across_mixed_boundaries(layout5):
     anyons = tuple(sorted((idx[(3, 4)], idx[(5, 4)])))
     frame = decode_standard(layout5, Syndrome(anyons, ()), MODEL).correction
     assert frame.weight() == 1
+
+
+def test_standard_tie_prefers_fewer_boundary_exits(layout5):
+    # a direct pair (class I) and two boundary exits (class X) both weigh 3
+    idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
+    anyons = tuple(sorted((idx[(1, 2)], idx[(5, 4)])))
+    syn = Syndrome(anyons, ())
+    _, chain_set = decode_enhanced(layout5, syn, MODEL, refine_steps=0)
+    assert chain_set.weights[:2] == (3, 3)
+    v = decode_standard(layout5, syn, MODEL)
+    assert v.cls == CLASS_I and v.scores == {CLASS_I: 3.0}
+    assert v.correction == _x_on(layout5, [(2, 2), (4, 2), (5, 3)])
+
+
+def test_standard_full_tie_prefers_unforced(layout4):
+    # mid-row anyon on the even code: one exit of weight 2 towards either
+    # boundary; the unforced matching exits at row -1, its home boundary
+    idx = {s.coord: s.species_index for s in layout4.z_stabilizers}
+    v = decode_standard(layout4, Syndrome((idx[(3, 2)],), ()), MODEL)
+    assert v.scores == {v.cls: 2.0}
+    assert v.correction == _x_on(layout4, [(0, 2), (2, 2)])
+
+
+def test_standard_weight_equals_brute_force(rng):
+    for L in (3, 4, 5):
+        layout = build_layout(L)
+        for _ in range(30):
+            syn, _ = random_syndrome(layout, rng, NoiseModel.depolarizing(0.13))
+            v = decode_standard(layout, syn, MODEL)
+            expect = sum(brute_force_free_boundary_weight(layout, anyons, species)
+                         for species, anyons in ((SPECIES_P, syn.p_anyons),
+                                                 (SPECIES_S, syn.s_anyons)))
+            assert v.scores == {v.cls: float(expect)}
+            assert v.correction.x.bit_count() + v.correction.z.bit_count() == expect
+            assert layout.syndrome_of(v.correction) == syn
+
+
+def test_both_standard_verdict_equals_decode_standard(layout5, rng):
+    for _ in range(50):
+        syn, _ = random_syndrome(layout5, rng)
+        std, _, _ = decode_both(layout5, syn, MODEL)
+        alone = decode_standard(layout5, syn, MODEL)
+        assert (std.cls, std.scores, std.correction) == (alone.cls, alone.scores, alone.correction)
 
 
 # ---------------------------------------------------------------------------
