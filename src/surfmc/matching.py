@@ -8,6 +8,13 @@ to the boundary's virtuals at zero weight, to every real anyon at its distance
 to that boundary, and to the opposite extra at weight L), so every perfect
 matching of it realizes the complementary class bit.
 
+Both are solved by ``blossom``, surfmc's own exact primal-dual blossom solver
+on dense integer weights.  Where several perfect matchings have the minimum
+weight, the one returned is fixed by that solver's vertex and neighbour scan
+order, which follows the order of ``MatchingProblem.edges``; the order was
+taken over from networkx, so the matchings (ties included) are the ones
+networkx returns.
+
 Standard decoding takes, per species, the lighter of the two chains (ties go
 to fewer boundary exits, then to the unforced one): plain matching with free
 boundaries.  The class-forced decoder combines the 2x2 chains into one
@@ -27,8 +34,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
+from .blossom import min_weight_matching
 from .errors import DecoderInternalError, InfeasibleMatchingError, InvalidParameterError
 from .geometry import (
     EQUIV_CLASSES,
@@ -159,23 +165,21 @@ def build_problem(
 
 
 def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
-    """Globally minimal perfect matching (exact blossom algorithm)."""
+    """Globally minimal perfect matching (exact blossom algorithm).
+
+    Raises ``InfeasibleMatchingError`` when the graph has no perfect
+    matching, and ``DecoderInternalError`` if the solver's optimality
+    certificate fails.
+    """
     n = len(problem.vertices)
     if n == 0:
         return Matching((), 0)
     if n % 2:
         raise InfeasibleMatchingError(f"odd vertex count {n}")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    weight = {}
-    for u, v, w in problem.edges:
-        graph.add_edge(u, v, weight=w)
-        weight[(u, v)] = weight[(v, u)] = w
-    mate = nx.min_weight_matching(graph)
-    if 2 * len(mate) != n:
+    pairs, weight = min_weight_matching(n, problem.edges)
+    if 2 * len(pairs) != n:
         raise InfeasibleMatchingError("no perfect matching exists")
-    pairs = tuple(sorted(tuple(sorted(p)) for p in mate))
-    return Matching(pairs, sum(weight[p] for p in pairs))
+    return Matching(tuple(pairs), weight)
 
 
 def _path_mask(layout: CodeLayout, a: Coord, b: Coord) -> int:

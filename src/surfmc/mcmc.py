@@ -26,7 +26,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DecoderInternalError, InvalidParameterError
 from .geometry import EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
@@ -356,6 +355,8 @@ def decode_free_energy(
     steps = np.diff(temps)
     if not np.allclose(steps, steps[0]):
         raise InvalidParameterError("temperature grid must be equidistant")
+
+    from scipy.integrate import simpson  # here, not at the top: slow to import
 
     rngs = _class_chain_rngs(seed_seq)
     h = float(steps[0])

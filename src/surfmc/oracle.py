@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidParameterError
 from .geometry import EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
@@ -78,6 +77,8 @@ def exact_boltzmann(orbit: ClassOrbit, beta: float) -> tuple[float, float]:
     Z is relative (a frame-independent constant is dropped throughout), so at
     beta = 0 it equals the orbit size 2^n_stab.
     """
+    from scipy.special import logsumexp  # here, not at the top: slow to import
+
     weights = np.array(sorted(orbit.weight_histogram), dtype=float)
     counts = np.array([orbit.weight_histogram[int(w)] for w in weights], dtype=float)
     log_terms = -beta * weights + np.log(counts)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import binom, norm
+# scipy is imported inside the functions: at the top it would make up most of
+# the package's import time.
 
 
 def wilson_interval(failures: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (valid at low counts)."""
     if trials <= 0:
         return (0.0, 1.0)
+    from scipy.stats import norm
+
     z = float(norm.ppf(0.5 + confidence / 2.0))
     phat = failures / trials
     denom = 1.0 + z * z / trials
@@ -29,4 +32,6 @@ def mcnemar_one_sided_pvalue(n_favor: int, n_against: int) -> float:
     n = n_favor + n_against
     if n == 0:
         return 1.0
+    from scipy.stats import binom
+
     return float(binom.sf(n_favor - 1, n, 0.5))

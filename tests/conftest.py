@@ -1,9 +1,10 @@
 import functools
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from surfmc import build_layout
+from surfmc import InfeasibleMatchingError, Matching, build_layout
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +52,30 @@ def brute_force_min_matching(n_vertices: int, edges) -> int | None:
         return best
 
     return rec(frozenset(range(n_vertices)))
+
+
+def networkx_min_weight_perfect_matching(problem) -> Matching:
+    """Reference matcher: networkx's blossom on the problem's graph.
+
+    ``surfmc.blossom`` is a port of this solver, with the same vertex and
+    neighbour order, so it must return these exact pairs, ties included.
+    """
+    n = len(problem.vertices)
+    if n == 0:
+        return Matching((), 0)
+    if n % 2:
+        raise InfeasibleMatchingError(f"odd vertex count {n}")
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    weight = {}
+    for u, v, w in problem.edges:
+        graph.add_edge(u, v, weight=w)
+        weight[(u, v)] = weight[(v, u)] = w
+    mate = nx.min_weight_matching(graph)
+    if 2 * len(mate) != n:
+        raise InfeasibleMatchingError("no perfect matching exists")
+    pairs = tuple(sorted(tuple(sorted(p)) for p in mate))
+    return Matching(pairs, sum(weight[p] for p in pairs))
 
 
 def brute_force_free_boundary_weight(layout, anyons, species: str) -> int:

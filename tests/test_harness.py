@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surfmc
 from surfmc import ConfigError, ExperimentConfig, build_layout
 from surfmc.cli import main as cli_main
 from surfmc.harness import (
@@ -343,3 +347,19 @@ def test_cli_oracle_check_rejects_syndrome_count(capsys, count):
     err = capsys.readouterr().err
     assert code == 1
     assert "n_syndromes" in err and len(err.strip().splitlines()) == 1
+
+
+def test_import_loads_neither_networkx_nor_scipy():
+    # scipy is imported inside the few functions that call it; networkx only
+    # by the tests, as the reference matcher
+    code = (
+        "import sys, surfmc; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))"
+    )
+    src = str(Path(surfmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

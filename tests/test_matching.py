@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_free_boundary_weight, brute_force_min_matching
+from conftest import (
+    brute_force_free_boundary_weight,
+    brute_force_min_matching,
+    networkx_min_weight_perfect_matching,
+)
 from surfmc import (
     CLASS_I,
     EQUIV_CLASSES,
+    DecoderInternalError,
     InfeasibleMatchingError,
     InvalidParameterError,
     NoiseModel,
@@ -32,6 +37,7 @@ from surfmc.matching import (
     MatchingProblem,
     MatchVertex,
 )
+from surfmc import blossom
 from surfmc.oracle import enumerate_orbit
 
 MODEL = NoiseModel.depolarizing(0.1)
@@ -158,6 +164,109 @@ def test_odd_vertex_count_rejected():
     prob = MatchingProblem("p", False, (MatchVertex(REAL, (0, 0), None),), ())
     with pytest.raises(InfeasibleMatchingError):
         min_weight_perfect_matching(prob)
+
+
+def _same_as_networkx(prob):
+    try:
+        expect = networkx_min_weight_perfect_matching(prob)
+    except InfeasibleMatchingError:
+        with pytest.raises(InfeasibleMatchingError):
+            min_weight_perfect_matching(prob)
+        return False
+    assert min_weight_perfect_matching(prob) == expect
+    return True
+
+
+def test_pairs_equal_networkx_on_decoder_problems(rng):
+    # the exact pairs, not just the weight: ties must go the same way
+    checked = 0
+    for L in (3, 5, 7, 9):
+        layout = build_layout(L)
+        for p in (0.10, 0.15):
+            model = NoiseModel.depolarizing(p)
+            for _ in range(12):
+                syn, _ = random_syndrome(layout, rng, model)
+                for species, anyons in ((SPECIES_P, syn.p_anyons), (SPECIES_S, syn.s_anyons)):
+                    for flip in (False, True):
+                        checked += _same_as_networkx(build_problem(layout, anyons, species, flip))
+    assert checked == 4 * 2 * 12 * 4
+
+
+def test_pairs_equal_networkx_on_raw_graphs(rng):
+    feasible = infeasible = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 9)) * 2
+        vertices = tuple(MatchVertex(REAL, (0, 0), None) for _ in range(n))
+        density = rng.uniform(0.1, 1.0)
+        isolated = int(rng.integers(n)) if rng.random() < 0.2 else -1
+        edges = [
+            (i, j, int(rng.integers(0, 13)))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if isolated not in (i, j) and rng.random() < density
+        ]
+        rng.shuffle(edges)
+        ok = _same_as_networkx(MatchingProblem("p", False, vertices, tuple(edges)))
+        feasible += ok
+        infeasible += not ok
+    assert feasible > 50 and infeasible > 50
+
+
+def test_certificate_rejects_non_optimal_matching():
+    # max-weight K4: the optimum {0-2, 1-3} weighs 10, {0-1, 2-3} only 2
+    edges = [(0, 1, 1), (2, 3, 1), (0, 2, 5), (1, 3, 5), (0, 3, 1), (1, 2, 1)]
+    no_blossoms = ([-1] * 4, {}, [])
+    blossom.verify_optimum(edges, [2, 3, 0, 1], [5, 5, 5, 5], *no_blossoms)
+    # duals tight on the matched edges leave edge 0-2 with negative slack
+    with pytest.raises(DecoderInternalError, match="negative slack"):
+        blossom.verify_optimum(edges, [1, 0, 3, 2], [1, 1, 1, 1], *no_blossoms)
+    # duals feasible everywhere leave the matched edges with positive slack
+    with pytest.raises(DecoderInternalError, match="not tight"):
+        blossom.verify_optimum(edges, [1, 0, 3, 2], [5, 5, 5, 5], *no_blossoms)
+    # a single vertex must have zero dual
+    with pytest.raises(DecoderInternalError, match="single vertex"):
+        blossom.verify_optimum(edges, [2, -1, 0, -1], [5, 5, 5, 5], *no_blossoms)
+
+
+def test_solver_checks_its_certificate(layout5, monkeypatch):
+    calls = []
+    check = blossom.verify_optimum
+    monkeypatch.setattr(
+        blossom, "verify_optimum", lambda *args: calls.append(1) or check(*args)
+    )
+    for flip in (False, True):
+        min_weight_perfect_matching(build_problem(layout5, (0, 7, 12), SPECIES_P, flip))
+    assert len(calls) == 2
+
+
+def _boundary0_ends(prob, matching):
+    """Chain ends on boundary 0: real-to-boundary-0 pairs, plus one for the
+    extra-extra pair, whose reference logical runs from boundary 0 to 1."""
+    ends = 0
+    for u, v in matching.pairs:
+        a, b = prob.vertices[u], prob.vertices[v]
+        if (a.kind == REAL) != (b.kind == REAL):
+            ends += (b if a.kind == REAL else a).boundary == 0
+        ends += a.kind == b.kind == EXTRA
+    return ends
+
+
+def test_class_bit_is_parity_of_boundary0_ends(rng):
+    # row-first paths between anyons never touch row 0 or column 0, so a
+    # species' class bit is fixed by where its chains leave the lattice
+    for L in (5, 7):
+        layout = build_layout(L)
+        for _ in range(25):
+            syn, _ = random_syndrome(layout, rng, NoiseModel.depolarizing(0.13))
+            for species, anyons, bit in (
+                (SPECIES_P, syn.p_anyons, "bit_v"),
+                (SPECIES_S, syn.s_anyons, "bit_h"),
+            ):
+                for flip in (False, True):
+                    prob = build_problem(layout, anyons, species, flip)
+                    m = min_weight_perfect_matching(prob)
+                    cls = layout.class_of(chain_from_matching(layout, prob, m))
+                    assert getattr(cls, bit) == _boundary0_ends(prob, m) % 2
 
 
 def _x_on(layout, coords):
