@@ -7,9 +7,13 @@ model's error count (sigma-y counts once for depolarizing noise).  One step
 picks a stabilizer uniformly at random, computes the count change Delta n on
 its 3-4 support qubits, applies it when Delta n <= 0 and with probability
 exp(-beta * Delta n) otherwise, then accumulates the post-move count.
-``MoveKernel`` holds that move for one layout and noise model: the masks, the
-acceptance table, the reference ``delta`` and the batch loop; the chains, the
-rectangle sweep, the refinement descent and the spacetime chain all use it.
+``MoveKernel`` holds that move for one layout and noise model: the batch
+loop of the chains and the rectangle sweep, which reads Delta n from a table
+indexed by the stabilizer's local state (the x and z bits of its support,
+at most 8 bits) and updates the local states of the at most nine
+overlapping stabilizers only when a move is accepted, and the reference
+``delta`` the table is built from, which the refinement descent and the
+spacetime chain call directly.
 
 The single-temperature decoder runs one chain per equivalence class from the
 minimum-weight hypothesis of that class and picks the class with the smallest
@@ -22,6 +26,7 @@ step for parallel operation.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -74,14 +79,78 @@ def batch_means_se(batch_sums: list[tuple[int, int]]) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(len(means)))
 
 
+# A stabilizer's local state: bit i is its own plane's bit (x for an X
+# stabilizer, z for a Z one) on its i-th support qubit, bit 4 + i the other
+# plane's.  4-qubit supports index the Delta n table directly; 3-qubit ones
+# carry the offset of the table's second block above the 8 bits moves flip.
+_OFFSET_3 = 256
+_BIT_WEIGHTS = np.array([1 << i for i in range(8)], dtype=np.uint8)
+
+
+class _LayoutMoves:
+    """The layout's side of the table-driven move, built once per layout:
+    masks, kinds, block offsets, the bit gather that builds local states, and
+    each stabilizer's flip list."""
+
+    def __init__(self, layout: CodeLayout):
+        stabs = layout.stabilizers
+        nq = layout.n_qubits
+        self.n_qubits = nq
+        self.masks = [s.mask for s in stabs]
+        self.x_kind = [s.kind == "X" for s in stabs]
+        self.offsets = np.array([_OFFSET_3 * (len(s.qubits) == 3) for s in stabs])
+        # states are gathered from the bits of x | z << nq; its bit 2 nq is
+        # always clear and stands in for the missing qubit of 3-qubit supports
+        pad = [2 * nq] * 4
+        self.n_bytes = 2 * nq // 8 + 1
+        gather = []
+        for s in stabs:
+            xs = (list(s.qubits) + pad)[:4]
+            zs = ([nq + q for q in s.qubits] + pad)[:4]
+            gather.append(xs + zs if s.kind == "X" else zs + xs)
+        self.gather = np.array(gather)
+        # flips[s]: (t, bits) for every stabilizer t sharing a qubit with s,
+        # itself included; accepting s XORs bits into t's local state
+        holders: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
+        for t, stab in enumerate(stabs):
+            for i, q in enumerate(stab.qubits):
+                holders[q].append((t, i))
+        self.flips = []
+        for stab in stabs:
+            bits: dict[int, int] = {}
+            for q in stab.qubits:
+                for t, i in holders[q]:
+                    plane = 0 if stabs[t].kind == stab.kind else 4
+                    bits[t] = bits.get(t, 0) | 1 << (plane + i)
+            self.flips.append(tuple(bits.items()))
+
+
+_LAYOUT_MOVES: dict[int, _LayoutMoves] = {}  # by id(layout), dropped with it
+_DELTA_TABLES: dict[bool, list[int]] = {}    # by "model is independent"
+
+
+def _layout_moves(layout: CodeLayout) -> _LayoutMoves:
+    moves = _LAYOUT_MOVES.get(id(layout))
+    if moves is None:
+        moves = _LAYOUT_MOVES[id(layout)] = _LayoutMoves(layout)
+        weakref.finalize(layout, _LAYOUT_MOVES.pop, id(layout))
+    return moves
+
+
 class MoveKernel:
     """The single-stabilizer move of one layout under one noise model.
 
-    Holds the stabilizer masks and kinds and the acceptance table.  ``delta``
-    is the reference change Delta n of the model's error count
+    ``delta`` is the reference change Delta n of the model's error count
     (``noise.error_score``) when one stabilizer, or any mask, is multiplied
-    into a frame; ``batch`` is the Metropolis loop every chain drives, with
-    the same formulas written inline per model because it is the hot path.
+    into a frame; refinement and the spacetime chain call it on arbitrary
+    masks.  ``batch``, the Metropolis loop of the chains and the rectangle
+    sweep, instead reads Delta n from ``table``, which is ``delta`` evaluated
+    once on every local state of a 3- or 4-qubit support.  The noise model
+    thus lives in the table, and one loop serves both models.  The caller
+    keeps the per-stabilizer local states (``local_states``) next to its
+    frame; an accepted move XORs its flip list into the states of the at
+    most nine stabilizers that share a qubit with it.  The flip lists are
+    built on first use once per layout, the table once per model kind.
     """
 
     def __init__(self, layout: CodeLayout, model: NoiseModel):
@@ -91,16 +160,29 @@ class MoveKernel:
                 f"{model.kind!r} has none"
             )
         self.independent = model.kind == INDEPENDENT_XZ
-        self.masks = [s.mask for s in layout.stabilizers]
-        self.x_kind = [s.kind == "X" for s in layout.stabilizers]
+        self._local = moves = _layout_moves(layout)
+        self.masks = moves.masks
+        self.x_kind = moves.x_kind
+        table = _DELTA_TABLES.get(self.independent)
+        if table is None:
+            table = _DELTA_TABLES[self.independent] = [
+                self.delta(state & 15, state >> 4, mask, True)
+                for mask in (0b1111, 0b111)
+                for state in range(256)
+            ]
+        self.table = table
 
     @staticmethod
     def acceptance(beta: float) -> list[float]:
-        """Metropolis acceptance probability indexed by Delta n."""
-        # Delta n of a single 3-4 qubit stabilizer move is at most 4
+        """Metropolis acceptance probability indexed by Delta n in -4..4.
+
+        Negative Delta n wraps to the trailing 1.0 entries, which every
+        uniform draw in [0, 1) is below, so one comparison decides a move.
+        """
+        # |Delta n| of a single 3-4 qubit stabilizer move is at most 4
         if math.isinf(beta):
-            return [1.0, 0.0, 0.0, 0.0, 0.0]
-        return [1.0] + [math.exp(-beta * d) for d in (1, 2, 3, 4)]
+            return [1.0, 0.0, 0.0, 0.0, 0.0] + [1.0] * 4
+        return [1.0] + [math.exp(-beta * d) for d in (1, 2, 3, 4)] + [1.0] * 4
 
     def delta(self, x: int, z: int, mask: int, x_plane: bool) -> int:
         """Count change of flipping ``mask`` in the x plane (else the z plane)."""
@@ -110,56 +192,61 @@ class MoveKernel:
             return ((x ^ mask) & mask).bit_count() - (x & mask).bit_count()
         return (((x ^ mask) | z) & mask).bit_count() - ((x | z) & mask).bit_count()
 
-    def batch(
-        self, x: int, z: int, n: int, idx: list[int], us: list[float], acc: list[float]
-    ) -> tuple[int, int, int, int]:
-        """Propose the stabilizers ``idx`` in turn, accepting a move of
-        Delta n > 0 iff its uniform draw is below ``acc[Delta n]``.
+    def local_states(self, frame: PauliFrame) -> list[int]:
+        """Every stabilizer's ``table`` index in ``frame``."""
+        moves = self._local
+        if frame.n_qubits != moves.n_qubits:
+            raise InvalidParameterError(
+                f"frame has {frame.n_qubits} qubits, the layout {moves.n_qubits}"
+            )
+        packed = (frame.x | frame.z << moves.n_qubits).to_bytes(moves.n_bytes, "little")
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+        return (moves.offsets | bits[moves.gather] @ _BIT_WEIGHTS).tolist()
 
-        Returns the final (x, z, n) and the sum of the post-move counts.
+    def batch(
+        self,
+        x: int,
+        z: int,
+        n: int,
+        states: list[int],
+        idx: list[int],
+        us: list[float],
+        acc: list[float],
+    ) -> tuple[int, int, int, int]:
+        """Propose the stabilizers ``idx`` in turn, accepting a move iff its
+        uniform draw is below ``acc[Delta n]`` (always when Delta n <= 0).
+
+        ``states`` must be ``local_states`` of (x, z) and is kept in step in
+        place.  Returns the final (x, z, n) and the sum of the post-move
+        counts.
         """
         masks = self.masks
         x_kind = self.x_kind
+        flips = self._local.flips
+        table = self.table
         cum = 0
-        if self.independent:
-            for s, u in zip(idx, us):
-                m = masks[s]
+        for s, u in zip(idx, us):
+            d = table[states[s]]
+            if u < acc[d]:
+                n += d
                 if x_kind[s]:
-                    d = ((x ^ m) & m).bit_count() - (x & m).bit_count()
-                    if d <= 0 or u < acc[d]:
-                        x ^= m
-                        n += d
+                    x ^= masks[s]
                 else:
-                    d = ((z ^ m) & m).bit_count() - (z & m).bit_count()
-                    if d <= 0 or u < acc[d]:
-                        z ^= m
-                        n += d
-                cum += n
-        else:
-            for s, u in zip(idx, us):
-                m = masks[s]
-                if x_kind[s]:
-                    nx = x ^ m
-                    d = ((nx | z) & m).bit_count() - ((x | z) & m).bit_count()
-                    if d <= 0 or u < acc[d]:
-                        x = nx
-                        n += d
-                else:
-                    nz = z ^ m
-                    d = ((nz | x) & m).bit_count() - ((x | z) & m).bit_count()
-                    if d <= 0 or u < acc[d]:
-                        z = nz
-                        n += d
-                cum += n
+                    z ^= masks[s]
+                for t, bits in flips[s]:
+                    states[t] ^= bits
+            cum += n
         return x, z, n, cum
 
 
 class MetropolisChain:
     """One Markov chain over the stabilizer orbit of its seed frame.
 
-    The frame is owned by the chain (single writer).  ``run`` is the bulk
-    sampler; ``step`` is the same path on a single proposal, and records no
-    batch for ``standard_error``.  ``estimate`` is the running average of the
+    The frame and its stabilizers' local states (``MoveKernel.local_states``)
+    are owned by the chain (single writer) and kept across calls; a frame of
+    another layout is rejected.  ``run`` is the bulk sampler; ``step`` is the
+    same path on a single proposal, and records no batch for
+    ``standard_error``.  ``estimate`` is the running average of the
     error count over all proposals since the end of burn-in; by default
     nothing is discarded, since heating up from a minimum-weight seed is
     faster than cooling from a random one.
@@ -182,6 +269,7 @@ class MetropolisChain:
         self.rng = rng
         self._x = frame.x
         self._z = frame.z
+        self._states = self._kernel.local_states(frame)
         self._acc = MoveKernel.acceptance(beta)
         self._n = error_score(model, frame)
         self.step_count = 0
@@ -223,7 +311,7 @@ class MetropolisChain:
     def _moves(self, idx: list[int], us: list[float]) -> int:
         """Make the proposals; returns the summed post-move counts."""
         self._x, self._z, self._n, cum = self._kernel.batch(
-            self._x, self._z, self._n, idx, us, self._acc
+            self._x, self._z, self._n, self._states, idx, us, self._acc
         )
         return cum
 
@@ -547,9 +635,11 @@ def run_parallel_sweep(
     Step i probes one uniformly chosen stabilizer in every rectangle of group
     (i mod n_groups); probed stabilizers never share a qubit, so the combined
     update equals the parallel one.  The error count is accumulated after
-    every step, once ``burn_in`` steps have been discarded.
+    every step, once ``burn_in`` steps have been discarded.  One set of local
+    states serves the whole run.
     """
     kernel = MoveKernel(layout, model)
+    states = kernel.local_states(frame)
     acc = kernel.acceptance(beta)
     seed_syndrome = layout.syndrome_of(frame)
     seed_class = layout.class_of(frame)
@@ -575,7 +665,7 @@ def run_parallel_sweep(
             rects = group_rects[(done + i) % n_groups]
             row_pick = pick[i]
             idx = [ids[int(row_pick[k] * len(ids))] for k, ids in enumerate(rects)]
-            x, z, cur, _ = kernel.batch(x, z, cur, idx, us[i], acc)
+            x, z, cur, _ = kernel.batch(x, z, cur, states, idx, us[i], acc)
             chunk_cum += cur
         if done >= 0:
             cum += chunk_cum

@@ -1,10 +1,12 @@
 import functools
+import math
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from surfmc import InfeasibleMatchingError, Matching, build_layout
+from surfmc import InfeasibleMatchingError, Matching, build_layout, error_score
+from surfmc.mcmc import MoveKernel
 
 
 @pytest.fixture(scope="session")
@@ -107,3 +109,50 @@ def brute_force_free_boundary_weight(layout, anyons, species: str) -> int:
         return best
 
     return rec((1 << len(coords)) - 1)
+
+
+def reference_metropolis(layout, model, beta, frame, rng, plan):
+    """Reference for ``MetropolisChain``: Delta n from ``MoveKernel.delta`` on
+    the whole frame, the chain's RNG draws and its accept test.
+
+    ``plan`` lists calls in order: ``("run", n_steps)``, ``("burn", n_steps)``
+    (a run that accumulates nothing) or ``("step",)``.  Returns the final
+    (x, z), the cumulative count, the step count and the batch sums.
+    """
+    delta = MoveKernel(layout, model).delta
+    stabs = layout.stabilizers
+    x, z, n = frame.x, frame.z, error_score(model, frame)
+    cumulative, steps, batch_sums = 0, 0, []
+
+    def propose(s, u):
+        nonlocal x, z, n
+        stab = stabs[s]
+        d = delta(x, z, stab.mask, stab.kind == "X")
+        if d <= 0 or u < math.exp(-beta * d):
+            if stab.kind == "X":
+                x ^= stab.mask
+            else:
+                z ^= stab.mask
+            n += d
+        return n
+
+    for call in plan:
+        if call[0] == "step":
+            s = int(rng.integers(0, len(stabs)))
+            cumulative += propose(s, float(rng.random()))
+            steps += 1
+            continue
+        n_steps = call[1]
+        chunk = max(1024, n_steps // 32)
+        done = 0
+        while done < n_steps:
+            todo = min(chunk, n_steps - done)
+            idx = rng.integers(0, len(stabs), size=todo).tolist()
+            us = rng.random(size=todo).tolist()
+            cum = sum(propose(s, u) for s, u in zip(idx, us))
+            done += todo
+            if call[0] == "run":
+                cumulative += cum
+                steps += todo
+                batch_sums.append((todo, cum))
+    return (x, z), cumulative, steps, batch_sums

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_metropolis
 from surfmc import (
     CLASS_I,
     EQUIV_CLASSES,
@@ -360,23 +361,82 @@ def test_parallel_matches_sequential(layout5, rng):
             assert abs(chain.estimate - par.estimate) <= 3 * combined
 
 
-@pytest.mark.parametrize("model", [MODEL, NoiseModel.independent_xz(0.1, 0.1)])
-def test_batch_loop_matches_delta(layout5, rng, model):
-    kernel = MoveKernel(layout5, model)
-    for _ in range(20):
-        frame = sample_frame(NoiseModel.depolarizing(0.4), layout5, rng)
-        x, z = frame.x, frame.z
-        n = error_score(model, frame)
-        for s, stab in enumerate(layout5.stabilizers):
-            x_plane = stab.kind == "X"
-            d = kernel.delta(x, z, stab.mask, x_plane)
-            moved = (x ^ stab.mask, z) if x_plane else (x, z ^ stab.mask)
-            assert error_score(model, PauliFrame(layout5.n_qubits, *moved)) == n + d
-            # beta = 0 accepts every move, beta = inf only non-increasing ones
-            hot = kernel.batch(x, z, n, [s], [0.5], kernel.acceptance(0.0))
-            assert hot == (*moved, n + d, n + d)
-            cold = kernel.batch(x, z, n, [s], [0.5], kernel.acceptance(math.inf))
-            assert cold == ((*moved, n + d, n + d) if d <= 0 else (x, z, n, n))
+MODELS = [MODEL, NoiseModel.independent_xz(0.1, 0.1)]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_batch_loop_matches_delta(rng, model):
+    for L in (2, 3, 5, 7):
+        layout = build_layout(L)
+        kernel = MoveKernel(layout, model)
+        hot, cold = kernel.acceptance(0.0), kernel.acceptance(math.inf)
+        for _ in range(20):
+            frame = sample_frame(NoiseModel.depolarizing(0.4), layout, rng)
+            x, z = frame.x, frame.z
+            n = error_score(model, frame)
+            states = kernel.local_states(frame)
+            for s, stab in enumerate(layout.stabilizers):
+                x_plane = stab.kind == "X"
+                d = kernel.delta(x, z, stab.mask, x_plane)
+                assert kernel.table[states[s]] == d
+                moved = (x ^ stab.mask, z) if x_plane else (x, z ^ stab.mask)
+                assert error_score(model, PauliFrame(layout.n_qubits, *moved)) == n + d
+                taken = (
+                    (*moved, n + d, n + d),
+                    kernel.local_states(PauliFrame(layout.n_qubits, *moved)),
+                )
+                # beta = 0 accepts every move, beta = inf only non-increasing ones
+                for acc, accepts in ((hot, True), (cold, d <= 0)):
+                    kept = list(states)
+                    out = kernel.batch(x, z, n, kept, [s], [0.5], acc)
+                    assert (out, kept) == (taken if accepts else ((x, z, n, n), states))
+
+
+@pytest.mark.parametrize("L", [3, 4, 7])
+@pytest.mark.parametrize("model", MODELS)
+def test_chain_local_states_follow_frame(L, model):
+    layout = build_layout(L)
+    for beta in (0.0, beta_bar(model), math.inf):
+        frame = sample_frame(model, layout, np.random.default_rng(L))
+        chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(7))
+        # checked often: a missed flip undoes itself on the next accepted move
+        for _ in range(30):
+            chain.run(100)
+            assert chain._states == chain._kernel.local_states(chain.frame)
+            chain.step()
+            assert chain._states == chain._kernel.local_states(chain.frame)
+
+
+@pytest.mark.parametrize("L", [5, 7])
+@pytest.mark.parametrize("model", MODELS)
+def test_chain_matches_reference_loop(L, model):
+    layout = build_layout(L)
+    plan = [("burn", 700), ("step",), ("run", 2500), ("step",), ("step",), ("run", 1500)]
+    for k, beta in enumerate((0.3, beta_bar(model), math.inf)):
+        frame = sample_frame(model, layout, np.random.default_rng(100 + k))
+        chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(k))
+        for call in plan:
+            if call[0] == "step":
+                chain.step()
+            else:
+                chain.run(call[1], accumulate=call[0] == "run")
+        ref_frame, ref_cum, ref_steps, ref_batches = reference_metropolis(
+            layout, model, beta, frame, np.random.default_rng(k), plan
+        )
+        assert (chain.frame.x, chain.frame.z) == ref_frame
+        assert chain.cumulative_n == ref_cum and chain.step_count == ref_steps
+        assert chain._batch_sums == ref_batches
+
+
+def test_chain_rejects_frame_of_another_layout(layout3, layout5, rng):
+    frame = sample_frame(MODEL, layout5, rng)
+    with pytest.raises(InvalidParameterError):
+        MetropolisChain(layout3, MODEL, BB, frame, np.random.default_rng(1))
+    with pytest.raises(InvalidParameterError):
+        run_parallel_sweep(
+            layout3, MODEL, BB, frame, parallel_sweep_schedule(layout3, 2), 10,
+            np.random.default_rng(1),
+        )
 
 
 def test_step_is_run_on_one_proposal(layout4):
