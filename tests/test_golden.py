@@ -1,0 +1,195 @@
+"""Golden outputs: seeded results pinned to their exact values.
+
+A refactor of the samplers or the harness must leave every seeded output
+byte-identical.  This file pins a short campaign (both noise models, all four
+algorithms) and the chain, sweep and decoder results it rests on, against
+``golden.json`` next to it.  Floats are compared through ``repr``, so equal
+means bit-equal, NaN included.  The campaign's Wilson bounds come from scipy
+and are compared to a relative 1e-12 instead.
+
+Regenerate the data only for an intended change of outputs, and name the
+moved values when you do: ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+
+from surfmc import (
+    EQUIV_CLASSES,
+    ExperimentConfig,
+    MetropolisChain,
+    NoiseModel,
+    beta_bar,
+    build_layout,
+    decode_enhanced,
+    decode_free_energy,
+    decode_single_temperature,
+    default_single_temp_config,
+    free_energy_temperatures,
+    parallel_sweep_schedule,
+    run_campaign,
+    run_parallel_sweep,
+    sample_frame,
+)
+from surfmc.harness import ALGORITHMS, CSV_HEADER, format_results_csv
+
+GOLDEN = Path(__file__).with_name("golden.json")
+MODELS = {
+    "depolarizing": NoiseModel.depolarizing(0.1),
+    "independent_xz": NoiseModel.independent_xz(0.1, 0.1),
+}
+CI_COLUMNS = ("ci_low", "ci_high")
+
+
+def _f(v) -> str:
+    return repr(float(v))
+
+
+def _frame(f) -> list[str]:
+    return [hex(f.x), hex(f.z)]
+
+
+def campaign_csvs() -> list[str]:
+    common = dict(seed=606, algorithms=ALGORITHMS, max_trials=96, target_logical_errors=None)
+    return [
+        format_results_csv(run_campaign(ExperimentConfig(
+            L_values=(3, 5), p_values=(0.10, 0.13), **common))),
+        format_results_csv(run_campaign(ExperimentConfig(
+            L_values=(5,), p_values=(0.08,), model_kind="independent_xz",
+            refine_steps=256, **common))),
+    ]
+
+
+def chain_results() -> dict:
+    plan = [("burn", 700), ("step",), ("run", 2500), ("step",), ("step",), ("run", 1500)]
+    out = {}
+    for L in (3, 5, 7):
+        layout = build_layout(L)
+        for name, model in MODELS.items():
+            for k, beta in enumerate((0.3, beta_bar(model), math.inf)):
+                frame = sample_frame(model, layout, np.random.default_rng(10 * L + k))
+                chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(k))
+                seen = []
+                for call in plan:
+                    if call[0] == "step":
+                        chain.step()
+                    else:
+                        chain.run(call[1], accumulate=call[0] == "run")
+                    seen.append([chain.current_n, chain.step_count, chain.cumulative_n])
+                chain.verify_confinement()
+                out[f"L={L} {name} beta={_f(beta)}"] = {
+                    "trace": seen,
+                    "estimate": _f(chain.estimate),
+                    "standard_error": _f(chain.standard_error()),
+                    "frame": _frame(chain.frame),
+                }
+    return out
+
+
+def sweep_results() -> dict:
+    out = {}
+    for L in (5, 7):
+        layout = build_layout(L)
+        for size in (2, 3):
+            schedule = parallel_sweep_schedule(layout, size)
+            for name, model in MODELS.items():
+                for k, beta in enumerate((0.3, beta_bar(model))):
+                    frame = sample_frame(model, layout, np.random.default_rng(L + k))
+                    result = run_parallel_sweep(
+                        layout, model, beta, frame, schedule, 2000,
+                        np.random.default_rng(100 + k), burn_in=150,
+                    )
+                    out[f"L={L} size={size} {name} beta={_f(beta)}"] = {
+                        "estimate": _f(result.estimate),
+                        "standard_error": _f(result.standard_error),
+                        "steps": result.steps,
+                        "frame": _frame(result.frame),
+                    }
+    return out
+
+
+def decoder_results() -> dict:
+    out = {}
+    for L, n_sample in ((3, 3000), (5, 625)):
+        layout = build_layout(L)
+        for name, model in MODELS.items():
+            frame = sample_frame(NoiseModel.depolarizing(0.13), layout,
+                                 np.random.default_rng(L))
+            syndrome = layout.syndrome_of(frame)
+            _, chain_set = decode_enhanced(layout, syndrome, model)
+            fe = decode_free_energy(
+                layout, syndrome, model, free_energy_temperatures(model, 11), n_sample,
+                chain_set, np.random.SeedSequence(L),
+            )
+            cfg = default_single_temp_config(model, layout, n_sample=3 * n_sample, burn_in=64)
+            st = decode_single_temperature(
+                layout, syndrome, model, cfg, chain_set, np.random.SeedSequence(L + 1)
+            )
+            estimates = fe.detail["free_energy"]
+            out[f"L={L} {name}"] = {
+                "free_energy": {
+                    "class": fe.cls.label,
+                    **{
+                        c.label: {
+                            "means": [_f(v) for v in estimates[c].means],
+                            "ses": [_f(v) for v in estimates[c].ses],
+                            "integral": _f(estimates[c].integral),
+                            "integral_se": _f(estimates[c].integral_se),
+                            "log_z": _f(estimates[c].log_z),
+                        }
+                        for c in EQUIV_CLASSES
+                    },
+                },
+                "single_temperature": {
+                    "class": st.cls.label,
+                    "scores": {c.label: _f(v) for c, v in st.scores.items()},
+                    "se": {c.label: _f(v) for c, v in st.detail["se"].items()},
+                },
+            }
+    return out
+
+
+def _rows(csv: str) -> list[dict]:
+    lines = csv.splitlines()
+    assert lines[0] == CSV_HEADER
+    names = CSV_HEADER.split(",")
+    return [dict(zip(names, line.split(","))) for line in lines[1:]]
+
+
+def test_campaign_csvs():
+    golden = json.loads(GOLDEN.read_text())["campaigns"]
+    got = campaign_csvs()
+    assert len(got) == len(golden)
+    for csv, want in zip(got, golden):
+        got_rows, want_rows = _rows(csv), _rows(want)
+        assert len(got_rows) == len(want_rows)
+        for g, w in zip(got_rows, want_rows):
+            for col in CI_COLUMNS:
+                assert math.isclose(float(g.pop(col)), float(w.pop(col)), rel_tol=1e-12)
+            assert g == w
+
+
+def test_chain_results():
+    assert chain_results() == json.loads(GOLDEN.read_text())["chains"]
+
+
+def test_sweep_results():
+    assert sweep_results() == json.loads(GOLDEN.read_text())["sweeps"]
+
+
+def test_decoder_results():
+    assert decoder_results() == json.loads(GOLDEN.read_text())["decoders"]
+
+
+if __name__ == "__main__":
+    data = {
+        "campaigns": campaign_csvs(),
+        "chains": chain_results(),
+        "sweeps": sweep_results(),
+        "decoders": decoder_results(),
+    }
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
