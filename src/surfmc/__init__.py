@@ -55,7 +55,6 @@ from .mcmc import (
     decode_free_energy,
     decode_single_temperature,
     default_single_temp_config,
-    distinguishability,
     free_energy_temperatures,
     parallel_sweep_schedule,
     run_parallel_sweep,

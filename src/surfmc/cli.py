@@ -112,6 +112,8 @@ def _campaign_config(args: argparse.Namespace) -> ExperimentConfig:
         values["algorithms"] = tuple(values["algorithms"].split(","))
     for key in ("L_values", "p_values", "algorithms"):
         if key in values:
+            if not isinstance(values[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {values[key]!r}")
             values[key] = tuple(values[key])
     if "L_values" not in values or "p_values" not in values:
         raise ConfigError("a campaign needs --L and --p (or a config file with them)")

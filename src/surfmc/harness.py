@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
-import hashlib
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -28,10 +28,10 @@ from .mcmc import (
     SingleTempConfig,
     decode_free_energy,
     decode_single_temperature,
-    distinguishability,
+    default_single_temp_config,
     free_energy_temperatures,
 )
-from .noise import DEPOLARIZING, INDEPENDENT_XZ, NoiseModel, beta_bar, sample_frame
+from .noise import DEPOLARIZING, INDEPENDENT_XZ, NoiseModel, sample_frame
 from .oracle import exact_decoder
 from .stats import mcnemar_one_sided_pvalue, wilson_interval
 
@@ -69,9 +69,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if not self.L_values or any(L < 2 for L in self.L_values):
-            raise ConfigError(f"L values must all be >= 2, got {self.L_values}")
-        if not self.p_values or any(not 0.0 <= p < 0.75 for p in self.p_values):
+        if not self.L_values or any(
+            not isinstance(L, numbers.Integral) or L < 2 for L in self.L_values
+        ):
+            raise ConfigError(f"L values must all be integers >= 2, got {self.L_values}")
+        if not self.p_values or any(
+            not isinstance(p, numbers.Real) or not 0.0 <= p < 0.75 for p in self.p_values
+        ):
             raise ConfigError(f"p values must lie in [0, 0.75), got {self.p_values}")
         if self.model_kind not in (DEPOLARIZING, INDEPENDENT_XZ):
             raise ConfigError(f"unsupported model kind {self.model_kind!r}")
@@ -80,18 +84,24 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithms {bad}; choose from {ALGORITHMS}")
         if self.target_logical_errors is None and self.max_trials is None:
             raise ConfigError("need a stop rule: target_logical_errors or max_trials")
-        for name, v in (
-            ("target_logical_errors", self.target_logical_errors),
-            ("max_trials", self.max_trials),
-        ):
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
+        if self.max_trials is None and 0.0 in self.p_values:
+            raise ConfigError(
+                "p = 0 makes no logical errors, so it never reaches the error "
+                "target; give a trial budget"
+            )
         if self.seed is None:
             raise ConfigError("a master seed is mandatory")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.n_sample is not None and self.n_sample < 1:
-            raise ConfigError(f"n_sample must be >= 1, got {self.n_sample}")
+        for name, v, low in (
+            ("target_logical_errors", self.target_logical_errors, 1),
+            ("max_trials", self.max_trials, 1),
+            ("workers", self.workers, 1),
+            ("n_sample", self.n_sample, 1),
+            ("burn_in", self.burn_in, 0),
+            ("refine_steps", self.refine_steps, 0),
+            ("beta_star_factor", self.beta_star_factor, 0),
+        ):
+            if v is not None and v < low:
+                raise ConfigError(f"{name} must be >= {low}, got {v}")
         if self.n_temperatures < 3 or self.n_temperatures % 2 == 0:
             raise ConfigError("n_temperatures must be odd and >= 3")
 
@@ -108,7 +118,6 @@ def make_model(kind: str, p: float) -> NoiseModel:
 @dataclass(frozen=True)
 class TrialRecord:
     trial: int
-    frame_digest: str
     true_class: str
     verdicts: dict[str, str]
     successes: dict[str, bool]
@@ -125,7 +134,6 @@ class CampaignCell:
     discordant: dict[tuple[str, str], tuple[int, int]] = field(default_factory=dict)
     records: list[TrialRecord] = field(default_factory=list)
     truncated: bool = False
-    wall_time: float = 0.0
 
     def rate(self, algorithm: str) -> float:
         return self.failures[algorithm] / self.trials if self.trials else 0.0
@@ -164,37 +172,24 @@ def _cached_layout(L: int) -> CodeLayout:
     return build_layout(L)
 
 
-def _frame_digest(frame: PauliFrame) -> str:
-    h = hashlib.blake2b(digest_size=8)
-    nbytes = (frame.n_qubits + 7) // 8
-    h.update(frame.x.to_bytes(nbytes, "little"))
-    h.update(frame.z.to_bytes(nbytes, "little"))
-    return h.hexdigest()
-
-
 @dataclass(frozen=True)
 class _CellSpec:
     """Picklable per-cell work description for the trial workers."""
 
+    cfg: ExperimentConfig
     L: int
     p: float
-    model_kind: str
-    algorithms: tuple[str, ...]
-    n_sample: int
-    beta_star: float | None  # None when beta_bar is undefined (p = 0)
-    n_temperatures: int
-    burn_in: int
-    refine_steps: int | None
-    seed: int
     cell_index: int
+    sampler: SingleTempConfig | None  # None when beta_bar is undefined (p = 0)
 
 
 def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
     t0 = time.perf_counter()
+    cfg = spec.cfg
     layout = _cached_layout(spec.L)
-    model = make_model(spec.model_kind, spec.p)
+    model = make_model(cfg.model_kind, spec.p)
     rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=(spec.cell_index, trial, 0)))
+        np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(spec.cell_index, trial, 0)))
     )
     frame = sample_frame(model, layout, rng)
     true_cls = layout.class_of(frame)
@@ -203,40 +198,40 @@ def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
     verdicts: dict[str, str] = {}
     scores: dict[str, dict[str, float]] = {}
     std_verdict, enh_verdict, chain_set = decode_both(
-        layout, syndrome, model, refine_steps=spec.refine_steps
+        layout, syndrome, model, refine_steps=cfg.refine_steps
     )
 
     def put(alg, verdict):
         verdicts[alg] = verdict.cls.label
         scores[alg] = {c.label: float(v) for c, v in verdict.scores.items()}
 
-    for alg in spec.algorithms:
+    for alg in cfg.algorithms:
         if alg == STANDARD:
             put(alg, std_verdict)
         elif alg == ENHANCED:
             put(alg, enh_verdict)
         elif alg in (SINGLE_TEMP, FREE_ENERGY):
-            if spec.beta_star is None:
+            if spec.sampler is None:
                 # noiseless channel: the posterior is a point mass and sampling
                 # is undefined, so the matcher verdict stands
                 put(alg, enh_verdict)
                 continue
             seed_seq = np.random.SeedSequence(
-                spec.seed,
+                cfg.seed,
                 spawn_key=(spec.cell_index, trial, 1 if alg == SINGLE_TEMP else 2),
             )
             if alg == SINGLE_TEMP:
-                cfg = SingleTempConfig(spec.beta_star, spec.n_sample, spec.burn_in)
-                put(alg, decode_single_temperature(layout, syndrome, model, cfg, chain_set, seed_seq))
-            else:
-                temps = free_energy_temperatures(model, spec.n_temperatures)
-                put(alg, decode_free_energy(
-                    layout, syndrome, model, temps, spec.n_sample, chain_set, seed_seq
+                put(alg, decode_single_temperature(
+                    layout, syndrome, model, spec.sampler, chain_set, seed_seq
                 ))
-    successes = {alg: verdicts[alg] == true_cls.label for alg in spec.algorithms}
+            else:
+                temps = free_energy_temperatures(model, cfg.n_temperatures)
+                put(alg, decode_free_energy(
+                    layout, syndrome, model, temps, spec.sampler.n_sample, chain_set, seed_seq
+                ))
+    successes = {alg: verdicts[alg] == true_cls.label for alg in cfg.algorithms}
     return TrialRecord(
-        trial, _frame_digest(frame), true_cls.label, verdicts, successes, scores,
-        time.perf_counter() - t0,
+        trial, true_cls.label, verdicts, successes, scores, time.perf_counter() - t0
     )
 
 
@@ -264,21 +259,14 @@ def _merge_batch(cell: CampaignCell, algs: tuple[str, ...], batch: list[TrialRec
 
 
 def _cell_spec(cfg: ExperimentConfig, cell_index: int, L: int, p: float) -> _CellSpec:
-    model = make_model(cfg.model_kind, p)
-    factor = cfg.beta_star_factor
-    if factor is None:
-        factor = 0.85 if cfg.model_kind == INDEPENDENT_XZ else 1.0
     try:
-        beta_star = factor * beta_bar(model)
-    except InvalidParameterError:
-        beta_star = None
-    return _CellSpec(
-        L=L, p=p, model_kind=cfg.model_kind, algorithms=cfg.algorithms,
-        n_sample=cfg.n_sample if cfg.n_sample is not None else L ** 4,
-        beta_star=beta_star, n_temperatures=cfg.n_temperatures,
-        burn_in=cfg.burn_in, refine_steps=cfg.refine_steps,
-        seed=cfg.seed, cell_index=cell_index,
-    )
+        sampler = default_single_temp_config(
+            make_model(cfg.model_kind, p), _cached_layout(L), cfg.n_sample,
+            cfg.beta_star_factor, cfg.burn_in,
+        )
+    except InvalidParameterError:  # beta_bar is undefined (p = 0)
+        sampler = None
+    return _CellSpec(cfg, L, p, cell_index, sampler)
 
 
 def _stop_reached(cfg: ExperimentConfig, cell: CampaignCell) -> bool:
@@ -326,7 +314,6 @@ def run_campaign(cfg: ExperimentConfig, keep_trials: bool = False) -> CampaignRe
                     for i, a in enumerate(cfg.algorithms)
                     for b in cfg.algorithms[i + 1:]
                 }
-                t0 = time.perf_counter()
                 try:
                     next_trial = 0
 
@@ -351,10 +338,8 @@ def run_campaign(cfg: ExperimentConfig, keep_trials: bool = False) -> CampaignRe
                                 break
                 except KeyboardInterrupt:
                     cell.truncated = True
-                    cell.wall_time = time.perf_counter() - t0
                     cells.append(cell)
                     raise _CampaignInterrupted(CampaignResult(cfg, cells))
-                cell.wall_time = time.perf_counter() - t0
                 cells.append(cell)
                 cell_index += 1
     finally:
@@ -405,24 +390,6 @@ def format_results_csv(result: CampaignResult) -> str:
 def write_results_csv(result: CampaignResult, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_results_csv(result))
-
-
-def parse_results_csv(path: str) -> list[tuple]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            f = line.split(",")
-            rows.append(
-                (int(f[0]), float(f[1]), f[2], f[3], int(f[4]), int(f[5]),
-                 float(f[6]), float(f[7]), float(f[8]), int(f[9]))
-            )
-    return rows
 
 
 def write_plot_data(result: CampaignResult, directory: str) -> list[str]:
@@ -511,6 +478,8 @@ def fatal_pattern_suite(L_values: tuple[int, ...], p: float = 0.1) -> FatalPatte
     sigma-y leaves phase-flip anyons along the line, which the class-forced
     decoder uses to recover the true class while plain matching still fails.
     """
+    if not L_values:
+        raise InvalidParameterError("fatal patterns need at least one L")
     cases = []
     model = make_model(DEPOLARIZING, p)
     for L in L_values:
@@ -577,7 +546,8 @@ def oracle_check(
         raise InvalidParameterError(f"n_syndromes must be >= 1, got {n_syndromes}")
     layout = _cached_layout(L)
     model = make_model(DEPOLARIZING, p)
-    cfg = SingleTempConfig(beta_bar(model), n_sample_factor * L ** 4)
+    cfg = default_single_temp_config(model, layout)
+    cfg = replace(cfg, n_sample=n_sample_factor * cfg.n_sample)
     agree = oracle_ok = sampler_ok = 0
     for i in range(n_syndromes):
         rng = np.random.Generator(
@@ -664,12 +634,15 @@ def scaling_probe(
 ) -> ScalingProbeResult:
     """Binary-search the minimal n_sample at which the single-temperature
     decoder provably beats the better matcher, then fit the growth exponent."""
+    if not 0.0 < confidence < 1.0:
+        raise ConfigError(f"confidence must lie in (0, 1), got {confidence}")
     alpha = 1.0 - confidence
     base = ExperimentConfig(
-        L_values=(L_values[0],), p_values=(p,), seed=seed,
+        L_values=tuple(L_values), p_values=(p,), seed=seed,
         algorithms=(STANDARD, ENHANCED, SINGLE_TEMP),
         target_logical_errors=target_errors, max_trials=max_trials,
     )
+    base.validate()
     points = []
     for L in L_values:
         cap = max_n_sample if max_n_sample is not None else 4 * L ** 4
@@ -698,33 +671,3 @@ def scaling_probe(
         ys = np.log([pt.n_sample for pt in resolved])
         exponent = float(np.polyfit(xs, ys, 1)[0])
     return ScalingProbeResult(p, tuple(points), exponent)
-
-
-def distinguishability_scan(
-    p: float,
-    L_values: tuple[int, ...],
-    n_syndromes: int,
-    seed: int,
-    n_sample: int | None = None,
-) -> dict[int, float]:
-    """Mean single-temperature distinguishability gap per code size."""
-    model = make_model(DEPOLARIZING, p)
-    out = {}
-    for L in L_values:
-        layout = _cached_layout(L)
-        cfg = SingleTempConfig(beta_bar(model), n_sample if n_sample else L ** 4)
-        gaps = []
-        for i in range(n_syndromes):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(L, i, 0)))
-            )
-            frame = sample_frame(model, layout, rng)
-            syndrome = layout.syndrome_of(frame)
-            _, chain_set = decode_enhanced(layout, syndrome, model)
-            verdict = decode_single_temperature(
-                layout, syndrome, model, cfg, chain_set,
-                np.random.SeedSequence(seed, spawn_key=(L, i, 1)),
-            )
-            gaps.append(distinguishability(verdict.scores, layout.class_of(frame)))
-        out[L] = float(np.mean(gaps))
-    return out

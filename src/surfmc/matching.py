@@ -315,8 +315,7 @@ def refine_frame(
     of equally-short reroutings are crossed and every downhill basin reachable
     through them is inspected rather than greedily committing to the first
     one.  Deterministic, and never leaves the syndrome/class orbit.  The
-    energy of a move is its plane's weight times the Metropolis count change,
-    so models without an integer error count are rejected.
+    energy of a move is its plane's weight times the Metropolis count change.
     """
     from .mcmc import MoveKernel  # mcmc imports this module
 

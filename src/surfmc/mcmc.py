@@ -3,7 +3,8 @@
 A chain deforms an error frame only by multiplying stabilizers, so its
 syndrome and equivalence class are invariants; at inverse temperature beta it
 samples frames with probability proportional to exp(-beta * n), where n is the
-model's error count (sigma-y counts once for depolarizing noise).  One step
+model's error count (sigma-y counts once for depolarizing noise and twice, once
+per species, for independent bit and phase flips).  One step
 picks a stabilizer uniformly at random, computes the count change Delta n on
 its 3-4 support qubits, applies it when Delta n <= 0 and with probability
 exp(-beta * Delta n) otherwise, then accumulates the post-move count.
@@ -20,7 +21,8 @@ minimum-weight hypothesis of that class and picks the class with the smallest
 average count; the free-energy variant instead integrates the average count
 over an equidistant temperature grid with Simpson's rule.  A rectangle
 partition of the code allows many non-overlapping stabilizers to be probed per
-step for parallel operation.
+step for parallel operation; that sweep drives a ``MetropolisChain`` with the
+partition's proposals.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecoderInternalError, InvalidParameterError
-from .geometry import EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
+from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
-from .noise import DEPOLARIZING, INDEPENDENT_XZ, NoiseModel, beta_bar, error_score
+from .noise import INDEPENDENT_XZ, NoiseModel, beta_bar, error_score
 
 _CHUNK_BATCHES = 32
 
@@ -62,7 +64,11 @@ def default_single_temp_config(
     beta_star_factor: float | None = None,
     burn_in: int = 0,
 ) -> SingleTempConfig:
-    """beta* = beta_bar (0.85 * beta_bar for independent noise), n_sample = L^4."""
+    """beta* = beta_bar (0.85 * beta_bar for independent noise), n_sample = L^4.
+
+    The only place these defaults are resolved: campaigns and the oracle
+    check build their sampler settings here.
+    """
     if beta_star_factor is None:
         beta_star_factor = 0.85 if model.kind == INDEPENDENT_XZ else 1.0
     if n_sample is None:
@@ -154,11 +160,6 @@ class MoveKernel:
     """
 
     def __init__(self, layout: CodeLayout, model: NoiseModel):
-        if model.kind not in (DEPOLARIZING, INDEPENDENT_XZ):
-            raise InvalidParameterError(
-                f"Metropolis chains need an integer error count; model kind "
-                f"{model.kind!r} has none"
-            )
         self.independent = model.kind == INDEPENDENT_XZ
         self._local = moves = _layout_moves(layout)
         self.masks = moves.masks
@@ -246,7 +247,8 @@ class MetropolisChain:
     are owned by the chain (single writer) and kept across calls; a frame of
     another layout is rejected.  ``run`` is the bulk sampler; ``step`` is the
     same path on a single proposal, and records no batch for
-    ``standard_error``.  ``estimate`` is the running average of the
+    ``standard_error``.  The rectangle sweep makes its own proposals through
+    the same path.  ``estimate`` is the running average of the
     error count over all proposals since the end of burn-in; by default
     nothing is discarded, since heating up from a minimum-weight seed is
     faster than cooling from a random one.
@@ -264,8 +266,6 @@ class MetropolisChain:
         if beta < 0:
             raise InvalidParameterError(f"beta must be >= 0, got {beta}")
         self.layout = layout
-        self.model = model
-        self.beta = beta
         self.rng = rng
         self._x = frame.x
         self._z = frame.z
@@ -275,8 +275,7 @@ class MetropolisChain:
         self.step_count = 0
         self.cumulative_n = 0
         self._batch_sums: list[tuple[int, int]] = []  # (steps, summed counts)
-        self._seed_syndrome = layout.syndrome_of(frame)
-        self._seed_class = layout.class_of(frame)
+        self._seed = frame.copy()
 
     @property
     def frame(self) -> PauliFrame:
@@ -327,17 +326,45 @@ class MetropolisChain:
             cum = self._moves(idx, us)
             done += todo
             if accumulate:
-                self.step_count += todo
-                self.cumulative_n += cum
-                self._batch_sums.append((todo, cum))
+                self._accumulate(todo, cum)
+
+    def _accumulate(self, steps: int, cum: int) -> None:
+        """Record one batch of ``steps`` steps whose post-move counts sum to ``cum``."""
+        self.step_count += steps
+        self.cumulative_n += cum
+        self._batch_sums.append((steps, cum))
 
     def verify_confinement(self) -> None:
-        """Assert the chain never left its seed's syndrome/class orbit."""
-        frame = self.frame
-        if self.layout.syndrome_of(frame) != self._seed_syndrome:
+        """Assert the chain never left its seed's syndrome/class orbit.
+
+        Syndrome and class are XOR-linear, so the frame stays in the orbit
+        iff its product with the seed frame has an empty syndrome and class I.
+        """
+        moved = self.frame * self._seed
+        if not self.layout.syndrome_of(moved).is_empty:
             raise DecoderInternalError("chain escaped its syndrome orbit")
-        if self.layout.class_of(frame) != self._seed_class:
+        if self.layout.class_of(moved) != CLASS_I:
             raise DecoderInternalError("chain escaped its equivalence class")
+
+
+def _chain_mean(
+    layout: CodeLayout,
+    model: NoiseModel,
+    beta: float,
+    frame: PauliFrame,
+    rng: np.random.Generator,
+    n_sample: int,
+    burn_in: int = 0,
+) -> tuple[float, float]:
+    """<n> of one chain from ``frame`` over ``n_sample`` steps after
+    ``burn_in``, checked for confinement, and its batch-means SE (NaN with
+    fewer than two full batches)."""
+    chain = MetropolisChain(layout, model, beta, frame, rng)
+    if burn_in:
+        chain.run(burn_in, accumulate=False)
+    chain.run(n_sample)
+    chain.verify_confinement()
+    return chain.estimate, batch_means_se(chain._batch_sums)
 
 
 def _class_chain_rngs(seed_seq: np.random.SeedSequence) -> list[np.random.Generator]:
@@ -362,31 +389,12 @@ def decode_single_temperature(
     scores: dict[EquivalenceClass, float] = {}
     ses: dict[EquivalenceClass, float] = {}
     for cls in EQUIV_CLASSES:
-        chain = MetropolisChain(
-            layout, model, cfg.beta_star, seeds.frame_for(cls), rngs[cls.index]
+        scores[cls], ses[cls] = _chain_mean(
+            layout, model, cfg.beta_star, seeds.frame_for(cls), rngs[cls.index],
+            cfg.n_sample, cfg.burn_in,
         )
-        if cfg.burn_in:
-            chain.run(cfg.burn_in, accumulate=False)
-        chain.run(cfg.n_sample)
-        chain.verify_confinement()
-        scores[cls] = chain.estimate
-        ses[cls] = batch_means_se(chain._batch_sums)
     cls = _pick_class(scores)
     return DecoderVerdict(cls, scores, seeds.frame_for(cls), detail={"se": ses})
-
-
-def distinguishability(
-    scores: dict[EquivalenceClass, float], true_class: EquivalenceClass | None
-) -> float:
-    """min over false classes of <n> minus <n> of the true class.
-
-    Positive means the syndrome is correctable; requires knowing the true
-    class, so this only exists in simulation mode.
-    """
-    if true_class is None:
-        raise InvalidParameterError("distinguishability needs the true class")
-    false_min = min(v for c, v in scores.items() if c != true_class)
-    return false_min - scores[true_class]
 
 
 def zero_temperature_score(model: NoiseModel, layout: CodeLayout) -> float:
@@ -460,13 +468,9 @@ def decode_free_energy(
         ses = np.zeros(len(temps))
         means[0] = zero_temperature_score(model, layout)
         for k, beta in enumerate(temps[1:], start=1):
-            chain = MetropolisChain(
-                layout, model, float(beta), seeds.frame_for(cls), rngs[cls.index]
+            means[k], ses[k] = _chain_mean(
+                layout, model, float(beta), seeds.frame_for(cls), rngs[cls.index], n_sample
             )
-            chain.run(n_sample)
-            chain.verify_confinement()
-            means[k] = chain.estimate
-            ses[k] = batch_means_se(chain._batch_sums)
         integral = float(simpson(means, x=temps))
         # NaN as soon as one positive-temperature chain has no standard error
         integral_se = float(np.sqrt(np.sum((simpson_coef * ses) ** 2)))
@@ -501,23 +505,7 @@ class ParallelSweepSchedule:
     col_bounds: tuple[int, ...]
     rectangles: tuple[SweepRectangle, ...]
     groups: tuple[tuple[int, ...], ...]  # non-empty groups, cycled in order
-    qubit_discounts: tuple[float, ...]   # 1 / (number of containing rectangles)
     degenerate: bool
-
-    def discounted_rectangle_counts(self, frame: PauliFrame) -> list[float]:
-        """Per-rectangle error counts with shared-line qubits discounted by 1/2
-        and corner qubits by 1/4; their sum equals the frame weight."""
-        support = frame.x | frame.z
-        out = []
-        for rect in self.rectangles:
-            bits = support & rect.qubit_mask
-            total = 0.0
-            while bits:
-                q = (bits & -bits).bit_length() - 1
-                total += self.qubit_discounts[q]
-                bits &= bits - 1
-            out.append(total)
-        return out
 
     def dump_text(self) -> str:
         n_rows = len(self.row_bounds) - 1
@@ -575,7 +563,6 @@ def parallel_sweep_schedule(layout: CodeLayout, rectangle_size: int = 4) -> Para
         r, c = s.coord
         rect_stabs[band_of(row_bounds, r) * n_cols + band_of(col_bounds, c)].append(s.index)
 
-    qubit_mult = [0] * layout.n_qubits
     rectangles = []
     for i in range(n_rows):
         for j in range(n_cols):
@@ -585,7 +572,6 @@ def parallel_sweep_schedule(layout: CodeLayout, rectangle_size: int = 4) -> Para
             for q, (r, c) in enumerate(layout.qubit_coords):
                 if r_lo <= r <= r_hi and c_lo <= c <= c_hi:
                     mask |= 1 << q
-                    qubit_mult[q] += 1
             rectangles.append(
                 SweepRectangle(
                     index=i * n_cols + j,
@@ -607,7 +593,6 @@ def parallel_sweep_schedule(layout: CodeLayout, rectangle_size: int = 4) -> Para
         col_bounds=tuple(col_bounds),
         rectangles=tuple(rectangles),
         groups=nonempty,
-        qubit_discounts=tuple(1.0 / m for m in qubit_mult),
         degenerate=len(rectangles) == 1,
     )
 
@@ -635,23 +620,15 @@ def run_parallel_sweep(
     Step i probes one uniformly chosen stabilizer in every rectangle of group
     (i mod n_groups); probed stabilizers never share a qubit, so the combined
     update equals the parallel one.  The error count is accumulated after
-    every step, once ``burn_in`` steps have been discarded.  One set of local
-    states serves the whole run.
+    every step, once ``burn_in`` steps have been discarded.  The moves are
+    those of a ``MetropolisChain``, which keeps the frame, its local states
+    and count for the whole run and checks its confinement at the end.
     """
-    kernel = MoveKernel(layout, model)
-    states = kernel.local_states(frame)
-    acc = kernel.acceptance(beta)
-    seed_syndrome = layout.syndrome_of(frame)
-    seed_class = layout.class_of(frame)
-
+    chain = MetropolisChain(layout, model, beta, frame, rng)
     group_rects = [
         [schedule.rectangles[r].stab_indices for r in group] for group in schedule.groups
     ]
     n_groups = len(group_rects)
-    x, z = frame.x, frame.z
-    cur = error_score(model, frame)
-    cum = 0
-    batch_sums: list[tuple[int, int]] = []
     chunk = max(256, n_steps // _CHUNK_BATCHES)
     max_rects = max(len(g) for g in group_rects)
 
@@ -665,15 +642,13 @@ def run_parallel_sweep(
             rects = group_rects[(done + i) % n_groups]
             row_pick = pick[i]
             idx = [ids[int(row_pick[k] * len(ids))] for k, ids in enumerate(rects)]
-            x, z, cur, _ = kernel.batch(x, z, cur, states, idx, us[i], acc)
-            chunk_cum += cur
+            chain._moves(idx, us[i])
+            chunk_cum += chain.current_n
         if done >= 0:
-            cum += chunk_cum
-            batch_sums.append((todo, chunk_cum))
+            chain._accumulate(todo, chunk_cum)
         done += todo
 
-    out = PauliFrame(layout.n_qubits, x, z)
-    if layout.syndrome_of(out) != seed_syndrome or layout.class_of(out) != seed_class:
-        raise DecoderInternalError("parallel sweep escaped its orbit")
-    se = batch_means_se(batch_sums)
-    return SweepResult(cum / n_steps, se, n_steps, out)
+    chain.verify_confinement()
+    return SweepResult(
+        chain.estimate, batch_means_se(chain._batch_sums), n_steps, chain.frame
+    )

@@ -1,9 +1,10 @@
 """Pauli noise channels, frame sampling, and channel-to-temperature conversion.
 
 Every model is a single-qubit channel rho -> p_I rho + p_x X rho X + p_y Y rho Y
-+ p_z Z rho Z applied independently per qubit.  For depolarizing noise the
-relative probability of an error chain with n single-qubit errors is
-exp(-beta_bar * n) with beta_bar = -log((p/3)/(1-p)), which is what the
++ p_z Z rho Z applied independently per qubit.  There are two kinds:
+depolarizing noise, and independent bit and phase flips.  For depolarizing
+noise the relative probability of an error chain with n single-qubit errors
+is exp(-beta_bar * n) with beta_bar = -log((p/3)/(1-p)), which is what the
 Metropolis decoders sample.
 """
 
@@ -19,7 +20,6 @@ from .geometry import CodeLayout, PauliFrame
 
 DEPOLARIZING = "depolarizing"
 INDEPENDENT_XZ = "independent_xz"
-GENERAL_PAULI = "general_pauli"
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class NoiseModel:
     p_p: float | None = None
 
     def __post_init__(self):
+        if self.kind not in (DEPOLARIZING, INDEPENDENT_XZ):
+            raise InvalidParameterError(f"unknown noise model kind {self.kind!r}")
         for name, v in (("p_x", self.p_x), ("p_y", self.p_y), ("p_z", self.p_z)):
             if not 0.0 <= v < 1.0:
                 raise InvalidParameterError(f"{name}={v} outside [0, 1)")
@@ -70,10 +72,6 @@ class NoiseModel:
             p_p=p_p,
         )
 
-    @classmethod
-    def general_pauli(cls, p_x: float, p_y: float, p_z: float) -> "NoiseModel":
-        return cls(GENERAL_PAULI, p_x, p_y, p_z)
-
 
 def beta_bar(model: NoiseModel) -> float:
     """Reference inverse temperature of the channel.
@@ -90,19 +88,17 @@ def beta_bar(model: NoiseModel) -> float:
                 f"beta_bar needs 0 < p <= 3/4 for depolarizing noise, got {p}"
             )
         return -math.log((p / 3.0) / (1.0 - p))
-    if model.kind == INDEPENDENT_XZ:
-        if model.p_b != model.p_p:
-            raise InvalidParameterError(
-                "beta_bar undefined for asymmetric independent noise "
-                f"(p_b={model.p_b}, p_p={model.p_p})"
-            )
-        pb = model.p_b
-        if pb is None or not 0.0 < pb < 0.5:
-            raise InvalidParameterError(
-                f"beta_bar needs 0 < p_b < 1/2 for independent noise, got {pb}"
-            )
-        return math.log((1.0 - pb) / pb)
-    raise InvalidParameterError(f"beta_bar undefined for model kind {model.kind!r}")
+    if model.p_b != model.p_p:
+        raise InvalidParameterError(
+            "beta_bar undefined for asymmetric independent noise "
+            f"(p_b={model.p_b}, p_p={model.p_p})"
+        )
+    pb = model.p_b
+    if pb is None or not 0.0 < pb < 0.5:
+        raise InvalidParameterError(
+            f"beta_bar needs 0 < p_b < 1/2 for independent noise, got {pb}"
+        )
+    return math.log((1.0 - pb) / pb)
 
 
 def qubit_energy_weights(model: NoiseModel) -> tuple[float, float, float]:
@@ -151,7 +147,7 @@ def chain_energy(model: NoiseModel, frame: PauliFrame) -> float:
 def error_score(model: NoiseModel, frame: PauliFrame) -> int:
     """Integer error count the Metropolis chains track.
 
-    Depolarizing (and general): sigma-y-counts-once weight, so the energy is
+    Depolarizing: sigma-y-counts-once weight, so the energy is
     beta_bar * score.  Independent bit/phase flips: n_b + n_p (sigma-y counts
     in both species), matching the per-species energy decomposition.
     """

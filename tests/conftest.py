@@ -1,11 +1,13 @@
 import functools
 import math
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from surfmc import InfeasibleMatchingError, Matching, build_layout, error_score
+from surfmc.harness import CSV_HEADER
 from surfmc.mcmc import MoveKernel
 
 
@@ -27,6 +29,22 @@ def layout5():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def read_results_csv(path) -> list[tuple]:
+    """Rows of a campaign CSV, typed as ``CampaignResult.rows()`` types them."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = []
+    for line in lines[1:]:
+        if line.startswith("#"):
+            continue
+        f = line.split(",")
+        rows.append(
+            (int(f[0]), float(f[1]), f[2], f[3], int(f[4]), int(f[5]),
+             float(f[6]), float(f[7]), float(f[8]), int(f[9]))
+        )
+    return rows
 
 
 def brute_force_min_matching(n_vertices: int, edges) -> int | None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import surfmc
+from conftest import read_results_csv
 from surfmc import ConfigError, ExperimentConfig, build_layout
 from surfmc.cli import main as cli_main
 from surfmc.harness import (
@@ -22,7 +23,6 @@ from surfmc.harness import (
     make_model,
     oracle_check,
     paired_comparison_pvalue,
-    parse_results_csv,
     run_campaign,
     scaling_probe,
     write_plot_data,
@@ -62,6 +62,13 @@ def tiny_config(**kw):
         dict(workers=0),
         dict(n_sample=0),
         dict(n_temperatures=4),
+        dict(L_values=("a",)),
+        dict(p_values=("0.1",)),
+        # no logical error ever happens at p = 0, so the target is never met
+        dict(p_values=(0.1, 0.0), max_trials=None, target_logical_errors=500),
+        dict(burn_in=-1),
+        dict(refine_steps=-1),
+        dict(beta_star_factor=-0.5),
     ],
 )
 def test_config_rejects(kw):
@@ -136,15 +143,8 @@ def test_csv_round_trip(tmp_path):
     res = run_campaign(tiny_config(max_trials=64))
     path = tmp_path / "out.csv"
     write_results_csv(res, str(path))
-    rows = parse_results_csv(str(path))
+    rows = read_results_csv(path)
     assert rows == res.rows()
-
-
-def test_csv_header_and_rejection(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("wrong,header\n")
-    with pytest.raises(ConfigError):
-        parse_results_csv(str(path))
 
 
 def test_plot_data(tmp_path):
@@ -277,7 +277,7 @@ def test_cli_campaign(tmp_path):
         "--plot-data-dir", str(tmp_path / "plots"),
     ])
     assert code == 0
-    rows = parse_results_csv(str(out))
+    rows = read_results_csv(out)
     assert {r[3] for r in rows} == {STANDARD, ENHANCED, SINGLE_TEMP}
     assert all(r[4] == 64 for r in rows)
     assert (tmp_path / "plots").is_dir()
@@ -298,17 +298,40 @@ def test_cli_config_file_with_flag_override(tmp_path):
         "campaign", "--config", str(cfg_file), "--seed", "777", "--out", str(out),
     ])
     assert code == 0
-    rows = parse_results_csv(str(out))
+    rows = read_results_csv(out)
     assert all(r[9] == 777 for r in rows)  # flag overrides file seed
     assert {r[3] for r in rows} == {STANDARD}
 
 
-def test_cli_config_errors(tmp_path):
-    assert cli_main(["campaign", "--p", "0.1", "--seed", "1"]) == 1  # missing --L
-    assert cli_main(["campaign", "--L", "3", "--p", "0.9", "--seed", "1",
-                     "--trials", "10"]) == 1
-    assert cli_main(["campaign", "--L", "3", "--p", "0.1", "--seed", "1",
-                     "--config", str(tmp_path / "missing.json")]) == 1
+def test_cli_config_errors(tmp_path, capsys):
+    bad_files = []
+    for k, L_values in enumerate((3, ["a"])):
+        path = tmp_path / f"cfg{k}.json"
+        path.write_text(json.dumps({"L_values": L_values, "p_values": [0.1], "seed": 1,
+                                    "max_trials": 10}))
+        bad_files.append(["campaign", "--config", str(path)])
+    out = ["--out", str(tmp_path / "res.csv")]
+    for argv in [
+        ["campaign", "--p", "0.1", "--seed", "1"],  # missing --L
+        ["campaign", "--L", "3", "--p", "0.9", "--seed", "1", "--trials", "10"],
+        ["campaign", "--L", "3", "--p", "0.1", "--seed", "1",
+         "--config", str(tmp_path / "missing.json")],
+        *bad_files,
+        ["campaign", "--L", "3", "--p", "0", "--seed", "1"],  # would never end
+        ["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--trials", "10",
+         "--refine-steps", "-1"],
+        ["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--trials", "10",
+         "--beta-star-factor", "-1"],
+        ["scaling-probe", "--p", "0.1", "--L", "", "--seed", "1"],
+        ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--confidence", "1.5"],
+        ["fatal-patterns", "--L", ""],
+    ]:
+        code = cli_main(argv + out if argv[0] == "campaign" else argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert len(captured.err.strip().splitlines()) == 1, (argv, captured.err)
+        assert captured.out == "", argv
+    assert not (tmp_path / "res.csv").exists()
 
 
 def test_cli_fatal_patterns():

@@ -13,7 +13,6 @@ from surfmc import (
     EQUIV_CLASSES,
     DecoderInternalError,
     InfeasibleMatchingError,
-    InvalidParameterError,
     NoiseModel,
     PauliFrame,
     Syndrome,
@@ -485,12 +484,6 @@ def test_independent_model_scoring(layout3, rng):
             f = chain_set.frame_for(cls)
             expect = (f.x.bit_count() + f.z.bit_count()) * math.log(0.92 / 0.08)
             assert verdict.scores[cls] == pytest.approx(expect)
-
-
-def test_refine_rejects_model_without_integer_count(layout3):
-    model = NoiseModel.general_pauli(0.05, 0.02, 0.05)
-    with pytest.raises(InvalidParameterError):
-        refine_frame(layout3, model, layout3.identity_frame(), 64)
 
 
 def test_refine_independent_noise_keeps_syndrome_and_class(layout5, rng):

@@ -13,6 +13,7 @@ from surfmc import (
     error_score,
     sample_frame,
 )
+from surfmc.noise import DEPOLARIZING
 
 
 def test_depolarizing_expansion():
@@ -35,7 +36,12 @@ def test_invalid_probabilities():
     with pytest.raises(InvalidParameterError):
         NoiseModel.independent_xz(-0.1, 0.2)
     with pytest.raises(InvalidParameterError):
-        NoiseModel.general_pauli(0.5, 0.4, 0.3)
+        NoiseModel(DEPOLARIZING, 0.5, 0.4, 0.3)  # components sum above 1
+
+
+def test_noise_model_rejects_unknown_kind():
+    with pytest.raises(InvalidParameterError, match="unknown noise model kind"):
+        NoiseModel("general_pauli", 0.05, 0.02, 0.05)
 
 
 def test_beta_bar_values():
@@ -58,8 +64,6 @@ def test_beta_bar_domain_errors():
         beta_bar(NoiseModel.depolarizing(0.0))
     with pytest.raises(InvalidParameterError):
         beta_bar(NoiseModel.independent_xz(0.1, 0.2))  # asymmetric
-    with pytest.raises(InvalidParameterError):
-        beta_bar(NoiseModel.general_pauli(0.1, 0.1, 0.1))
 
 
 def test_chain_energy_examples(layout3):
@@ -80,7 +84,7 @@ def test_chain_energy_y_counts_once(layout3):
 
 
 def test_chain_energy_zero_component_rejected(layout3):
-    model = NoiseModel.general_pauli(0.1, 0.0, 0.1)
+    model = NoiseModel.independent_xz(0.1, 0.0)  # p_y = p_b * p_p = 0
     frame = PauliFrame.from_paulis(layout3.n_qubits, {0: "Y"})
     with pytest.raises(InvalidParameterError):
         chain_energy(model, frame)
