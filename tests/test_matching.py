@@ -13,6 +13,7 @@ from surfmc import (
     EQUIV_CLASSES,
     DecoderInternalError,
     InfeasibleMatchingError,
+    InvalidParameterError,
     NoiseModel,
     PauliFrame,
     Syndrome,
@@ -484,6 +485,16 @@ def test_independent_model_scoring(layout3, rng):
             f = chain_set.frame_for(cls)
             expect = (f.x.bit_count() + f.z.bit_count()) * math.log(0.92 / 0.08)
             assert verdict.scores[cls] == pytest.approx(expect)
+
+
+def test_refine_rejects_model_without_integer_count(layout3):
+    # A model outside the integer-count kinds is refused when it is built,
+    # so it never reaches the refinement.
+    with pytest.raises(InvalidParameterError, match="unknown noise model kind"):
+        refine_frame(
+            layout3, NoiseModel("general_pauli", 0.05, 0.02, 0.05),
+            layout3.identity_frame(), 64,
+        )
 
 
 def test_refine_independent_noise_keeps_syndrome_and_class(layout5, rng):

@@ -57,6 +57,16 @@ def test_default_config(layout4):
     assert cfg2.beta_star == pytest.approx(0.85 * beta_bar(indep))
 
 
+def test_chain_rejects_unsupported_model(layout3):
+    # A model outside the integer-count kinds is refused when it is built,
+    # so it never reaches the chain.
+    with pytest.raises(InvalidParameterError, match="unknown noise model kind"):
+        MetropolisChain(
+            layout3, NoiseModel("general_pauli", 0.05, 0.05, 0.05), 1.0,
+            layout3.identity_frame(), np.random.default_rng(0),
+        )
+
+
 def test_zero_temperature_never_increases_weight(layout4, rng):
     frame = sample_frame(NoiseModel.depolarizing(0.3), layout4, rng)
     chain = MetropolisChain(layout4, MODEL, math.inf, frame, rng)

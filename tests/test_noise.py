@@ -39,11 +39,6 @@ def test_invalid_probabilities():
         NoiseModel(DEPOLARIZING, 0.5, 0.4, 0.3)  # components sum above 1
 
 
-def test_noise_model_rejects_unknown_kind():
-    with pytest.raises(InvalidParameterError, match="unknown noise model kind"):
-        NoiseModel("general_pauli", 0.05, 0.02, 0.05)
-
-
 def test_beta_bar_values():
     assert beta_bar(NoiseModel.depolarizing(0.75)) == pytest.approx(0.0)
     assert beta_bar(NoiseModel.depolarizing(0.1)) == pytest.approx(math.log(27.0))
