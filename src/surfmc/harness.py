@@ -79,6 +79,11 @@ class ExperimentConfig:
             raise ConfigError(f"p values must lie in [0, 0.75), got {self.p_values}")
         if self.model_kind not in (DEPOLARIZING, INDEPENDENT_XZ):
             raise ConfigError(f"unsupported model kind {self.model_kind!r}")
+        if self.model_kind == INDEPENDENT_XZ and max(self.p_values) >= 0.5:
+            # beyond p = 1/2 a flip is likelier than none: beta_bar is undefined
+            raise ConfigError(
+                f"p values must lie in [0, 0.5) for {INDEPENDENT_XZ} noise, got {self.p_values}"
+            )
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad or not self.algorithms:
             raise ConfigError(f"unknown algorithms {bad}; choose from {ALGORITHMS}")
@@ -92,17 +97,25 @@ class ExperimentConfig:
         if self.seed is None:
             raise ConfigError("a master seed is mandatory")
         for name, v, low in (
+            ("seed", self.seed, 0),
             ("target_logical_errors", self.target_logical_errors, 1),
             ("max_trials", self.max_trials, 1),
             ("workers", self.workers, 1),
             ("n_sample", self.n_sample, 1),
+            ("n_temperatures", self.n_temperatures, 3),
             ("burn_in", self.burn_in, 0),
             ("refine_steps", self.refine_steps, 0),
             ("beta_star_factor", self.beta_star_factor, 0),
         ):
-            if v is not None and v < low:
+            if v is None:
+                continue
+            integer = name != "beta_star_factor"
+            if not isinstance(v, numbers.Integral if integer else numbers.Real):
+                kind = "an integer" if integer else "a number"
+                raise ConfigError(f"{name} must be {kind}, got {v!r}")
+            if not v >= low:  # NaN fails too
                 raise ConfigError(f"{name} must be >= {low}, got {v}")
-        if self.n_temperatures < 3 or self.n_temperatures % 2 == 0:
+        if self.n_temperatures % 2 == 0:
             raise ConfigError("n_temperatures must be odd and >= 3")
 
 
@@ -121,7 +134,6 @@ class TrialRecord:
     true_class: str
     verdicts: dict[str, str]
     successes: dict[str, bool]
-    scores: dict[str, dict[str, float]]
     wall_time: float
 
 
@@ -195,44 +207,34 @@ def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
     true_cls = layout.class_of(frame)
     syndrome = layout.syndrome_of(frame)
 
-    verdicts: dict[str, str] = {}
-    scores: dict[str, dict[str, float]] = {}
     std_verdict, enh_verdict, chain_set = decode_both(
         layout, syndrome, model, refine_steps=cfg.refine_steps
     )
-
-    def put(alg, verdict):
-        verdicts[alg] = verdict.cls.label
-        scores[alg] = {c.label: float(v) for c, v in verdict.scores.items()}
-
+    verdicts: dict[str, str] = {}
     for alg in cfg.algorithms:
         if alg == STANDARD:
-            put(alg, std_verdict)
-        elif alg == ENHANCED:
-            put(alg, enh_verdict)
-        elif alg in (SINGLE_TEMP, FREE_ENERGY):
-            if spec.sampler is None:
-                # noiseless channel: the posterior is a point mass and sampling
-                # is undefined, so the matcher verdict stands
-                put(alg, enh_verdict)
-                continue
+            verdict = std_verdict
+        elif alg == ENHANCED or spec.sampler is None:
+            # noiseless channel: the posterior is a point mass and sampling
+            # is undefined, so the matcher verdict stands
+            verdict = enh_verdict
+        else:
             seed_seq = np.random.SeedSequence(
                 cfg.seed,
                 spawn_key=(spec.cell_index, trial, 1 if alg == SINGLE_TEMP else 2),
             )
             if alg == SINGLE_TEMP:
-                put(alg, decode_single_temperature(
+                verdict = decode_single_temperature(
                     layout, syndrome, model, spec.sampler, chain_set, seed_seq
-                ))
+                )
             else:
                 temps = free_energy_temperatures(model, cfg.n_temperatures)
-                put(alg, decode_free_energy(
+                verdict = decode_free_energy(
                     layout, syndrome, model, temps, spec.sampler.n_sample, chain_set, seed_seq
-                ))
+                )
+        verdicts[alg] = verdict.cls.label
     successes = {alg: verdicts[alg] == true_cls.label for alg in cfg.algorithms}
-    return TrialRecord(
-        trial, true_cls.label, verdicts, successes, scores, time.perf_counter() - t0
-    )
+    return TrialRecord(trial, true_cls.label, verdicts, successes, time.perf_counter() - t0)
 
 
 def _run_trial_batch(spec: _CellSpec, start: int, count: int) -> list[TrialRecord]:
@@ -259,13 +261,12 @@ def _merge_batch(cell: CampaignCell, algs: tuple[str, ...], batch: list[TrialRec
 
 
 def _cell_spec(cfg: ExperimentConfig, cell_index: int, L: int, p: float) -> _CellSpec:
-    try:
+    sampler = None  # beta_bar is undefined at p = 0
+    if p > 0:
         sampler = default_single_temp_config(
             make_model(cfg.model_kind, p), _cached_layout(L), cfg.n_sample,
             cfg.beta_star_factor, cfg.burn_in,
         )
-    except InvalidParameterError:  # beta_bar is undefined (p = 0)
-        sampler = None
     return _CellSpec(cfg, L, p, cell_index, sampler)
 
 

@@ -6,7 +6,10 @@ absorbing boundary, and a zero-weight clique among each boundary's virtuals.
 The forced problem adds one extra virtual anyon per absorbing boundary (joined
 to the boundary's virtuals at zero weight, to every real anyon at its distance
 to that boundary, and to the opposite extra at weight L), so every perfect
-matching of it realizes the complementary class bit.
+matching of it realizes the complementary class bit.  A vertex's position is
+its role: with n anyons, vertex i < n is anyon i, vertex n + i is anyon i's
+virtual partner on its home boundary, and in the forced problem vertex
+2n + b is the extra virtual of boundary b.
 
 Both are solved by ``blossom``, surfmc's own exact primal-dual blossom solver
 on dense integer weights.  Where several perfect matchings have the minimum
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .blossom import min_weight_matching
@@ -44,24 +48,16 @@ from .geometry import (
     PauliFrame,
     Syndrome,
 )
-from .noise import NoiseModel, chain_energy, qubit_energy_weights
+from .noise import NoiseModel, chain_energy, qubit_energy_weights, score_delta
 
 SPECIES_P = "p"  # violated Z-stabilizers, repaired with sigma-x chains
 SPECIES_S = "s"  # violated X-stabilizers, repaired with sigma-z chains
 
-REAL = "real"
-VIRTUAL = "virtual"
-EXTRA = "extra"
 
 def default_plateau_budget(layout: CodeLayout) -> int:
     """Default refinement search budget: effectively exhaustive on codes small
     enough for oracle cross-checks, cost-capped on production sizes."""
     return 4096 if layout.n_stab <= 16 else 256
-
-
-def anyon_coord(layout: CodeLayout, species: str, index: int) -> Coord:
-    stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
-    return stabs[index].coord
 
 
 def boundary_distances(layout: CodeLayout, species: str, coord: Coord) -> tuple[int, int]:
@@ -87,24 +83,25 @@ def anyon_distance(a: Coord, b: Coord) -> int:
 
 
 @dataclass(frozen=True)
-class MatchVertex:
-    kind: str                 # real | virtual | extra
-    coord: Coord | None       # None for extras (they sit on a whole boundary)
-    boundary: int | None      # None for reals
-    anyon: int | None = None  # species index, reals only
-
-
-@dataclass(frozen=True)
 class MatchingProblem:
+    """One species' matching graph, its vertices numbered by role (module
+    docstring): ``coords[i]`` and ``homes[i]`` are anyon i's site and home
+    boundary."""
+
     species: str
     force_class_flip: bool
-    vertices: tuple[MatchVertex, ...]
+    coords: tuple[Coord, ...]
+    homes: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
+
+    @property
+    def n_vertices(self) -> int:
+        return 2 * len(self.coords) + 2 * self.force_class_flip
 
 
 @dataclass(frozen=True)
 class Matching:
-    pairs: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[int, int], ...]  # (u, v) with u < v, sorted
     total_weight: int
 
 
@@ -124,18 +121,13 @@ def build_problem(
     """
     if species not in (SPECIES_P, SPECIES_S):
         raise InvalidParameterError(f"unknown species {species!r}")
-    vertices: list[MatchVertex] = []
     edges: list[tuple[int, int, int]] = []
     n = len(anyons)
 
-    coords = [anyon_coord(layout, species, a) for a in anyons]
+    stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
+    coords = tuple(stabs[a].coord for a in anyons)
     dists = [boundary_distances(layout, species, c) for c in coords]
-    homes = [0 if d0 <= d1 else 1 for d0, d1 in dists]
-
-    for a, c in zip(anyons, coords):
-        vertices.append(MatchVertex(REAL, c, None, a))
-    for c, b in zip(coords, homes):
-        vertices.append(MatchVertex(VIRTUAL, _virtual_coord(layout, species, c, b), b))
+    homes = tuple(0 if d0 <= d1 else 1 for d0, d1 in dists)
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -149,34 +141,25 @@ def build_problem(
 
     if force_class_flip:
         e0, e1 = 2 * n, 2 * n + 1
-        vertices.append(MatchVertex(EXTRA, None, 0))
-        vertices.append(MatchVertex(EXTRA, None, 1))
         for i in range(n):
-            if homes[i] == 0:
-                edges.append((n + i, e0, 0))
-            else:
-                edges.append((n + i, e1, 0))
+            edges.append((n + i, e0 + homes[i], 0))
         for i in range(n):
             edges.append((i, e0, dists[i][0]))
             edges.append((i, e1, dists[i][1]))
         edges.append((e0, e1, layout.L))
 
-    return MatchingProblem(species, force_class_flip, tuple(vertices), tuple(edges))
+    return MatchingProblem(species, force_class_flip, coords, homes, tuple(edges))
 
 
-def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
-    """Globally minimal perfect matching (exact blossom algorithm).
+def min_weight_perfect_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> Matching:
+    """Globally minimal perfect matching of the graph on vertices 0 .. n-1
+    with weighted ``edges`` (exact blossom algorithm).
 
     Raises ``InfeasibleMatchingError`` when the graph has no perfect
     matching, and ``DecoderInternalError`` if the solver's optimality
     certificate fails.
     """
-    n = len(problem.vertices)
-    if n == 0:
-        return Matching((), 0)
-    if n % 2:
-        raise InfeasibleMatchingError(f"odd vertex count {n}")
-    pairs, weight = min_weight_matching(n, problem.edges)
+    pairs, weight = min_weight_matching(n, edges)
     if 2 * len(pairs) != n:
         raise InfeasibleMatchingError("no perfect matching exists")
     return Matching(tuple(pairs), weight)
@@ -209,30 +192,24 @@ def chain_from_matching(
     virtual pairs contribute nothing.
     """
     mask = 0
-    verts = problem.vertices
-    for u, v in matching.pairs:
-        vu, vv = verts[u], verts[v]
-        if vu.kind != REAL and vv.kind != REAL:
-            if vu.kind == EXTRA and vv.kind == EXTRA:
+    coords = problem.coords
+    n = len(coords)
+    for u, v in matching.pairs:  # u < v, so u is the real anyon of a mixed pair
+        if u >= n:
+            if u >= 2 * n:  # the two extras
                 mask ^= (
                     layout.logical_x_mask
                     if problem.species == SPECIES_P
                     else layout.logical_z_mask
                 )
             continue
-        if vv.kind == REAL and vu.kind != REAL:
-            vu, vv = vv, vu
-        # vu is real here
-        if vv.kind == REAL:
-            a, b = sorted((vu.coord, vv.coord))
+        if v < n:
+            a, b = sorted((coords[u], coords[v]))
             mask ^= _path_mask(layout, a, b)
-        else:
-            target = (
-                vv.coord
-                if vv.kind == VIRTUAL
-                else _virtual_coord(layout, problem.species, vu.coord, vv.boundary)
-            )
-            mask ^= _path_mask(layout, vu.coord, target)
+        else:  # anyon u's own partner n + u, or the extra 2n + b
+            boundary = problem.homes[u] if v < 2 * n else v - 2 * n
+            target = _virtual_coord(layout, problem.species, coords[u], boundary)
+            mask ^= _path_mask(layout, coords[u], target)
     if problem.species == SPECIES_P:
         return PauliFrame(layout.n_qubits, mask, 0)
     return PauliFrame(layout.n_qubits, 0, mask)
@@ -317,9 +294,7 @@ def refine_frame(
     one.  Deterministic, and never leaves the syndrome/class orbit.  The
     energy of a move is its plane's weight times the Metropolis count change.
     """
-    from .mcmc import MoveKernel  # mcmc imports this module
-
-    delta = MoveKernel(layout, model).delta
+    delta = score_delta(model)
     weights = qubit_energy_weights(model)
     if plateau_budget <= 0 or not all(map(math.isfinite, weights)):
         return frame.copy()
@@ -366,9 +341,9 @@ def _species_chains(
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
         for flip in (False, True):
             prob = build_problem(layout, anyons, species, flip)
-            m = min_weight_perfect_matching(prob)
-            verts = prob.vertices
-            exits = sum((verts[u].kind == REAL) != (verts[v].kind == REAL) for u, v in m.pairs)
+            m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
+            n = len(anyons)
+            exits = sum((u < n) != (v < n) for u, v in m.pairs)
             chains[(species, flip)] = (chain_from_matching(layout, prob, m), m.total_weight, exits)
     return chains
 
@@ -397,8 +372,6 @@ def _enhanced_from_chains(
 ) -> tuple[DecoderVerdict, ClassChainSet]:
     if refine_steps is None:
         refine_steps = default_plateau_budget(layout)
-    if refine_steps and not all(map(math.isfinite, qubit_energy_weights(model))):
-        refine_steps = 0  # noiseless components make descent moves ill-defined
 
     frames: list[PauliFrame | None] = [None] * 4
     for fp in (False, True):

@@ -12,9 +12,9 @@ exp(-beta * Delta n) otherwise, then accumulates the post-move count.
 loop of the chains and the rectangle sweep, which reads Delta n from a table
 indexed by the stabilizer's local state (the x and z bits of its support,
 at most 8 bits) and updates the local states of the at most nine
-overlapping stabilizers only when a move is accepted, and the reference
-``delta`` the table is built from, which the refinement descent and the
-spacetime chain call directly.
+overlapping stabilizers only when a move is accepted.  The table is built
+from ``noise.score_delta``, the reference Delta n on arbitrary masks, which
+the refinement descent and the spacetime chain call directly.
 
 The single-temperature decoder runs one chain per equivalence class from the
 minimum-weight hypothesis of that class and picks the class with the smallest
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DecoderInternalError, InvalidParameterError
 from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
-from .noise import INDEPENDENT_XZ, NoiseModel, beta_bar, error_score
+from .noise import INDEPENDENT_XZ, NoiseModel, beta_bar, error_score, score_delta
 
 _CHUNK_BATCHES = 32
 
@@ -132,7 +132,7 @@ class _LayoutMoves:
 
 
 _LAYOUT_MOVES: dict[int, _LayoutMoves] = {}  # by id(layout), dropped with it
-_DELTA_TABLES: dict[bool, list[int]] = {}    # by "model is independent"
+_DELTA_TABLES: dict[str, list[int]] = {}     # by model kind
 
 
 def _layout_moves(layout: CodeLayout) -> _LayoutMoves:
@@ -146,28 +146,26 @@ def _layout_moves(layout: CodeLayout) -> _LayoutMoves:
 class MoveKernel:
     """The single-stabilizer move of one layout under one noise model.
 
-    ``delta`` is the reference change Delta n of the model's error count
-    (``noise.error_score``) when one stabilizer, or any mask, is multiplied
-    into a frame; refinement and the spacetime chain call it on arbitrary
-    masks.  ``batch``, the Metropolis loop of the chains and the rectangle
-    sweep, instead reads Delta n from ``table``, which is ``delta`` evaluated
-    once on every local state of a 3- or 4-qubit support.  The noise model
-    thus lives in the table, and one loop serves both models.  The caller
-    keeps the per-stabilizer local states (``local_states``) next to its
-    frame; an accepted move XORs its flip list into the states of the at
-    most nine stabilizers that share a qubit with it.  The flip lists are
-    built on first use once per layout, the table once per model kind.
+    ``batch``, the Metropolis loop of the chains and the rectangle sweep,
+    reads Delta n from ``table``: the model's reference count change
+    (``noise.score_delta``) evaluated once on every local state of a 3- or
+    4-qubit support.  The noise model thus lives in the table, and one loop
+    serves both models.  The caller keeps the per-stabilizer local states
+    (``local_states``) next to its frame; an accepted move XORs its flip list
+    into the states of the at most nine stabilizers that share a qubit with
+    it.  The flip lists are built on first use once per layout, the table
+    once per model kind.
     """
 
     def __init__(self, layout: CodeLayout, model: NoiseModel):
-        self.independent = model.kind == INDEPENDENT_XZ
         self._local = moves = _layout_moves(layout)
         self.masks = moves.masks
         self.x_kind = moves.x_kind
-        table = _DELTA_TABLES.get(self.independent)
+        table = _DELTA_TABLES.get(model.kind)
         if table is None:
-            table = _DELTA_TABLES[self.independent] = [
-                self.delta(state & 15, state >> 4, mask, True)
+            delta = score_delta(model)
+            table = _DELTA_TABLES[model.kind] = [
+                delta(state & 15, state >> 4, mask, True)
                 for mask in (0b1111, 0b111)
                 for state in range(256)
             ]
@@ -184,14 +182,6 @@ class MoveKernel:
         if math.isinf(beta):
             return [1.0, 0.0, 0.0, 0.0, 0.0] + [1.0] * 4
         return [1.0] + [math.exp(-beta * d) for d in (1, 2, 3, 4)] + [1.0] * 4
-
-    def delta(self, x: int, z: int, mask: int, x_plane: bool) -> int:
-        """Count change of flipping ``mask`` in the x plane (else the z plane)."""
-        if not x_plane:
-            x, z = z, x  # the formulas below flip the x plane
-        if self.independent:
-            return ((x ^ mask) & mask).bit_count() - (x & mask).bit_count()
-        return (((x ^ mask) | z) & mask).bit_count() - ((x | z) & mask).bit_count()
 
     def local_states(self, frame: PauliFrame) -> list[int]:
         """Every stabilizer's ``table`` index in ``frame``."""

@@ -11,6 +11,7 @@ Metropolis decoders sample.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,24 @@ def error_score(model: NoiseModel, frame: PauliFrame) -> int:
     if model.kind == INDEPENDENT_XZ:
         return frame.x.bit_count() + frame.z.bit_count()
     return frame.weight()
+
+
+def _delta_depolarizing(x: int, z: int, mask: int, x_plane: bool) -> int:
+    if not x_plane:
+        x, z = z, x  # the formula flips the x plane
+    return (((x ^ mask) | z) & mask).bit_count() - ((x | z) & mask).bit_count()
+
+
+def _delta_independent(x: int, z: int, mask: int, x_plane: bool) -> int:
+    flipped = x if x_plane else z
+    return ((flipped ^ mask) & mask).bit_count() - (flipped & mask).bit_count()
+
+
+def score_delta(model: NoiseModel) -> Callable[[int, int, int, bool], int]:
+    """The model's count change Delta n: ``delta(x, z, mask, x_plane)`` is how
+    much ``error_score`` of the frame (x, z) changes when ``mask`` is flipped
+    in its x plane (else its z plane)."""
+    return _delta_independent if model.kind == INDEPENDENT_XZ else _delta_depolarizing
 
 
 def sample_frame(model: NoiseModel, layout: CodeLayout, rng: np.random.Generator) -> PauliFrame:

@@ -28,8 +28,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .geometry import CodeLayout, EquivalenceClass, PauliFrame
-from .mcmc import MoveKernel
-from .noise import NoiseModel, beta_bar, error_score
+from .noise import NoiseModel, beta_bar, error_score, score_delta
 
 
 @dataclass(frozen=True)
@@ -221,7 +220,7 @@ class SpacetimeChain:
         self.hyp = hyp.copy()
         self.n = hyp.error_count(model)
         self.m = hyp.flip_count()
-        self._delta = MoveKernel(layout, model).delta
+        self._delta = score_delta(model)
         t_max = hyp.record.t_max
         self._n_spatial = layout.n_stab * (t_max - 1)
         self._n_deform = 2 * layout.n_qubits * max(0, t_max - 2)

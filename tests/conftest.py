@@ -8,7 +8,7 @@ import pytest
 
 from surfmc import InfeasibleMatchingError, Matching, build_layout, error_score
 from surfmc.harness import CSV_HEADER
-from surfmc.mcmc import MoveKernel
+from surfmc.noise import score_delta
 
 
 @pytest.fixture(scope="session")
@@ -74,13 +74,13 @@ def brute_force_min_matching(n_vertices: int, edges) -> int | None:
     return rec(frozenset(range(n_vertices)))
 
 
-def networkx_min_weight_perfect_matching(problem) -> Matching:
-    """Reference matcher: networkx's blossom on the problem's graph.
+def networkx_min_weight_perfect_matching(n: int, edges) -> Matching:
+    """Reference matcher: networkx's blossom on the graph with vertices
+    0 .. n-1 and weighted ``edges``.
 
     ``surfmc.blossom`` is a port of this solver, with the same vertex and
     neighbour order, so it must return these exact pairs, ties included.
     """
-    n = len(problem.vertices)
     if n == 0:
         return Matching((), 0)
     if n % 2:
@@ -88,7 +88,7 @@ def networkx_min_weight_perfect_matching(problem) -> Matching:
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     weight = {}
-    for u, v, w in problem.edges:
+    for u, v, w in edges:
         graph.add_edge(u, v, weight=w)
         weight[(u, v)] = weight[(v, u)] = w
     mate = nx.min_weight_matching(graph)
@@ -130,14 +130,14 @@ def brute_force_free_boundary_weight(layout, anyons, species: str) -> int:
 
 
 def reference_metropolis(layout, model, beta, frame, rng, plan):
-    """Reference for ``MetropolisChain``: Delta n from ``MoveKernel.delta`` on
+    """Reference for ``MetropolisChain``: Delta n from ``noise.score_delta`` on
     the whole frame, the chain's RNG draws and its accept test.
 
     ``plan`` lists calls in order: ``("run", n_steps)``, ``("burn", n_steps)``
     (a run that accumulates nothing) or ``("step",)``.  Returns the final
     (x, z), the cumulative count, the step count and the batch sums.
     """
-    delta = MoveKernel(layout, model).delta
+    delta = score_delta(model)
     stabs = layout.stabilizers
     x, z, n = frame.x, frame.z, error_score(model, frame)
     cumulative, steps, batch_sums = 0, 0, []

@@ -69,6 +69,17 @@ def tiny_config(**kw):
         dict(burn_in=-1),
         dict(refine_steps=-1),
         dict(beta_star_factor=-0.5),
+        # beta_bar is undefined once a flip is at least as likely as none
+        dict(model_kind="independent_xz", p_values=(0.1, 0.6)),
+        dict(model_kind="independent_xz", p_values=(0.5,)),
+        dict(seed="1"),
+        dict(seed=-1),
+        dict(burn_in="x"),
+        dict(max_trials=10.5),
+        dict(n_temperatures="21"),
+        dict(beta_star_factor="0.85"),
+        dict(model_kind=["depolarizing"]),
+        dict(beta_star_factor=math.nan),
     ],
 )
 def test_config_rejects(kw):
@@ -305,10 +316,20 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 def test_cli_config_errors(tmp_path, capsys):
     bad_files = []
-    for k, L_values in enumerate((3, ["a"])):
+    for k, bad in enumerate((
+        {"L_values": 3},
+        {"L_values": ["a"]},
+        {"burn_in": "x"},
+        {"seed": "1"},
+        {"max_trials": 10.5},
+        {"n_sample": 2.5},
+        {"beta_star_factor": "0.85"},
+        {"beta_star_factor": math.nan},  # json writes and reads NaN
+        {"model_kind": 3},
+    )):
         path = tmp_path / f"cfg{k}.json"
-        path.write_text(json.dumps({"L_values": L_values, "p_values": [0.1], "seed": 1,
-                                    "max_trials": 10}))
+        path.write_text(json.dumps({"L_values": [3], "p_values": [0.1], "seed": 1,
+                                    "max_trials": 10, **bad}))
         bad_files.append(["campaign", "--config", str(path)])
     out = ["--out", str(tmp_path / "res.csv")]
     for argv in [
@@ -322,6 +343,9 @@ def test_cli_config_errors(tmp_path, capsys):
          "--refine-steps", "-1"],
         ["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--trials", "10",
          "--beta-star-factor", "-1"],
+        # the samplers would silently copy the matcher: beta_bar is undefined
+        ["campaign", "--model", "independent_xz", "--L", "3", "--p", "0.6", "--seed", "1",
+         "--trials", "64", "--algorithms", "enhanced_mwpm,single_temperature"],
         ["scaling-probe", "--p", "0.1", "--L", "", "--seed", "1"],
         ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--confidence", "1.5"],
         ["fatal-patterns", "--L", ""],

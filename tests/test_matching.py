@@ -28,16 +28,8 @@ from surfmc import (
     min_weight_perfect_matching,
     refine_frame,
 )
-from surfmc.matching import (
-    EXTRA,
-    REAL,
-    SPECIES_P,
-    SPECIES_S,
-    VIRTUAL,
-    MatchingProblem,
-    MatchVertex,
-)
-from surfmc import blossom
+from surfmc.matching import SPECIES_P, SPECIES_S, boundary_distances
+from surfmc import blossom, matching
 from surfmc.oracle import enumerate_orbit
 
 MODEL = NoiseModel.depolarizing(0.1)
@@ -56,19 +48,27 @@ def random_syndrome(layout, rng, model=MODEL):
 
 def test_empty_problem(layout3):
     prob = build_problem(layout3, (), SPECIES_P, False)
-    assert prob.vertices == () and prob.edges == ()
-    m = min_weight_perfect_matching(prob)
+    assert prob.n_vertices == 0 and prob.edges == ()
+    m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
     assert m.pairs == () and m.total_weight == 0
     assert chain_from_matching(layout3, prob, m).weight() == 0
 
 
 def test_three_anyon_problem_shape(layout5):
-    # three detected anyons plus their boundary partners: six vertices
+    # three detected anyons plus their boundary partners: six vertices,
+    # anyons 0..2 first, then partner 3 + i of anyon i
     prob = build_problem(layout5, (0, 7, 12), SPECIES_P, False)
-    assert len(prob.vertices) == 6
-    kinds = [v.kind for v in prob.vertices]
-    assert kinds == [REAL] * 3 + [VIRTUAL] * 3
-    m = min_weight_perfect_matching(prob)
+    assert prob.n_vertices == 6
+    assert prob.coords == tuple(layout5.z_stabilizers[a].coord for a in (0, 7, 12))
+    weights = {(u, v): w for u, v, w in prob.edges}
+    for i, c in enumerate(prob.coords):
+        dists = boundary_distances(layout5, SPECIES_P, c)
+        assert dists[prob.homes[i]] == min(dists)
+        assert weights[(i, 3 + i)] == min(dists)
+        assert not any((i, v) in weights for v in range(3, 6) if v != 3 + i)
+    # partners only join each other, at weight 0
+    assert all(w == 0 for (u, v), w in weights.items() if u >= 3)
+    m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
     frame = chain_from_matching(layout5, prob, m)
     assert frame.weight() == m.total_weight
     syn = layout5.syndrome_of(frame)
@@ -76,19 +76,22 @@ def test_three_anyon_problem_shape(layout5):
 
 
 def test_forced_problem_adds_extras(layout3):
+    # one anyon (vertex 0), its partner (1), and the extras 2 + b of boundary b
     prob = build_problem(layout3, (0,), SPECIES_P, True)
-    extras = [v for v in prob.vertices if v.kind == EXTRA]
-    assert len(extras) == 2
+    assert prob.n_vertices == 4
     weights = {(u, v): w for u, v, w in prob.edges}
-    n = len(prob.vertices)
-    assert weights[(n - 2, n - 1)] == layout3.L
+    assert weights[(2, 3)] == layout3.L
+    assert (weights[(0, 2)], weights[(0, 3)]) == boundary_distances(
+        layout3, SPECIES_P, prob.coords[0]
+    )
+    assert weights[(1, 2 + prob.homes[0])] == 0 and (1, 3 - prob.homes[0]) not in weights
 
 
 def test_empty_syndrome_flip_gives_bare_logical(layout3):
     for species, cls_bit in ((SPECIES_P, "bit_v"), (SPECIES_S, "bit_h")):
         prob = build_problem(layout3, (), species, True)
-        assert len(prob.vertices) == 2
-        m = min_weight_perfect_matching(prob)
+        assert prob.n_vertices == 2
+        m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
         assert m.total_weight == layout3.L
         frame = chain_from_matching(layout3, prob, m)
         assert frame.weight() == 3
@@ -103,10 +106,10 @@ def test_forced_matchings_flip_class(layout5, rng):
             plain = build_problem(layout5, anyons, species, False)
             forced = build_problem(layout5, anyons, species, True)
             f_plain = chain_from_matching(
-                layout5, plain, min_weight_perfect_matching(plain)
+                layout5, plain, min_weight_perfect_matching(plain.n_vertices, plain.edges)
             )
             f_forced = chain_from_matching(
-                layout5, forced, min_weight_perfect_matching(forced)
+                layout5, forced, min_weight_perfect_matching(forced.n_vertices, forced.edges)
             )
             a = layout5.class_of(f_plain)
             b = layout5.class_of(f_forced)
@@ -120,26 +123,25 @@ def test_forced_matchings_flip_class(layout5, rng):
 # matcher optimality and feasibility
 
 
-def _random_raw_problem(rng, n):
-    vertices = tuple(MatchVertex(REAL, (0, 0), None) for _ in range(n))
+def _random_raw_edges(rng, n):
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.7:
                 edges.append((i, j, int(rng.integers(0, 13))))
-    return MatchingProblem("p", False, vertices, tuple(edges))
+    return tuple(edges)
 
 
 def test_matcher_equals_brute_force_raw(rng):
     for _ in range(120):
         n = int(rng.integers(1, 7)) * 2
-        prob = _random_raw_problem(rng, n)
-        expect = brute_force_min_matching(n, prob.edges)
+        edges = _random_raw_edges(rng, n)
+        expect = brute_force_min_matching(n, edges)
         if expect is None:
             with pytest.raises(InfeasibleMatchingError):
-                min_weight_perfect_matching(prob)
+                min_weight_perfect_matching(n, edges)
         else:
-            assert min_weight_perfect_matching(prob).total_weight == expect
+            assert min_weight_perfect_matching(n, edges).total_weight == expect
 
 
 def test_matcher_equals_brute_force_structured(layout4, rng):
@@ -150,30 +152,31 @@ def test_matcher_equals_brute_force_structured(layout4, rng):
         )
         for flip in (False, True):
             prob = build_problem(layout4, anyons, SPECIES_P, flip)
-            if not prob.vertices:
+            if not prob.n_vertices:
                 continue
-            expect = brute_force_min_matching(len(prob.vertices), prob.edges)
+            expect = brute_force_min_matching(prob.n_vertices, prob.edges)
             assert expect is not None
-            assert min_weight_perfect_matching(prob).total_weight == expect
+            assert min_weight_perfect_matching(prob.n_vertices, prob.edges).total_weight == expect
         std = decode_standard(layout4, Syndrome(anyons, ()), MODEL)
         expect = brute_force_free_boundary_weight(layout4, anyons, SPECIES_P)
         assert std.scores[std.cls] == expect
 
 
 def test_odd_vertex_count_rejected():
-    prob = MatchingProblem("p", False, (MatchVertex(REAL, (0, 0), None),), ())
     with pytest.raises(InfeasibleMatchingError):
-        min_weight_perfect_matching(prob)
+        min_weight_perfect_matching(1, ())
+    with pytest.raises(InfeasibleMatchingError):
+        min_weight_perfect_matching(3, ((0, 1, 1), (1, 2, 1)))
 
 
-def _same_as_networkx(prob):
+def _same_as_networkx(n, edges):
     try:
-        expect = networkx_min_weight_perfect_matching(prob)
+        expect = networkx_min_weight_perfect_matching(n, edges)
     except InfeasibleMatchingError:
         with pytest.raises(InfeasibleMatchingError):
-            min_weight_perfect_matching(prob)
+            min_weight_perfect_matching(n, edges)
         return False
-    assert min_weight_perfect_matching(prob) == expect
+    assert min_weight_perfect_matching(n, edges) == expect
     return True
 
 
@@ -188,7 +191,8 @@ def test_pairs_equal_networkx_on_decoder_problems(rng):
                 syn, _ = random_syndrome(layout, rng, model)
                 for species, anyons in ((SPECIES_P, syn.p_anyons), (SPECIES_S, syn.s_anyons)):
                     for flip in (False, True):
-                        checked += _same_as_networkx(build_problem(layout, anyons, species, flip))
+                        prob = build_problem(layout, anyons, species, flip)
+                        checked += _same_as_networkx(prob.n_vertices, prob.edges)
     assert checked == 4 * 2 * 12 * 4
 
 
@@ -196,7 +200,6 @@ def test_pairs_equal_networkx_on_raw_graphs(rng):
     feasible = infeasible = 0
     for _ in range(300):
         n = int(rng.integers(1, 9)) * 2
-        vertices = tuple(MatchVertex(REAL, (0, 0), None) for _ in range(n))
         density = rng.uniform(0.1, 1.0)
         isolated = int(rng.integers(n)) if rng.random() < 0.2 else -1
         edges = [
@@ -206,7 +209,7 @@ def test_pairs_equal_networkx_on_raw_graphs(rng):
             if isolated not in (i, j) and rng.random() < density
         ]
         rng.shuffle(edges)
-        ok = _same_as_networkx(MatchingProblem("p", False, vertices, tuple(edges)))
+        ok = _same_as_networkx(n, tuple(edges))
         feasible += ok
         infeasible += not ok
     assert feasible > 50 and infeasible > 50
@@ -235,19 +238,40 @@ def test_solver_checks_its_certificate(layout5, monkeypatch):
         blossom, "verify_optimum", lambda *args: calls.append(1) or check(*args)
     )
     for flip in (False, True):
-        min_weight_perfect_matching(build_problem(layout5, (0, 7, 12), SPECIES_P, flip))
+        prob = build_problem(layout5, (0, 7, 12), SPECIES_P, flip)
+        min_weight_perfect_matching(prob.n_vertices, prob.edges)
     assert len(calls) == 2
 
 
-def _boundary0_ends(prob, matching):
-    """Chain ends on boundary 0: real-to-boundary-0 pairs, plus one for the
-    extra-extra pair, whose reference logical runs from boundary 0 to 1."""
+@pytest.mark.parametrize("decode", [decode_both, decode_standard])
+def test_decoders_solve_through_module_hook(layout5, rng, monkeypatch, decode):
+    # tracing wraps matching.min_weight_perfect_matching to count and time
+    # solves, so every decode must reach the solver through that name
+    calls = []
+    solve = matching.min_weight_perfect_matching
+    monkeypatch.setattr(
+        matching, "min_weight_perfect_matching", lambda *args: calls.append(1) or solve(*args)
+    )
+    for _ in range(5):
+        syn, _ = random_syndrome(layout5, rng)
+        calls.clear()
+        decode(layout5, syn, MODEL)
+        assert len(calls) == 4
+
+
+def _boundary0_ends(prob, m):
+    """Chain ends on boundary 0: anyon-to-boundary-0 pairs, plus one for the
+    extra-extra pair, whose reference logical runs from boundary 0 to 1.
+
+    With n anyons, vertex n + j is anyon j's partner on boundary homes[j]
+    and vertex 2n + b the extra of boundary b.
+    """
+    n = len(prob.coords)
     ends = 0
-    for u, v in matching.pairs:
-        a, b = prob.vertices[u], prob.vertices[v]
-        if (a.kind == REAL) != (b.kind == REAL):
-            ends += (b if a.kind == REAL else a).boundary == 0
-        ends += a.kind == b.kind == EXTRA
+    for u, v in m.pairs:
+        if u < n <= v:
+            ends += (prob.homes[v - n] if v < 2 * n else v - 2 * n) == 0
+        ends += u >= 2 * n
     return ends
 
 
@@ -264,7 +288,7 @@ def test_class_bit_is_parity_of_boundary0_ends(rng):
             ):
                 for flip in (False, True):
                     prob = build_problem(layout, anyons, species, flip)
-                    m = min_weight_perfect_matching(prob)
+                    m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
                     cls = layout.class_of(chain_from_matching(layout, prob, m))
                     assert getattr(cls, bit) == _boundary0_ends(prob, m) % 2
 
@@ -293,7 +317,7 @@ def test_single_pair_chain(layout5):
     idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
     anyons = tuple(sorted((idx[(3, 2)], idx[(5, 6)])))
     prob = build_problem(layout5, anyons, SPECIES_P, False)
-    m = min_weight_perfect_matching(prob)
+    m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
     frame = chain_from_matching(layout5, prob, m)
     assert frame.weight() == m.total_weight
     syn = layout5.syndrome_of(frame)

@@ -28,6 +28,7 @@ from surfmc import (
     zero_temperature_score,
 )
 from surfmc.mcmc import MoveKernel, SweepResult, batch_means_se
+from surfmc.noise import score_delta
 from surfmc.oracle import enumerate_orbit, exact_boltzmann
 
 MODEL = NoiseModel.depolarizing(0.1)
@@ -389,6 +390,7 @@ def test_batch_loop_matches_delta(rng, model):
     for L in (2, 3, 5, 7):
         layout = build_layout(L)
         kernel = MoveKernel(layout, model)
+        delta = score_delta(model)
         hot, cold = kernel.acceptance(0.0), kernel.acceptance(math.inf)
         for _ in range(20):
             frame = sample_frame(NoiseModel.depolarizing(0.4), layout, rng)
@@ -397,7 +399,7 @@ def test_batch_loop_matches_delta(rng, model):
             states = kernel.local_states(frame)
             for s, stab in enumerate(layout.stabilizers):
                 x_plane = stab.kind == "X"
-                d = kernel.delta(x, z, stab.mask, x_plane)
+                d = delta(x, z, stab.mask, x_plane)
                 assert kernel.table[states[s]] == d
                 moved = (x ^ stab.mask, z) if x_plane else (x, z ^ stab.mask)
                 assert error_score(model, PauliFrame(layout.n_qubits, *moved)) == n + d

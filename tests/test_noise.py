@@ -13,7 +13,7 @@ from surfmc import (
     error_score,
     sample_frame,
 )
-from surfmc.noise import DEPOLARIZING
+from surfmc.noise import DEPOLARIZING, score_delta
 
 
 def test_depolarizing_expansion():
@@ -92,6 +92,21 @@ def test_error_score(layout3):
     frame = PauliFrame.from_paulis(layout3.n_qubits, {0: "Y", 1: "X", 2: "Z"})
     assert error_score(NoiseModel.depolarizing(0.1), frame) == 3
     assert error_score(NoiseModel.independent_xz(0.1, 0.1), frame) == 4
+
+
+@pytest.mark.parametrize(
+    "model", [NoiseModel.depolarizing(0.1), NoiseModel.independent_xz(0.1, 0.1)]
+)
+def test_score_delta_is_error_score_change(layout3, rng, model):
+    # arbitrary masks, not just stabilizers: refinement flips compound moves
+    delta = score_delta(model)
+    nq = layout3.n_qubits
+    for _ in range(200):
+        x, z, mask = (int(v) for v in rng.integers(0, 1 << nq, size=3))
+        before = error_score(model, PauliFrame(nq, x, z))
+        for x_plane, moved in ((True, (x ^ mask, z)), (False, (x, z ^ mask))):
+            after = error_score(model, PauliFrame(nq, *moved))
+            assert delta(x, z, mask, x_plane) == after - before
 
 
 def test_sample_frame_p0(layout3, rng):
