@@ -637,6 +637,8 @@ def scaling_probe(
     decoder provably beats the better matcher, then fit the growth exponent."""
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"confidence must lie in (0, 1), got {confidence}")
+    if max_n_sample is not None and max_n_sample < 1:
+        raise ConfigError(f"max_n_sample must be >= 1, got {max_n_sample}")
     alpha = 1.0 - confidence
     base = ExperimentConfig(
         L_values=tuple(L_values), p_values=(p,), seed=seed,

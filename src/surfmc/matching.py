@@ -1,22 +1,36 @@
 """Anyon matching graphs and the two matching-based decoders.
 
-Each species of anyon gets two exact minimum-weight perfect matchings.  The
-unforced problem holds the real anyons, their virtual partners on the closer
-absorbing boundary, and a zero-weight clique among each boundary's virtuals.
-The forced problem adds one extra virtual anyon per absorbing boundary (joined
-to the boundary's virtuals at zero weight, to every real anyon at its distance
-to that boundary, and to the opposite extra at weight L), so every perfect
+Each species of anyon gets two exact minimum-weight perfect matchings, one
+per class parity.  The first is the free-boundary problem on the species' n
+anyons alone (``free_boundary_chain``): anyons i and j pair at
+min(d_ij, h_i + h_j), where h is the distance to the anyon's home (closer)
+boundary, realised as the direct path when d_ij <= h_i + h_j and as both
+anyons exiting at home otherwise; with n odd, one boundary vertex joins each
+anyon at h_i.  Its optimum is the lightest chain overall, so it is also the
+lightest of its own class parity, which flips relative to the unforced
+gadget below exactly when it holds an odd number of cross-home direct pairs.
+Its edges weigh K w + (boundary exits) with K = n + 2, more than any
+matching's exit count, so among the lightest matchings it returns one with
+the fewest exits.
+
+The other parity is solved on a gadget (``build_problem``).  The unforced
+gadget holds the real anyons, their virtual partners on the home boundary,
+and a zero-weight clique among each boundary's virtuals.  The forced gadget
+adds one extra virtual anyon per absorbing boundary (joined to the
+boundary's virtuals at zero weight, to every real anyon at its distance to
+that boundary, and to the opposite extra at weight L), so every perfect
 matching of it realizes the complementary class bit.  A vertex's position is
 its role: with n anyons, vertex i < n is anyon i, vertex n + i is anyon i's
-virtual partner on its home boundary, and in the forced problem vertex
+virtual partner on its home boundary, and in the forced gadget vertex
 2n + b is the extra virtual of boundary b.
 
-Both are solved by ``blossom``, surfmc's own exact primal-dual blossom solver
-on dense integer weights.  Where several perfect matchings have the minimum
-weight, the one returned is fixed by that solver's vertex and neighbour scan
-order, which follows the order of ``MatchingProblem.edges``; the order was
-taken over from networkx, so the matchings (ties included) are the ones
-networkx returns.
+All solves go through ``min_weight_perfect_matching`` to ``blossom``,
+surfmc's own exact primal-dual blossom solver on dense integer weights, which
+checks an optimality certificate on every solve.  Where several perfect
+matchings have the minimum weight, the one returned is fixed by that solver's
+vertex and neighbour scan order, which follows the order of the edge list;
+the order was taken over from networkx, so the matchings (ties included) are
+the ones networkx returns.
 
 Standard decoding takes, per species, the lighter of the two chains (ties go
 to fewer boundary exits, then to the unforced one): plain matching with free
@@ -105,6 +119,20 @@ class Matching:
     total_weight: int
 
 
+def _anyon_sites(
+    layout: CodeLayout, anyons: tuple[int, ...], species: str
+) -> tuple[tuple[Coord, ...], list[tuple[int, int]], tuple[int, ...]]:
+    """Sites, distances to both absorbing boundaries and home (closer)
+    boundaries of one species' anyons; ties go toward boundary 0."""
+    if species not in (SPECIES_P, SPECIES_S):
+        raise InvalidParameterError(f"unknown species {species!r}")
+    stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
+    coords = tuple(stabs[a].coord for a in anyons)
+    dists = [boundary_distances(layout, species, c) for c in coords]
+    homes = tuple(0 if d0 <= d1 else 1 for d0, d1 in dists)
+    return coords, dists, homes
+
+
 def build_problem(
     layout: CodeLayout,
     anyons: tuple[int, ...],
@@ -119,15 +147,9 @@ def build_problem(
     described in the module docstring, guaranteeing a feasible problem whose
     every perfect matching flips the species' class bit.
     """
-    if species not in (SPECIES_P, SPECIES_S):
-        raise InvalidParameterError(f"unknown species {species!r}")
+    coords, dists, homes = _anyon_sites(layout, anyons, species)
     edges: list[tuple[int, int, int]] = []
     n = len(anyons)
-
-    stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
-    coords = tuple(stabs[a].coord for a in anyons)
-    dists = [boundary_distances(layout, species, c) for c in coords]
-    homes = tuple(0 if d0 <= d1 else 1 for d0, d1 in dists)
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -182,6 +204,18 @@ def _path_mask(layout: CodeLayout, a: Coord, b: Coord) -> int:
     return mask
 
 
+def _exit_mask(layout: CodeLayout, species: str, coord: Coord, boundary: int) -> int:
+    """Qubits of the straight path from an anyon out through ``boundary``."""
+    return _path_mask(layout, coord, _virtual_coord(layout, species, coord, boundary))
+
+
+def _species_frame(layout: CodeLayout, species: str, mask: int) -> PauliFrame:
+    """A species' chain: sigma-x on ``mask`` for p, sigma-z for s."""
+    if species == SPECIES_P:
+        return PauliFrame(layout.n_qubits, mask, 0)
+    return PauliFrame(layout.n_qubits, 0, mask)
+
+
 def chain_from_matching(
     layout: CodeLayout, problem: MatchingProblem, matching: Matching
 ) -> PauliFrame:
@@ -208,11 +242,8 @@ def chain_from_matching(
             mask ^= _path_mask(layout, a, b)
         else:  # anyon u's own partner n + u, or the extra 2n + b
             boundary = problem.homes[u] if v < 2 * n else v - 2 * n
-            target = _virtual_coord(layout, problem.species, coords[u], boundary)
-            mask ^= _path_mask(layout, coords[u], target)
-    if problem.species == SPECIES_P:
-        return PauliFrame(layout.n_qubits, mask, 0)
-    return PauliFrame(layout.n_qubits, 0, mask)
+            mask ^= _exit_mask(layout, problem.species, coords[u], boundary)
+    return _species_frame(layout, problem.species, mask)
 
 
 @dataclass(frozen=True)
@@ -333,18 +364,67 @@ def refine_frame(
 SpeciesChain = tuple[PauliFrame, int, int]
 
 
+def free_boundary_chain(
+    layout: CodeLayout, anyons: tuple[int, ...], species: str
+) -> tuple[bool, SpeciesChain]:
+    """Plain matching with free boundaries, solved on the anyons alone.
+
+    Anyons i and j pair at min(d_ij, h_i + h_j), where h is the distance to
+    the home boundary: along the direct path when d_ij <= h_i + h_j, else by
+    both exiting at home.  With n odd, boundary vertex n joins anyon i at h_i.
+    Each edge weighs K w + (its boundary exits) with K = n + 2, more than any
+    matching's exits, so the solver returns the fewest exits among the
+    minimum-weight matchings.
+
+    Returns ``(flip, chain)``: the chain lies in the class of
+    ``build_problem(..., flip)``, where ``flip`` is the parity of its
+    cross-home direct pairs, and its weight is the minimum over both flips.
+    """
+    coords, dists, homes = _anyon_sites(layout, anyons, species)
+    h = [d[b] for d, b in zip(dists, homes)]
+    n = len(coords)
+    k = n + 2
+    edges = []
+    direct = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = anyon_distance(coords[i], coords[j])
+            if d <= h[i] + h[j]:
+                direct.add((i, j))
+                edges.append((i, j, k * d))
+            else:
+                edges.append((i, j, k * (h[i] + h[j]) + 2))
+    if n % 2:
+        edges.extend((i, n, k * h[i] + 1) for i in range(n))
+    m = min_weight_perfect_matching(n + n % 2, edges)
+    mask = 0
+    flip = False
+    for u, v in m.pairs:
+        if (u, v) in direct:
+            mask ^= _path_mask(layout, *sorted((coords[u], coords[v])))
+            flip ^= homes[u] != homes[v]
+        else:  # both exit at home, or u alone when v is the boundary vertex
+            for a in (u, v) if v < n else (u,):
+                mask ^= _exit_mask(layout, species, coords[a], homes[a])
+    weight, exits = divmod(m.total_weight, k)
+    return flip, (_species_frame(layout, species, mask), weight, exits)
+
+
 def _species_chains(
     layout: CodeLayout, syndrome: Syndrome
 ) -> dict[tuple[str, bool], SpeciesChain]:
-    """The four class-pure matchings, keyed by (species, force_class_flip)."""
+    """The four class-pure matchings, keyed by (species, force_class_flip):
+    per species the free-boundary solve, under the flip of its class, and
+    the gadget of the other flip."""
     chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
-        for flip in (False, True):
-            prob = build_problem(layout, anyons, species, flip)
-            m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
-            n = len(anyons)
-            exits = sum((u < n) != (v < n) for u, v in m.pairs)
-            chains[(species, flip)] = (chain_from_matching(layout, prob, m), m.total_weight, exits)
+        flip, chain = free_boundary_chain(layout, anyons, species)
+        chains[(species, flip)] = chain
+        prob = build_problem(layout, anyons, species, not flip)
+        m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
+        n = len(anyons)
+        exits = sum((u < n) != (v < n) for u, v in m.pairs)
+        chains[(species, not flip)] = (chain_from_matching(layout, prob, m), m.total_weight, exits)
     return chains
 
 
@@ -402,13 +482,14 @@ def decode_enhanced(
 ) -> tuple[DecoderVerdict, ClassChainSet]:
     """Class-forced matching: one minimum-weight hypothesis per class.
 
-    Runs the matcher with and without the class flip for each species (four
-    matchings), combines them into the 2x2 class hypotheses, tightens each
-    with the zero-temperature descent (``refine_steps`` is its search budget;
-    ``0`` disables it and reproduces the bare matcher comparison, ``None``
-    picks a size-dependent default), and scores them under the true
-    correlated model.  Returns the winning verdict and the per-class chain
-    set used to seed the Monte Carlo decoders.
+    Per species, solves the free-boundary matching and the gadget of the
+    other class flip (four matchings), combines them into the 2x2 class
+    hypotheses, tightens each with the zero-temperature descent
+    (``refine_steps`` is its search budget; ``0`` disables it and reproduces
+    the bare matcher comparison, ``None`` picks a size-dependent default),
+    and scores them under the true correlated model.  Returns the winning
+    verdict and the per-class chain set used to seed the Monte Carlo
+    decoders.
     """
     chains = _species_chains(layout, syndrome)
     return _enhanced_from_chains(layout, syndrome, model, chains, refine_steps)

@@ -348,6 +348,9 @@ def test_cli_config_errors(tmp_path, capsys):
          "--trials", "64", "--algorithms", "enhanced_mwpm,single_temperature"],
         ["scaling-probe", "--p", "0.1", "--L", "", "--seed", "1"],
         ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--confidence", "1.5"],
+        # a cap below the smallest n_sample the search tries
+        ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--max-n-sample", "0"],
+        ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--max-n-sample", "-5"],
         ["fatal-patterns", "--L", ""],
     ]:
         code = cli_main(argv + out if argv[0] == "campaign" else argv)

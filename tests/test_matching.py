@@ -28,7 +28,7 @@ from surfmc import (
     min_weight_perfect_matching,
     refine_frame,
 )
-from surfmc.matching import SPECIES_P, SPECIES_S, boundary_distances
+from surfmc.matching import SPECIES_P, SPECIES_S, boundary_distances, free_boundary_chain
 from surfmc import blossom, matching
 from surfmc.oracle import enumerate_orbit
 
@@ -246,17 +246,53 @@ def test_solver_checks_its_certificate(layout5, monkeypatch):
 @pytest.mark.parametrize("decode", [decode_both, decode_standard])
 def test_decoders_solve_through_module_hook(layout5, rng, monkeypatch, decode):
     # tracing wraps matching.min_weight_perfect_matching to count and time
-    # solves, so every decode must reach the solver through that name
+    # solves, so every decode must reach the solver through that name; per
+    # species one free-boundary solve on the anyons (plus a boundary vertex
+    # when their count is odd) and one gadget of the other class flip
     calls = []
     solve = matching.min_weight_perfect_matching
     monkeypatch.setattr(
-        matching, "min_weight_perfect_matching", lambda *args: calls.append(1) or solve(*args)
+        matching, "min_weight_perfect_matching", lambda n, edges: calls.append(n) or solve(n, edges)
     )
-    for _ in range(5):
+    for _ in range(10):
         syn, _ = random_syndrome(layout5, rng)
         calls.clear()
         decode(layout5, syn, MODEL)
         assert len(calls) == 4
+        for k, n in enumerate((len(syn.p_anyons), len(syn.s_anyons))):
+            assert calls[2 * k] == n + n % 2
+            assert calls[2 * k + 1] in (2 * n, 2 * n + 2)
+
+
+def test_free_boundary_solve_equals_both_gadgets():
+    # the n-vertex solve reaches the lighter of the two class-pure gadget
+    # optima (networkx as the reference) and lies in the class it reports
+    rng = np.random.default_rng(4242)
+    models = [NoiseModel.depolarizing(p) for p in (0.10, 0.13)]
+    checked = 0
+    for L, count in ((5, 500), (7, 300), (9, 150), (11, 100)):
+        layout = build_layout(L)
+        for k in range(count):
+            syn, _ = random_syndrome(layout, rng, models[k % 2])
+            for species, anyons, bit in (
+                (SPECIES_P, syn.p_anyons, "bit_v"),
+                (SPECIES_S, syn.s_anyons, "bit_h"),
+            ):
+                flip, (frame, weight, _) = free_boundary_chain(layout, anyons, species)
+                plain = build_problem(layout, anyons, species, False)
+                forced = build_problem(layout, anyons, species, True)
+                m_plain = networkx_min_weight_perfect_matching(plain.n_vertices, plain.edges)
+                m_forced = networkx_min_weight_perfect_matching(forced.n_vertices, forced.edges)
+                assert weight == frame.weight() == min(m_plain.total_weight,
+                                                       m_forced.total_weight)
+                plain_bit = getattr(layout.class_of(chain_from_matching(layout, plain, m_plain)),
+                                    bit)
+                assert getattr(layout.class_of(frame), bit) == plain_bit ^ flip
+                got = layout.syndrome_of(frame)
+                assert (got.p_anyons, got.s_anyons) == (
+                    (anyons, ()) if species == SPECIES_P else ((), anyons))
+            checked += 1
+    assert checked >= 1000
 
 
 def _boundary0_ends(prob, m):
@@ -368,6 +404,42 @@ def test_standard_tie_prefers_fewer_boundary_exits(layout5):
     v = decode_standard(layout5, syn, MODEL)
     assert v.cls == CLASS_I and v.scores == {CLASS_I: 3.0}
     assert v.correction == _x_on(layout5, [(2, 2), (4, 2), (5, 3)])
+
+
+def test_free_boundary_tie_prefers_direct_pair(layout5):
+    # both anyons sit one step from boundary 0: the direct pair and the two
+    # exits both weigh 2, and the direct path has no exits
+    idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
+    anyons = tuple(sorted((idx[(1, 2)], idx[(1, 6)])))
+    flip, (frame, weight, exits) = free_boundary_chain(layout5, anyons, SPECIES_P)
+    assert (flip, weight, exits) == (False, 2, 0)
+    assert frame == _x_on(layout5, [(1, 3), (1, 5)])
+    v = decode_standard(layout5, Syndrome(anyons, ()), MODEL)
+    assert v.cls == CLASS_I and v.correction == frame
+
+
+def test_free_boundary_tie_prefers_fewest_exits():
+    # four anyons one step from boundary 0, four columns apart: every
+    # pairing weighs 4, and only the two neighbouring pairs need no exit
+    layout = build_layout(7)
+    idx = {s.coord: s.species_index for s in layout.z_stabilizers}
+    anyons = tuple(sorted(idx[(1, c)] for c in (0, 4, 8, 12)))
+    flip, (frame, weight, exits) = free_boundary_chain(layout, anyons, SPECIES_P)
+    assert (flip, weight, exits) == (False, 4, 0)
+    assert frame == _x_on(layout, [(1, 1), (1, 3), (1, 9), (1, 11)])
+    assert decode_standard(layout, Syndrome(anyons, ()), MODEL).correction == frame
+
+
+def test_free_boundary_odd_count_uses_boundary_vertex(layout5):
+    # a cross-home direct pair (flipping the class) and a lone anyon that
+    # exits through the boundary vertex at boundary 0
+    idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
+    anyons = tuple(sorted((idx[(3, 2)], idx[(5, 2)], idx[(1, 8)])))
+    flip, (frame, weight, exits) = free_boundary_chain(layout5, anyons, SPECIES_P)
+    assert (flip, weight, exits) == (True, 2, 1)
+    assert frame == _x_on(layout5, [(4, 2), (0, 8)])
+    v = decode_standard(layout5, Syndrome(anyons, ()), MODEL)
+    assert v.scores == {v.cls: 2.0} and v.correction == frame
 
 
 def test_standard_full_tie_prefers_unforced(layout4):
