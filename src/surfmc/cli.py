@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, InvalidParameterError
@@ -131,6 +132,8 @@ def _campaign_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     cfg = _campaign_config(args)
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"--out {args.out} is not a file path in an existing directory")
     try:
         result = run_campaign(cfg)
         code = EXIT_OK

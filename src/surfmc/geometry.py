@@ -50,10 +50,6 @@ class EquivalenceClass:
     def label(self) -> str:
         return ("I", "X", "Z", "Y")[self.index]
 
-    @classmethod
-    def from_index(cls, index: int) -> "EquivalenceClass":
-        return EQUIV_CLASSES[index]
-
     def __repr__(self) -> str:
         return f"EquivalenceClass({self.label})"
 

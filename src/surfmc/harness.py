@@ -545,6 +545,8 @@ def oracle_check(
     """
     if n_syndromes < 1:
         raise InvalidParameterError(f"n_syndromes must be >= 1, got {n_syndromes}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     layout = _cached_layout(L)
     model = make_model(DEPOLARIZING, p)
     cfg = default_single_temp_config(model, layout)

@@ -8,13 +8,12 @@ per species, for independent bit and phase flips).  One step
 picks a stabilizer uniformly at random, computes the count change Delta n on
 its 3-4 support qubits, applies it when Delta n <= 0 and with probability
 exp(-beta * Delta n) otherwise, then accumulates the post-move count.
-``MoveKernel`` holds that move for one layout and noise model: the batch
-loop of the chains and the rectangle sweep, which reads Delta n from a table
-indexed by the stabilizer's local state (the x and z bits of its support,
-at most 8 bits) and updates the local states of the at most nine
-overlapping stabilizers only when a move is accepted.  The table is built
-from ``noise.score_delta``, the reference Delta n on arbitrary masks, which
-the refinement descent and the spacetime chain call directly.
+``MetropolisChain`` reads Delta n from a table indexed by the stabilizer's
+local state (the x and z bits of its support, at most 8 bits) and updates
+the local states of the at most nine overlapping stabilizers only when a
+move is accepted.  The table is built from ``noise.score_delta``, the
+reference Delta n on arbitrary masks, which the refinement descent and the
+spacetime chain call directly.
 
 The single-temperature decoder runs one chain per equivalence class from the
 minimum-weight hypothesis of that class and picks the class with the smallest
@@ -95,7 +94,7 @@ _BIT_WEIGHTS = np.array([1 << i for i in range(8)], dtype=np.uint8)
 
 class _LayoutMoves:
     """The layout's side of the table-driven move, built once per layout:
-    masks, kinds, block offsets, the bit gather that builds local states, and
+    masks, kinds, block offsets, the bit gather behind ``local_states``, and
     each stabilizer's flip list."""
 
     def __init__(self, layout: CodeLayout):
@@ -130,6 +129,16 @@ class _LayoutMoves:
                     bits[t] = bits.get(t, 0) | 1 << (plane + i)
             self.flips.append(tuple(bits.items()))
 
+    def local_states(self, frame: PauliFrame) -> list[int]:
+        """Every stabilizer's Delta n table index in ``frame``."""
+        if frame.n_qubits != self.n_qubits:
+            raise InvalidParameterError(
+                f"frame has {frame.n_qubits} qubits, the layout {self.n_qubits}"
+            )
+        packed = (frame.x | frame.z << self.n_qubits).to_bytes(self.n_bytes, "little")
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+        return (self.offsets | bits[self.gather] @ _BIT_WEIGHTS).tolist()
+
 
 _LAYOUT_MOVES: dict[int, _LayoutMoves] = {}  # by id(layout), dropped with it
 _DELTA_TABLES: dict[str, list[int]] = {}     # by model kind
@@ -143,105 +152,48 @@ def _layout_moves(layout: CodeLayout) -> _LayoutMoves:
     return moves
 
 
-class MoveKernel:
-    """The single-stabilizer move of one layout under one noise model.
+def _delta_table(model: NoiseModel) -> list[int]:
+    """Delta n indexed by local state: ``noise.score_delta`` evaluated once per
+    model kind on every local state of a 4- and then a 3-qubit support."""
+    table = _DELTA_TABLES.get(model.kind)
+    if table is None:
+        delta = score_delta(model)
+        table = _DELTA_TABLES[model.kind] = [
+            delta(state & 15, state >> 4, mask, True)
+            for mask in (0b1111, 0b111)
+            for state in range(256)
+        ]
+    return table
 
-    ``batch``, the Metropolis loop of the chains and the rectangle sweep,
-    reads Delta n from ``table``: the model's reference count change
-    (``noise.score_delta``) evaluated once on every local state of a 3- or
-    4-qubit support.  The noise model thus lives in the table, and one loop
-    serves both models.  The caller keeps the per-stabilizer local states
-    (``local_states``) next to its frame; an accepted move XORs its flip list
-    into the states of the at most nine stabilizers that share a qubit with
-    it.  The flip lists are built on first use once per layout, the table
-    once per model kind.
+
+def _acceptance(beta: float) -> list[float]:
+    """Metropolis acceptance probability indexed by Delta n in -4..4.
+
+    Negative Delta n wraps to the trailing 1.0 entries, which every uniform
+    draw in [0, 1) is below, so one comparison decides a move.
     """
-
-    def __init__(self, layout: CodeLayout, model: NoiseModel):
-        self._local = moves = _layout_moves(layout)
-        self.masks = moves.masks
-        self.x_kind = moves.x_kind
-        table = _DELTA_TABLES.get(model.kind)
-        if table is None:
-            delta = score_delta(model)
-            table = _DELTA_TABLES[model.kind] = [
-                delta(state & 15, state >> 4, mask, True)
-                for mask in (0b1111, 0b111)
-                for state in range(256)
-            ]
-        self.table = table
-
-    @staticmethod
-    def acceptance(beta: float) -> list[float]:
-        """Metropolis acceptance probability indexed by Delta n in -4..4.
-
-        Negative Delta n wraps to the trailing 1.0 entries, which every
-        uniform draw in [0, 1) is below, so one comparison decides a move.
-        """
-        # |Delta n| of a single 3-4 qubit stabilizer move is at most 4
-        if math.isinf(beta):
-            return [1.0, 0.0, 0.0, 0.0, 0.0] + [1.0] * 4
-        return [1.0] + [math.exp(-beta * d) for d in (1, 2, 3, 4)] + [1.0] * 4
-
-    def local_states(self, frame: PauliFrame) -> list[int]:
-        """Every stabilizer's ``table`` index in ``frame``."""
-        moves = self._local
-        if frame.n_qubits != moves.n_qubits:
-            raise InvalidParameterError(
-                f"frame has {frame.n_qubits} qubits, the layout {moves.n_qubits}"
-            )
-        packed = (frame.x | frame.z << moves.n_qubits).to_bytes(moves.n_bytes, "little")
-        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
-        return (moves.offsets | bits[moves.gather] @ _BIT_WEIGHTS).tolist()
-
-    def batch(
-        self,
-        x: int,
-        z: int,
-        n: int,
-        states: list[int],
-        idx: list[int],
-        us: list[float],
-        acc: list[float],
-    ) -> tuple[int, int, int, int]:
-        """Propose the stabilizers ``idx`` in turn, accepting a move iff its
-        uniform draw is below ``acc[Delta n]`` (always when Delta n <= 0).
-
-        ``states`` must be ``local_states`` of (x, z) and is kept in step in
-        place.  Returns the final (x, z, n) and the sum of the post-move
-        counts.
-        """
-        masks = self.masks
-        x_kind = self.x_kind
-        flips = self._local.flips
-        table = self.table
-        cum = 0
-        for s, u in zip(idx, us):
-            d = table[states[s]]
-            if u < acc[d]:
-                n += d
-                if x_kind[s]:
-                    x ^= masks[s]
-                else:
-                    z ^= masks[s]
-                for t, bits in flips[s]:
-                    states[t] ^= bits
-            cum += n
-        return x, z, n, cum
+    # |Delta n| of a single 3-4 qubit stabilizer move is at most 4
+    if math.isinf(beta):
+        return [1.0, 0.0, 0.0, 0.0, 0.0] + [1.0] * 4
+    return [1.0] + [math.exp(-beta * d) for d in (1, 2, 3, 4)] + [1.0] * 4
 
 
 class MetropolisChain:
     """One Markov chain over the stabilizer orbit of its seed frame.
 
-    The frame and its stabilizers' local states (``MoveKernel.local_states``)
-    are owned by the chain (single writer) and kept across calls; a frame of
-    another layout is rejected.  ``run`` is the bulk sampler; ``step`` is the
-    same path on a single proposal, and records no batch for
+    The chain owns its frame, error count and the local states of its
+    stabilizers (single writer) and keeps them across calls; a frame of
+    another layout is rejected.  ``_moves`` is the Metropolis loop: it reads
+    Delta n from the model's table (``noise.score_delta`` on every local
+    state, built once per model kind), and an accepted move XORs its flip
+    list into the states of the at most nine stabilizers that share a qubit
+    with it (built once per layout).  ``run`` is the bulk sampler; ``step``
+    is the same path on a single proposal, and records no batch for
     ``standard_error``.  The rectangle sweep makes its own proposals through
-    the same path.  ``estimate`` is the running average of the
-    error count over all proposals since the end of burn-in; by default
-    nothing is discarded, since heating up from a minimum-weight seed is
-    faster than cooling from a random one.
+    the same path.  ``estimate`` is the running average of the error count
+    over all proposals since the end of burn-in; by default nothing is
+    discarded, since heating up from a minimum-weight seed is faster than
+    cooling from a random one.
     """
 
     def __init__(
@@ -252,15 +204,16 @@ class MetropolisChain:
         frame: PauliFrame,
         rng: np.random.Generator,
     ):
-        self._kernel = MoveKernel(layout, model)
         if beta < 0:
             raise InvalidParameterError(f"beta must be >= 0, got {beta}")
         self.layout = layout
         self.rng = rng
+        self._local = _layout_moves(layout)
+        self._table = _delta_table(model)
+        self._acc = _acceptance(beta)
         self._x = frame.x
         self._z = frame.z
-        self._states = self._kernel.local_states(frame)
-        self._acc = MoveKernel.acceptance(beta)
+        self._states = self._local.local_states(frame)
         self._n = error_score(model, frame)
         self.step_count = 0
         self.cumulative_n = 0
@@ -292,21 +245,41 @@ class MetropolisChain:
     def step(self) -> None:
         """Advance by one proposal and accumulate the post-move count."""
         # scalar draws continue the stream exactly as size-1 block draws would
-        s = int(self.rng.integers(0, len(self._kernel.masks)))
+        s = int(self.rng.integers(0, len(self._local.masks)))
         u = float(self.rng.random())
         self.cumulative_n += self._moves([s], [u])
         self.step_count += 1
 
     def _moves(self, idx: list[int], us: list[float]) -> int:
-        """Make the proposals; returns the summed post-move counts."""
-        self._x, self._z, self._n, cum = self._kernel.batch(
-            self._x, self._z, self._n, self._states, idx, us, self._acc
-        )
+        """Propose the stabilizers ``idx`` in turn, accepting a move iff its
+        uniform draw is below the acceptance of its Delta n (always when
+        Delta n <= 0); returns the summed post-move counts."""
+        local = self._local
+        masks = local.masks
+        x_kind = local.x_kind
+        flips = local.flips
+        table = self._table
+        acc = self._acc
+        states = self._states
+        x, z, n = self._x, self._z, self._n
+        cum = 0
+        for s, u in zip(idx, us):
+            d = table[states[s]]
+            if u < acc[d]:
+                n += d
+                if x_kind[s]:
+                    x ^= masks[s]
+                else:
+                    z ^= masks[s]
+                for t, bits in flips[s]:
+                    states[t] ^= bits
+            cum += n
+        self._x, self._z, self._n = x, z, n
         return cum
 
     def run(self, n_steps: int, accumulate: bool = True) -> None:
         """Advance by ``n_steps`` proposals (tight loop, block-drawn randomness)."""
-        n_stab = len(self._kernel.masks)
+        n_stab = len(self._local.masks)
         chunk_size = max(1024, n_steps // _CHUNK_BATCHES)
         done = 0
         while done < n_steps:

@@ -352,6 +352,7 @@ def test_cli_config_errors(tmp_path, capsys):
         ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--max-n-sample", "0"],
         ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--max-n-sample", "-5"],
         ["fatal-patterns", "--L", ""],
+        ["oracle-check", "--seed", "-1", "--syndromes", "2"],
     ]:
         code = cli_main(argv + out if argv[0] == "campaign" else argv)
         captured = capsys.readouterr()
@@ -389,6 +390,19 @@ def test_cli_rejects_bad_workers_env(monkeypatch, capsys, tmp_path, value):
     assert code == 1
     assert "SURFMC_WORKERS" in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "res.csv").exists()
+
+
+@pytest.mark.parametrize("out", ["no_such_dir/res.csv", "."])
+def test_cli_campaign_checks_out_path_before_running(monkeypatch, capsys, tmp_path, out):
+    def never(cfg):
+        raise AssertionError("run_campaign ran before the output path was checked")
+
+    monkeypatch.setattr("surfmc.cli.run_campaign", never)
+    code = cli_main(["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--trials", "5",
+                     "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.err.strip().splitlines()) == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

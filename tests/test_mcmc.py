@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -27,7 +28,8 @@ from surfmc import (
     sample_frame,
     zero_temperature_score,
 )
-from surfmc.mcmc import MoveKernel, SweepResult, batch_means_se
+from surfmc import mcmc
+from surfmc.mcmc import SweepResult, batch_means_se
 from surfmc.noise import score_delta
 from surfmc.oracle import enumerate_orbit, exact_boltzmann
 
@@ -387,31 +389,31 @@ MODELS = [MODEL, NoiseModel.independent_xz(0.1, 0.1)]
 
 @pytest.mark.parametrize("model", MODELS)
 def test_batch_loop_matches_delta(rng, model):
+    table = mcmc._delta_table(model)
+    delta = score_delta(model)
     for L in (2, 3, 5, 7):
         layout = build_layout(L)
-        kernel = MoveKernel(layout, model)
-        delta = score_delta(model)
-        hot, cold = kernel.acceptance(0.0), kernel.acceptance(math.inf)
+        moves = mcmc._layout_moves(layout)
         for _ in range(20):
             frame = sample_frame(NoiseModel.depolarizing(0.4), layout, rng)
             x, z = frame.x, frame.z
             n = error_score(model, frame)
-            states = kernel.local_states(frame)
+            states = moves.local_states(frame)
             for s, stab in enumerate(layout.stabilizers):
                 x_plane = stab.kind == "X"
                 d = delta(x, z, stab.mask, x_plane)
-                assert kernel.table[states[s]] == d
-                moved = (x ^ stab.mask, z) if x_plane else (x, z ^ stab.mask)
-                assert error_score(model, PauliFrame(layout.n_qubits, *moved)) == n + d
-                taken = (
-                    (*moved, n + d, n + d),
-                    kernel.local_states(PauliFrame(layout.n_qubits, *moved)),
+                assert table[states[s]] == d
+                moved = PauliFrame(
+                    layout.n_qubits, *((x ^ stab.mask, z) if x_plane else (x, z ^ stab.mask))
                 )
+                assert error_score(model, moved) == n + d
                 # beta = 0 accepts every move, beta = inf only non-increasing ones
-                for acc, accepts in ((hot, True), (cold, d <= 0)):
-                    kept = list(states)
-                    out = kernel.batch(x, z, n, kept, [s], [0.5], acc)
-                    assert (out, kept) == (taken if accepts else ((x, z, n, n), states))
+                for beta, accepts in ((0.0, True), (math.inf, d <= 0)):
+                    chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(0))
+                    cum = chain._moves([s], [0.5])
+                    after, n_after = (moved, n + d) if accepts else (frame, n)
+                    assert (chain.frame, chain.current_n, cum) == (after, n_after, n_after)
+                    assert chain._states == moves.local_states(after)
 
 
 @pytest.mark.parametrize("L", [3, 4, 7])
@@ -424,9 +426,20 @@ def test_chain_local_states_follow_frame(L, model):
         # checked often: a missed flip undoes itself on the next accepted move
         for _ in range(30):
             chain.run(100)
-            assert chain._states == chain._kernel.local_states(chain.frame)
+            assert chain._states == chain._local.local_states(chain.frame)
             chain.step()
-            assert chain._states == chain._kernel.local_states(chain.frame)
+            assert chain._states == chain._local.local_states(chain.frame)
+
+
+def test_layout_move_cache_released_with_layout():
+    layout = build_layout(3)
+    frame = sample_frame(MODEL, layout, np.random.default_rng(1))
+    chain = MetropolisChain(layout, MODEL, BB, frame, np.random.default_rng(2))
+    key = id(layout)
+    assert mcmc._LAYOUT_MOVES[key] is chain._local
+    del chain, layout
+    gc.collect()
+    assert key not in mcmc._LAYOUT_MOVES
 
 
 @pytest.mark.parametrize("L", [5, 7])
