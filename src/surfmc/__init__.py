@@ -40,9 +40,6 @@ from .matching import (
     ClassChainSet,
     DecoderVerdict,
     Matching,
-    MatchingProblem,
-    build_problem,
-    chain_from_matching,
     decode_both,
     decode_enhanced,
     decode_standard,

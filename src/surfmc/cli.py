@@ -31,11 +31,17 @@ EXIT_SUITE_FAILURE = 2
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v)
+    try:
+        return tuple(int(v) for v in text.split(",") if v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"comma-separated integers expected, got {text!r}")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v)
+    try:
+        return tuple(float(v) for v in text.split(",") if v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"comma-separated numbers expected, got {text!r}")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -48,8 +54,16 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a one-line ``ConfigError`` (exit 1)
+    rather than a usage block with exit code 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="surfmc", description=__doc__)
+    parser = _Parser(prog="surfmc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     camp = sub.add_parser("campaign", help="run a decoder-comparison campaign")
@@ -134,6 +148,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     cfg = _campaign_config(args)
     if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"--out {args.out} is not a file path in an existing directory")
+    if args.plot_data_dir:
+        head = args.plot_data_dir  # its nearest existing part must be a directory
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            raise ConfigError(f"--plot-data-dir {args.plot_data_dir}: {head} is not a directory")
     try:
         result = run_campaign(cfg)
         code = EXIT_OK
@@ -181,8 +201,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "campaign": _cmd_campaign,
         "fatal-patterns": _cmd_fatal,
@@ -190,6 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         "oracle-check": _cmd_oracle,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, InvalidParameterError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,28 +1,24 @@
 """Anyon matching graphs and the two matching-based decoders.
 
 Each species of anyon gets two exact minimum-weight perfect matchings, one
-per class parity.  The first is the free-boundary problem on the species' n
-anyons alone (``free_boundary_chain``): anyons i and j pair at
-min(d_ij, h_i + h_j), where h is the distance to the anyon's home (closer)
-boundary, realised as the direct path when d_ij <= h_i + h_j and as both
-anyons exiting at home otherwise; with n odd, one boundary vertex joins each
-anyon at h_i.  Its optimum is the lightest chain overall, so it is also the
-lightest of its own class parity, which flips relative to the unforced
-gadget below exactly when it holds an odd number of cross-home direct pairs.
-Its edges weigh K w + (boundary exits) with K = n + 2, more than any
-matching's exit count, so among the lightest matchings it returns one with
-the fewest exits.
-
-The other parity is solved on a gadget (``build_problem``).  The unforced
-gadget holds the real anyons, their virtual partners on the home boundary,
-and a zero-weight clique among each boundary's virtuals.  The forced gadget
-adds one extra virtual anyon per absorbing boundary (joined to the
-boundary's virtuals at zero weight, to every real anyon at its distance to
-that boundary, and to the opposite extra at weight L), so every perfect
-matching of it realizes the complementary class bit.  A vertex's position is
-its role: with n anyons, vertex i < n is anyon i, vertex n + i is anyon i's
-virtual partner on its home boundary, and in the forced gadget vertex
-2n + b is the extra virtual of boundary b.
+per class bit (``class_chain``).  The only qubits a species' chain shares with
+the reference logical that reads its class bit are the links into boundary 0
+(row 0 for p, column 0 for s), so the class bit is the parity of the chain's
+ends on boundary 0.  The lightest chain with a given bit is therefore a
+minimum T-join (Edmonds-Johnson) on the lattice with each absorbing boundary
+collapsed to one vertex: the odd-degree set is the n anyons, plus boundary 0
+when the bit is 1, plus boundary 1 when n + bit is odd.  It is solved as a
+perfect matching on those n, n + 1 or n + 2 vertices under the collapsed
+lattice's shortest-path weights.  Vertex i < n is anyon i, and the boundary
+vertices follow, boundary 0 first.  Anyons i and j pair at
+min(d_ij, a_i + a_j, b_i + b_j), where a and b are the distances to
+boundaries 0 and 1, realised as the direct row-first path or as both anyons
+exiting through that boundary; anyon i joins boundary b at its distance to
+b; the two boundaries join at weight L, realised as the reference logical.
+Every edge weighs K w + (its boundary exits: one per anyon that leaves the
+lattice, none for the logical) with K = n + 2, more than any matching's exit
+count, so among the lightest matchings the solver returns one with the
+fewest exits.
 
 All solves go through ``min_weight_perfect_matching`` to ``blossom``,
 surfmc's own exact primal-dual blossom solver on dense integer weights, which
@@ -33,7 +29,8 @@ the order was taken over from networkx, so the matchings (ties included) are
 the ones networkx returns.
 
 Standard decoding takes, per species, the lighter of the two chains (ties go
-to fewer boundary exits, then to the unforced one): plain matching with free
+to fewer boundary exits, then to the unforced one, the class of every anyon
+exiting at its home, closer boundary): plain matching with free
 boundaries.  The class-forced decoder combines the 2x2 chains into one
 minimum-weight hypothesis per equivalence class and compares the four under
 the true correlated error count, where an x- and a z-error on the same qubit
@@ -83,7 +80,8 @@ def boundary_distances(layout: CodeLayout, species: str, coord: Coord) -> tuple[
     return (c + 1) // 2, (edge - c) // 2
 
 
-def _virtual_coord(layout: CodeLayout, species: str, coord: Coord, boundary: int) -> Coord:
+def _boundary_site(layout: CodeLayout, species: str, coord: Coord, boundary: int) -> Coord:
+    """The site just past ``boundary`` in line with the anyon at ``coord``."""
     r, c = coord
     edge = 2 * layout.L - 1
     if species == SPECIES_P:
@@ -97,80 +95,9 @@ def anyon_distance(a: Coord, b: Coord) -> int:
 
 
 @dataclass(frozen=True)
-class MatchingProblem:
-    """One species' matching graph, its vertices numbered by role (module
-    docstring): ``coords[i]`` and ``homes[i]`` are anyon i's site and home
-    boundary."""
-
-    species: str
-    force_class_flip: bool
-    coords: tuple[Coord, ...]
-    homes: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return 2 * len(self.coords) + 2 * self.force_class_flip
-
-
-@dataclass(frozen=True)
 class Matching:
     pairs: tuple[tuple[int, int], ...]  # (u, v) with u < v, sorted
     total_weight: int
-
-
-def _anyon_sites(
-    layout: CodeLayout, anyons: tuple[int, ...], species: str
-) -> tuple[tuple[Coord, ...], list[tuple[int, int]], tuple[int, ...]]:
-    """Sites, distances to both absorbing boundaries and home (closer)
-    boundaries of one species' anyons; ties go toward boundary 0."""
-    if species not in (SPECIES_P, SPECIES_S):
-        raise InvalidParameterError(f"unknown species {species!r}")
-    stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
-    coords = tuple(stabs[a].coord for a in anyons)
-    dists = [boundary_distances(layout, species, c) for c in coords]
-    homes = tuple(0 if d0 <= d1 else 1 for d0, d1 in dists)
-    return coords, dists, homes
-
-
-def build_problem(
-    layout: CodeLayout,
-    anyons: tuple[int, ...],
-    species: str,
-    force_class_flip: bool = False,
-) -> MatchingProblem:
-    """Matching graph over the given anyons of one species.
-
-    Each real anyon gets a virtual partner on its closer absorbing boundary
-    (ties toward boundary 0); same-boundary virtuals form a zero-weight
-    clique.  With ``force_class_flip`` two extra virtuals are added as
-    described in the module docstring, guaranteeing a feasible problem whose
-    every perfect matching flips the species' class bit.
-    """
-    coords, dists, homes = _anyon_sites(layout, anyons, species)
-    edges: list[tuple[int, int, int]] = []
-    n = len(anyons)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j, anyon_distance(coords[i], coords[j])))
-    for i in range(n):
-        edges.append((i, n + i, dists[i][homes[i]]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if homes[i] == homes[j]:
-                edges.append((n + i, n + j, 0))
-
-    if force_class_flip:
-        e0, e1 = 2 * n, 2 * n + 1
-        for i in range(n):
-            edges.append((n + i, e0 + homes[i], 0))
-        for i in range(n):
-            edges.append((i, e0, dists[i][0]))
-            edges.append((i, e1, dists[i][1]))
-        edges.append((e0, e1, layout.L))
-
-    return MatchingProblem(species, force_class_flip, coords, homes, tuple(edges))
 
 
 def min_weight_perfect_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> Matching:
@@ -206,7 +133,7 @@ def _path_mask(layout: CodeLayout, a: Coord, b: Coord) -> int:
 
 def _exit_mask(layout: CodeLayout, species: str, coord: Coord, boundary: int) -> int:
     """Qubits of the straight path from an anyon out through ``boundary``."""
-    return _path_mask(layout, coord, _virtual_coord(layout, species, coord, boundary))
+    return _path_mask(layout, coord, _boundary_site(layout, species, coord, boundary))
 
 
 def _species_frame(layout: CodeLayout, species: str, mask: int) -> PauliFrame:
@@ -214,36 +141,6 @@ def _species_frame(layout: CodeLayout, species: str, mask: int) -> PauliFrame:
     if species == SPECIES_P:
         return PauliFrame(layout.n_qubits, mask, 0)
     return PauliFrame(layout.n_qubits, 0, mask)
-
-
-def chain_from_matching(
-    layout: CodeLayout, problem: MatchingProblem, matching: Matching
-) -> PauliFrame:
-    """Realize matched pairs as error paths (sigma-x for p, sigma-z for s).
-
-    Real-real pairs walk row-first; real-boundary pairs exit straight; the
-    extra-extra pair contributes the reference logical operator; all other
-    virtual pairs contribute nothing.
-    """
-    mask = 0
-    coords = problem.coords
-    n = len(coords)
-    for u, v in matching.pairs:  # u < v, so u is the real anyon of a mixed pair
-        if u >= n:
-            if u >= 2 * n:  # the two extras
-                mask ^= (
-                    layout.logical_x_mask
-                    if problem.species == SPECIES_P
-                    else layout.logical_z_mask
-                )
-            continue
-        if v < n:
-            a, b = sorted((coords[u], coords[v]))
-            mask ^= _path_mask(layout, a, b)
-        else:  # anyon u's own partner n + u, or the extra 2n + b
-            boundary = problem.homes[u] if v < 2 * n else v - 2 * n
-            mask ^= _exit_mask(layout, problem.species, coords[u], boundary)
-    return _species_frame(layout, problem.species, mask)
 
 
 @dataclass(frozen=True)
@@ -364,67 +261,95 @@ def refine_frame(
 SpeciesChain = tuple[PauliFrame, int, int]
 
 
-def free_boundary_chain(
+def _anyon_sites(
     layout: CodeLayout, anyons: tuple[int, ...], species: str
-) -> tuple[bool, SpeciesChain]:
-    """Plain matching with free boundaries, solved on the anyons alone.
+) -> tuple[tuple[Coord, ...], list[tuple[int, int]]]:
+    """Sites of one species' anyons and their distances to both absorbing
+    boundaries."""
+    if species not in (SPECIES_P, SPECIES_S):
+        raise InvalidParameterError(f"unknown species {species!r}")
+    stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
+    coords = tuple(stabs[a].coord for a in anyons)
+    return coords, [boundary_distances(layout, species, c) for c in coords]
 
-    Anyons i and j pair at min(d_ij, h_i + h_j), where h is the distance to
-    the home boundary: along the direct path when d_ij <= h_i + h_j, else by
-    both exiting at home.  With n odd, boundary vertex n joins anyon i at h_i.
-    Each edge weighs K w + (its boundary exits) with K = n + 2, more than any
-    matching's exits, so the solver returns the fewest exits among the
-    minimum-weight matchings.
 
-    Returns ``(flip, chain)``: the chain lies in the class of
-    ``build_problem(..., flip)``, where ``flip`` is the parity of its
-    cross-home direct pairs, and its weight is the minimum over both flips.
-    """
-    coords, dists, homes = _anyon_sites(layout, anyons, species)
-    h = [d[b] for d, b in zip(dists, homes)]
+def _pair_via(d: int, di: tuple[int, int], dj: tuple[int, int]) -> int | None:
+    """How two anyons at distance ``d`` pair: ``None`` for the direct path,
+    else the boundary both exit through (ties go to the direct path, then to
+    boundary 0)."""
+    via = 0 if di[0] + dj[0] <= di[1] + dj[1] else 1
+    return None if d <= di[via] + dj[via] else via
+
+
+def _class_boundaries(n: int, bit: int) -> tuple[int, ...]:
+    """Boundary vertices of the class-bit-``bit`` graph on n anyons, in
+    vertex order: 0 when ``bit`` is 1, 1 when n + ``bit`` is odd."""
+    return tuple(b for b, odd in ((0, bit), (1, (n + bit) % 2)) if odd)
+
+
+def _class_graph(
+    layout: CodeLayout, coords: tuple[Coord, ...], dists: list[tuple[int, int]], bit: int
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """(vertex count, edges) of the matching that ``class_chain`` solves,
+    numbered as in the module docstring."""
     n = len(coords)
     k = n + 2
     edges = []
-    direct = set()
     for i in range(n):
         for j in range(i + 1, n):
             d = anyon_distance(coords[i], coords[j])
-            if d <= h[i] + h[j]:
-                direct.add((i, j))
-                edges.append((i, j, k * d))
-            else:
-                edges.append((i, j, k * (h[i] + h[j]) + 2))
-    if n % 2:
-        edges.extend((i, n, k * h[i] + 1) for i in range(n))
-    m = min_weight_perfect_matching(n + n % 2, edges)
+            via = _pair_via(d, dists[i], dists[j])
+            w = k * d if via is None else k * (dists[i][via] + dists[j][via]) + 2
+            edges.append((i, j, w))
+    bounds = _class_boundaries(n, bit)
+    for v, b in enumerate(bounds, n):
+        edges.extend((i, v, k * dists[i][b] + 1) for i in range(n))
+    if len(bounds) == 2:
+        edges.append((n, n + 1, k * layout.L))
+    return n + len(bounds), edges
+
+
+def class_chain(
+    layout: CodeLayout, anyons: tuple[int, ...], species: str, bit: int
+) -> SpeciesChain:
+    """The lightest chain of one species whose class bit is ``bit``, and
+    among the lightest one with the fewest boundary exits, as
+    ``(frame, weight, exits)``: a minimum T-join solved as a perfect matching
+    (module docstring)."""
+    coords, dists = _anyon_sites(layout, anyons, species)
+    n = len(coords)
+    m = min_weight_perfect_matching(*_class_graph(layout, coords, dists, bit))
+    bounds = _class_boundaries(n, bit)
     mask = 0
-    flip = False
     for u, v in m.pairs:
-        if (u, v) in direct:
-            mask ^= _path_mask(layout, *sorted((coords[u], coords[v])))
-            flip ^= homes[u] != homes[v]
-        else:  # both exit at home, or u alone when v is the boundary vertex
-            for a in (u, v) if v < n else (u,):
-                mask ^= _exit_mask(layout, species, coords[a], homes[a])
-    weight, exits = divmod(m.total_weight, k)
-    return flip, (_species_frame(layout, species, mask), weight, exits)
+        if v < n:
+            via = _pair_via(anyon_distance(coords[u], coords[v]), dists[u], dists[v])
+            if via is None:
+                mask ^= _path_mask(layout, *sorted((coords[u], coords[v])))
+            else:
+                mask ^= _exit_mask(layout, species, coords[u], via)
+                mask ^= _exit_mask(layout, species, coords[v], via)
+        elif u < n:
+            mask ^= _exit_mask(layout, species, coords[u], bounds[v - n])
+        else:  # boundary 0 to boundary 1: the reference logical
+            mask ^= layout.logical_x_mask if species == SPECIES_P else layout.logical_z_mask
+    weight, exits = divmod(m.total_weight, n + 2)
+    return _species_frame(layout, species, mask), weight, exits
 
 
 def _species_chains(
     layout: CodeLayout, syndrome: Syndrome
 ) -> dict[tuple[str, bool], SpeciesChain]:
-    """The four class-pure matchings, keyed by (species, force_class_flip):
-    per species the free-boundary solve, under the flip of its class, and
-    the gadget of the other flip."""
+    """The four class-pure matchings, keyed by (species, flip).  ``flip`` is
+    set when the chain's class bit differs from that of every anyon exiting
+    at its home (closer, ties toward 0) boundary, which is the parity of the
+    anyons whose home is boundary 0."""
     chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
-        flip, chain = free_boundary_chain(layout, anyons, species)
-        chains[(species, flip)] = chain
-        prob = build_problem(layout, anyons, species, not flip)
-        m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
-        n = len(anyons)
-        exits = sum((u < n) != (v < n) for u, v in m.pairs)
-        chains[(species, not flip)] = (chain_from_matching(layout, prob, m), m.total_weight, exits)
+        _, dists = _anyon_sites(layout, anyons, species)
+        home0 = sum(d0 <= d1 for d0, d1 in dists) % 2
+        for bit in (0, 1):
+            chains[(species, bool(bit ^ home0))] = class_chain(layout, anyons, species, bit)
     return chains
 
 
@@ -482,12 +407,11 @@ def decode_enhanced(
 ) -> tuple[DecoderVerdict, ClassChainSet]:
     """Class-forced matching: one minimum-weight hypothesis per class.
 
-    Per species, solves the free-boundary matching and the gadget of the
-    other class flip (four matchings), combines them into the 2x2 class
-    hypotheses, tightens each with the zero-temperature descent
-    (``refine_steps`` is its search budget; ``0`` disables it and reproduces
-    the bare matcher comparison, ``None`` picks a size-dependent default),
-    and scores them under the true correlated model.  Returns the winning
+    Per species, solves the lightest chain of each class bit (four
+    matchings), combines them into the 2x2 class hypotheses, tightens each
+    with the zero-temperature descent (``refine_steps`` is its search
+    budget; ``0`` disables it and reproduces the bare matcher comparison,
+    ``None`` picks a size-dependent default), and scores them under the true correlated model.  Returns the winning
     verdict and the per-class chain set used to seed the Monte Carlo
     decoders.
     """

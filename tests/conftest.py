@@ -129,6 +129,39 @@ def brute_force_free_boundary_weight(layout, anyons, species: str) -> int:
     return rec((1 << len(coords)) - 1)
 
 
+def brute_force_class_weight(layout, anyons, species: str, bit: int) -> int:
+    """Lightest chain of one species' anyons whose class bit is ``bit``;
+    exhaustive.
+
+    Each anyon pairs with another at their lattice distance or exits at
+    boundary 0 or 1 (rows -1 / 2L-1 for "p", columns for "s"); the class bit
+    is the parity of the exits at boundary 0, and a bare logical (weight L)
+    flips it.  Independent of the production matcher: recursion over
+    pairings, memoized on the anyons still unpaired and the parity so far.
+    """
+    stabs = layout.z_stabilizers if species == "p" else layout.x_stabilizers
+    coords = [stabs[a].coord for a in anyons]
+    edge = 2 * layout.L - 1
+    axis = 0 if species == "p" else 1
+    exits = [((rc[axis] + 1) // 2, (edge - rc[axis]) // 2) for rc in coords]
+
+    @functools.cache
+    def rec(unpaired: int, parity: int) -> int:
+        if not unpaired:
+            return 0 if parity == bit else layout.L
+        u = (unpaired & -unpaired).bit_length() - 1
+        rest = unpaired & ~(1 << u)
+        best = min(exits[u][0] + rec(rest, parity ^ 1), exits[u][1] + rec(rest, parity))
+        for v in range(u + 1, len(coords)):
+            if rest >> v & 1:
+                (r1, c1), (r2, c2) = coords[u], coords[v]
+                dist = (abs(r1 - r2) + abs(c1 - c2)) // 2
+                best = min(best, dist + rec(rest & ~(1 << v), parity))
+        return best
+
+    return rec((1 << len(coords)) - 1, 0)
+
+
 def reference_metropolis(layout, model, beta, frame, rng, plan):
     """Reference for ``MetropolisChain``: Delta n from ``noise.score_delta`` on
     the whole frame, the chain's RNG draws and its accept test.

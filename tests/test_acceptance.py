@@ -41,7 +41,8 @@ from surfmc.harness import (
     paired_comparison_pvalue,
     run_campaign,
 )
-from surfmc.matching import SPECIES_P, SPECIES_S, build_problem
+from surfmc import matching
+from surfmc.matching import SPECIES_P, SPECIES_S
 from surfmc.stats import wilson_interval
 
 MODEL = NoiseModel.depolarizing(0.1)
@@ -267,12 +268,13 @@ def test_criterion_09_matching_optimality():
         layout = layouts[int(rng.choice((3, 4, 5)))]
         species = SPECIES_P if rng.random() < 0.5 else SPECIES_S
         stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
-        k = int(rng.integers(0, 6))
+        # up to 10 anyons: class-bit graphs of up to 12 vertices
+        k = min(int(rng.integers(0, 11)), len(stabs))
         anyons = tuple(sorted(rng.choice(len(stabs), size=k, replace=False).tolist()))
         style = int(rng.integers(0, 3))
-        if style in (0, 1):
-            problem = build_problem(layout, anyons, species, style == 1)
-            check(problem.n_vertices, problem.edges)
+        if style in (0, 1):  # the graph of class bit ``style``
+            sites = matching._anyon_sites(layout, anyons, species)
+            check(*matching._class_graph(layout, *sites, style))
         elif anyons:  # plain matching on a one-species syndrome
             syndrome = Syndrome(anyons, ()) if species == SPECIES_P else Syndrome((), anyons)
             verdict = decode_standard(layout, syndrome, MODEL)

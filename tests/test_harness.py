@@ -353,6 +353,11 @@ def test_cli_config_errors(tmp_path, capsys):
         ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--max-n-sample", "-5"],
         ["fatal-patterns", "--L", ""],
         ["oracle-check", "--seed", "-1", "--syndromes", "2"],
+        # bad flag values and unknown flags, caught by the parser
+        ["campaign", "--L", "3,x", "--p", "0.1", "--seed", "1"],
+        ["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--trials", "abc"],
+        ["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--no-such-flag"],
+        ["no-such-command"],
     ]:
         code = cli_main(argv + out if argv[0] == "campaign" else argv)
         captured = capsys.readouterr()
@@ -403,6 +408,31 @@ def test_cli_campaign_checks_out_path_before_running(monkeypatch, capsys, tmp_pa
     captured = capsys.readouterr()
     assert code == 1
     assert len(captured.err.strip().splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("plot_dir", ["x.csv", "x.csv/plots"])
+def test_cli_campaign_checks_plot_data_dir_before_running(monkeypatch, capsys, tmp_path,
+                                                          plot_dir):
+    # an existing file, or a path below one, can never hold the plot data
+    def never(cfg):
+        raise AssertionError("run_campaign ran before --plot-data-dir was checked")
+
+    monkeypatch.setattr("surfmc.cli.run_campaign", never)
+    (tmp_path / "x.csv").write_text("")
+    code = cli_main(["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--trials", "5",
+                     "--out", str(tmp_path / "y.csv"),
+                     "--plot-data-dir", str(tmp_path / plot_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--plot-data-dir" in captured.err and len(captured.err.strip().splitlines()) == 1
+    assert captured.out == "" and not (tmp_path / "y.csv").exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["--help"])
+    assert stop.value.code == 0
+    assert "campaign" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    brute_force_class_weight,
     brute_force_free_boundary_weight,
     brute_force_min_matching,
     networkx_min_weight_perfect_matching,
@@ -19,16 +20,20 @@ from surfmc import (
     Syndrome,
     beta_bar,
     build_layout,
-    build_problem,
     chain_energy,
-    chain_from_matching,
     decode_both,
     decode_enhanced,
     decode_standard,
     min_weight_perfect_matching,
     refine_frame,
 )
-from surfmc.matching import SPECIES_P, SPECIES_S, boundary_distances, free_boundary_chain
+from surfmc.matching import (
+    SPECIES_P,
+    SPECIES_S,
+    _species_chains,
+    boundary_distances,
+    class_chain,
+)
 from surfmc import blossom, matching
 from surfmc.oracle import enumerate_orbit
 
@@ -42,81 +47,126 @@ def random_syndrome(layout, rng, model=MODEL):
     return layout.syndrome_of(frame), frame
 
 
+def class_graph(layout, anyons, species, bit):
+    """(vertex count, edges) of the matching that ``class_chain`` solves."""
+    return matching._class_graph(layout, *matching._anyon_sites(layout, anyons, species), bit)
+
+
+def species_anyons(syn):
+    return ((SPECIES_P, syn.p_anyons, "bit_v"), (SPECIES_S, syn.s_anyons, "bit_h"))
+
+
 # ---------------------------------------------------------------------------
 # problem construction
 
 
 def test_empty_problem(layout3):
-    prob = build_problem(layout3, (), SPECIES_P, False)
-    assert prob.n_vertices == 0 and prob.edges == ()
-    m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
+    assert class_graph(layout3, (), SPECIES_P, 0) == (0, [])
+    m = min_weight_perfect_matching(0, [])
     assert m.pairs == () and m.total_weight == 0
-    assert chain_from_matching(layout3, prob, m).weight() == 0
+    assert class_chain(layout3, (), SPECIES_P, 0) == (layout3.identity_frame(), 0, 0)
 
 
 def test_three_anyon_problem_shape(layout5):
-    # three detected anyons plus their boundary partners: six vertices,
-    # anyons 0..2 first, then partner 3 + i of anyon i
-    prob = build_problem(layout5, (0, 7, 12), SPECIES_P, False)
-    assert prob.n_vertices == 6
-    assert prob.coords == tuple(layout5.z_stabilizers[a].coord for a in (0, 7, 12))
-    weights = {(u, v): w for u, v, w in prob.edges}
-    for i, c in enumerate(prob.coords):
-        dists = boundary_distances(layout5, SPECIES_P, c)
-        assert dists[prob.homes[i]] == min(dists)
-        assert weights[(i, 3 + i)] == min(dists)
-        assert not any((i, v) in weights for v in range(3, 6) if v != 3 + i)
-    # partners only join each other, at weight 0
-    assert all(w == 0 for (u, v), w in weights.items() if u >= 3)
-    m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
-    frame = chain_from_matching(layout5, prob, m)
-    assert frame.weight() == m.total_weight
-    syn = layout5.syndrome_of(frame)
-    assert syn.p_anyons == (0, 7, 12) and syn.s_anyons == ()
+    # three anyons, vertices 0..2, and one boundary vertex 3: boundary 1 for
+    # class bit 0, boundary 0 for class bit 1; edges weigh K w + exits, K = 5
+    anyons = (0, 7, 12)
+    coords = [layout5.z_stabilizers[a].coord for a in anyons]
+    dists = [boundary_distances(layout5, SPECIES_P, c) for c in coords]
+    for bit in (0, 1):
+        n_vertices, edges = class_graph(layout5, anyons, SPECIES_P, bit)
+        assert n_vertices == 4
+        weights = {(u, v): w for u, v, w in edges}
+        assert len(weights) == len(edges) == 6
+        for i in range(3):
+            assert weights[(i, 3)] == 5 * dists[i][1 - bit] + 1
+            for j in range(i + 1, 3):
+                d = (abs(coords[i][0] - coords[j][0]) + abs(coords[i][1] - coords[j][1])) // 2
+                via = min(dists[i][b] + dists[j][b] for b in (0, 1))
+                assert weights[(i, j)] == (5 * d if d <= via else 5 * via + 2)
+        frame, weight, exits = class_chain(layout5, anyons, SPECIES_P, bit)
+        m = min_weight_perfect_matching(n_vertices, edges)
+        assert (weight, exits) == divmod(m.total_weight, 5)
+        assert frame.weight() == weight
+        syn = layout5.syndrome_of(frame)
+        assert syn.p_anyons == anyons and syn.s_anyons == ()
 
 
 def test_forced_problem_adds_extras(layout3):
-    # one anyon (vertex 0), its partner (1), and the extras 2 + b of boundary b
-    prob = build_problem(layout3, (0,), SPECIES_P, True)
-    assert prob.n_vertices == 4
-    weights = {(u, v): w for u, v, w in prob.edges}
-    assert weights[(2, 3)] == layout3.L
-    assert (weights[(0, 2)], weights[(0, 3)]) == boundary_distances(
-        layout3, SPECIES_P, prob.coords[0]
-    )
-    assert weights[(1, 2 + prob.homes[0])] == 0 and (1, 3 - prob.homes[0]) not in weights
+    # an even count needs no boundary for class bit 0; class bit 1 adds
+    # boundary 0 (vertex 2) and boundary 1 (vertex 3), joined at weight L
+    anyons = (0, 4)
+    assert class_graph(layout3, anyons, SPECIES_P, 0)[0] == 2
+    n_vertices, edges = class_graph(layout3, anyons, SPECIES_P, 1)
+    assert n_vertices == 4
+    weights = {(u, v): w for u, v, w in edges}
+    k = len(anyons) + 2
+    assert weights[(2, 3)] == k * layout3.L
+    for i, a in enumerate(anyons):
+        d0, d1 = boundary_distances(layout3, SPECIES_P, layout3.z_stabilizers[a].coord)
+        assert (weights[(i, 2)], weights[(i, 3)]) == (k * d0 + 1, k * d1 + 1)
 
 
 def test_empty_syndrome_flip_gives_bare_logical(layout3):
     for species, cls_bit in ((SPECIES_P, "bit_v"), (SPECIES_S, "bit_h")):
-        prob = build_problem(layout3, (), species, True)
-        assert prob.n_vertices == 2
-        m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
-        assert m.total_weight == layout3.L
-        frame = chain_from_matching(layout3, prob, m)
+        assert class_graph(layout3, (), species, 1) == (2, [(0, 1, 2 * layout3.L)])
+        frame, weight, exits = class_chain(layout3, (), species, 1)
+        assert (weight, exits) == (layout3.L, 0)
         assert frame.weight() == 3
         assert layout3.syndrome_of(frame).is_empty
         assert getattr(layout3.class_of(frame), cls_bit) == 1
 
 
-def test_forced_matchings_flip_class(layout5, rng):
-    for _ in range(20):
-        syn, _ = random_syndrome(layout5, rng)
-        for species, anyons in ((SPECIES_P, syn.p_anyons), (SPECIES_S, syn.s_anyons)):
-            plain = build_problem(layout5, anyons, species, False)
-            forced = build_problem(layout5, anyons, species, True)
-            f_plain = chain_from_matching(
-                layout5, plain, min_weight_perfect_matching(plain.n_vertices, plain.edges)
-            )
-            f_forced = chain_from_matching(
-                layout5, forced, min_weight_perfect_matching(forced.n_vertices, forced.edges)
-            )
-            a = layout5.class_of(f_plain)
-            b = layout5.class_of(f_forced)
-            if species == SPECIES_P:
-                assert a.bit_v != b.bit_v and a.bit_h == b.bit_h == 0
-            else:
-                assert a.bit_h != b.bit_h and a.bit_v == b.bit_v == 0
+def test_forced_matchings_flip_class(rng):
+    # the chain of each class bit lies in that class and leaves the other
+    # species' bit at 0
+    for L in (5, 7):
+        layout = build_layout(L)
+        for _ in range(25):
+            syn, _ = random_syndrome(layout, rng, NoiseModel.depolarizing(0.13))
+            for species, anyons, attr in species_anyons(syn):
+                other = "bit_h" if attr == "bit_v" else "bit_v"
+                for bit in (0, 1):
+                    cls = layout.class_of(class_chain(layout, anyons, species, bit)[0])
+                    assert (getattr(cls, attr), getattr(cls, other)) == (bit, 0)
+
+
+def test_species_chains_equal_brute_force():
+    # every class-pure chain is the lightest of its class bit, against an
+    # exhaustive reference; the chains reproduce their anyons and weigh
+    # their matching weight
+    rng = np.random.default_rng(4242)
+    models = [NoiseModel.depolarizing(p) for p in (0.10, 0.13, 0.16)]
+    checked = 0
+    for L, count in ((3, 150), (4, 150), (5, 250)):
+        layout = build_layout(L)
+        for k in range(count):
+            syn, _ = random_syndrome(layout, rng, models[k % 3])
+            chains = _species_chains(layout, syn)
+            for species, anyons, attr in species_anyons(syn):
+                bits = set()
+                for flip in (False, True):
+                    frame, weight, _ = chains[(species, flip)]
+                    bit = getattr(layout.class_of(frame), attr)
+                    bits.add(bit)
+                    assert weight == frame.weight()
+                    assert weight == brute_force_class_weight(layout, anyons, species, bit)
+                    got = layout.syndrome_of(frame)
+                    assert (got.p_anyons, got.s_anyons) == (
+                        (anyons, ()) if species == SPECIES_P else ((), anyons))
+                    checked += 1
+                assert bits == {0, 1}
+    assert checked >= 2000
+
+
+def test_class_forced_takes_far_boundary_exit(layout5):
+    # class X: the direct pair (3,0)-(5,0) plus (5,8) exiting at row -1,
+    # its far boundary, weighs 4; a matcher that offers each anyon only its
+    # home boundary finds 6
+    idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
+    anyons = tuple(sorted(idx[c] for c in ((3, 0), (5, 0), (5, 8))))
+    _, chain_set = decode_enhanced(layout5, Syndrome(anyons, ()), MODEL, refine_steps=0)
+    assert chain_set.weights == (3, 4, 8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +200,13 @@ def test_matcher_equals_brute_force_structured(layout4, rng):
         anyons = tuple(
             sorted(rng.choice(len(layout4.z_stabilizers), size=k, replace=False).tolist())
         )
-        for flip in (False, True):
-            prob = build_problem(layout4, anyons, SPECIES_P, flip)
-            if not prob.n_vertices:
+        for bit in (0, 1):
+            n_vertices, edges = class_graph(layout4, anyons, SPECIES_P, bit)
+            if not n_vertices:
                 continue
-            expect = brute_force_min_matching(prob.n_vertices, prob.edges)
+            expect = brute_force_min_matching(n_vertices, edges)
             assert expect is not None
-            assert min_weight_perfect_matching(prob.n_vertices, prob.edges).total_weight == expect
+            assert min_weight_perfect_matching(n_vertices, edges).total_weight == expect
         std = decode_standard(layout4, Syndrome(anyons, ()), MODEL)
         expect = brute_force_free_boundary_weight(layout4, anyons, SPECIES_P)
         assert std.scores[std.cls] == expect
@@ -190,9 +240,8 @@ def test_pairs_equal_networkx_on_decoder_problems(rng):
             for _ in range(12):
                 syn, _ = random_syndrome(layout, rng, model)
                 for species, anyons in ((SPECIES_P, syn.p_anyons), (SPECIES_S, syn.s_anyons)):
-                    for flip in (False, True):
-                        prob = build_problem(layout, anyons, species, flip)
-                        checked += _same_as_networkx(prob.n_vertices, prob.edges)
+                    for bit in (0, 1):
+                        checked += _same_as_networkx(*class_graph(layout, anyons, species, bit))
     assert checked == 4 * 2 * 12 * 4
 
 
@@ -237,9 +286,8 @@ def test_solver_checks_its_certificate(layout5, monkeypatch):
     monkeypatch.setattr(
         blossom, "verify_optimum", lambda *args: calls.append(1) or check(*args)
     )
-    for flip in (False, True):
-        prob = build_problem(layout5, (0, 7, 12), SPECIES_P, flip)
-        min_weight_perfect_matching(prob.n_vertices, prob.edges)
+    for bit in (0, 1):
+        class_chain(layout5, (0, 7, 12), SPECIES_P, bit)
     assert len(calls) == 2
 
 
@@ -247,8 +295,9 @@ def test_solver_checks_its_certificate(layout5, monkeypatch):
 def test_decoders_solve_through_module_hook(layout5, rng, monkeypatch, decode):
     # tracing wraps matching.min_weight_perfect_matching to count and time
     # solves, so every decode must reach the solver through that name; per
-    # species one free-boundary solve on the anyons (plus a boundary vertex
-    # when their count is odd) and one gadget of the other class flip
+    # species one solve for class bit 0 (the anyons, plus boundary 1 when
+    # their count is odd) and one for class bit 1 (plus boundary 0, and
+    # boundary 1 when their count is even)
     calls = []
     solve = matching.min_weight_perfect_matching
     monkeypatch.setattr(
@@ -260,73 +309,7 @@ def test_decoders_solve_through_module_hook(layout5, rng, monkeypatch, decode):
         decode(layout5, syn, MODEL)
         assert len(calls) == 4
         for k, n in enumerate((len(syn.p_anyons), len(syn.s_anyons))):
-            assert calls[2 * k] == n + n % 2
-            assert calls[2 * k + 1] in (2 * n, 2 * n + 2)
-
-
-def test_free_boundary_solve_equals_both_gadgets():
-    # the n-vertex solve reaches the lighter of the two class-pure gadget
-    # optima (networkx as the reference) and lies in the class it reports
-    rng = np.random.default_rng(4242)
-    models = [NoiseModel.depolarizing(p) for p in (0.10, 0.13)]
-    checked = 0
-    for L, count in ((5, 500), (7, 300), (9, 150), (11, 100)):
-        layout = build_layout(L)
-        for k in range(count):
-            syn, _ = random_syndrome(layout, rng, models[k % 2])
-            for species, anyons, bit in (
-                (SPECIES_P, syn.p_anyons, "bit_v"),
-                (SPECIES_S, syn.s_anyons, "bit_h"),
-            ):
-                flip, (frame, weight, _) = free_boundary_chain(layout, anyons, species)
-                plain = build_problem(layout, anyons, species, False)
-                forced = build_problem(layout, anyons, species, True)
-                m_plain = networkx_min_weight_perfect_matching(plain.n_vertices, plain.edges)
-                m_forced = networkx_min_weight_perfect_matching(forced.n_vertices, forced.edges)
-                assert weight == frame.weight() == min(m_plain.total_weight,
-                                                       m_forced.total_weight)
-                plain_bit = getattr(layout.class_of(chain_from_matching(layout, plain, m_plain)),
-                                    bit)
-                assert getattr(layout.class_of(frame), bit) == plain_bit ^ flip
-                got = layout.syndrome_of(frame)
-                assert (got.p_anyons, got.s_anyons) == (
-                    (anyons, ()) if species == SPECIES_P else ((), anyons))
-            checked += 1
-    assert checked >= 1000
-
-
-def _boundary0_ends(prob, m):
-    """Chain ends on boundary 0: anyon-to-boundary-0 pairs, plus one for the
-    extra-extra pair, whose reference logical runs from boundary 0 to 1.
-
-    With n anyons, vertex n + j is anyon j's partner on boundary homes[j]
-    and vertex 2n + b the extra of boundary b.
-    """
-    n = len(prob.coords)
-    ends = 0
-    for u, v in m.pairs:
-        if u < n <= v:
-            ends += (prob.homes[v - n] if v < 2 * n else v - 2 * n) == 0
-        ends += u >= 2 * n
-    return ends
-
-
-def test_class_bit_is_parity_of_boundary0_ends(rng):
-    # row-first paths between anyons never touch row 0 or column 0, so a
-    # species' class bit is fixed by where its chains leave the lattice
-    for L in (5, 7):
-        layout = build_layout(L)
-        for _ in range(25):
-            syn, _ = random_syndrome(layout, rng, NoiseModel.depolarizing(0.13))
-            for species, anyons, bit in (
-                (SPECIES_P, syn.p_anyons, "bit_v"),
-                (SPECIES_S, syn.s_anyons, "bit_h"),
-            ):
-                for flip in (False, True):
-                    prob = build_problem(layout, anyons, species, flip)
-                    m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
-                    cls = layout.class_of(chain_from_matching(layout, prob, m))
-                    assert getattr(cls, bit) == _boundary0_ends(prob, m) % 2
+            assert calls[2 * k: 2 * k + 2] == ([n + 1] * 2 if n % 2 else [n, n + 2])
 
 
 def _x_on(layout, coords):
@@ -352,10 +335,8 @@ def test_single_anyon_pairs_with_boundary(layout5):
 def test_single_pair_chain(layout5):
     idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
     anyons = tuple(sorted((idx[(3, 2)], idx[(5, 6)])))
-    prob = build_problem(layout5, anyons, SPECIES_P, False)
-    m = min_weight_perfect_matching(prob.n_vertices, prob.edges)
-    frame = chain_from_matching(layout5, prob, m)
-    assert frame.weight() == m.total_weight
+    frame, weight, exits = class_chain(layout5, anyons, SPECIES_P, 0)
+    assert (weight, exits) == (3, 0) and frame.weight() == weight
     syn = layout5.syndrome_of(frame)
     assert syn.p_anyons == anyons and syn.s_anyons == ()
 
@@ -386,8 +367,8 @@ def test_standard_fails_on_majority_chain(layout5):
 
 
 def test_standard_pairs_across_mixed_boundaries(layout5):
-    # two adjacent anyons whose virtual partners sit on opposite boundaries:
-    # leftover virtuals must annihilate across boundaries at zero cost
+    # two adjacent anyons with opposite home boundaries: the direct pair of
+    # weight 1 beats both the same-boundary exits and the cross-home exits
     idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
     anyons = tuple(sorted((idx[(3, 4)], idx[(5, 4)])))
     frame = decode_standard(layout5, Syndrome(anyons, ()), MODEL).correction
@@ -411,9 +392,8 @@ def test_free_boundary_tie_prefers_direct_pair(layout5):
     # exits both weigh 2, and the direct path has no exits
     idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
     anyons = tuple(sorted((idx[(1, 2)], idx[(1, 6)])))
-    flip, (frame, weight, exits) = free_boundary_chain(layout5, anyons, SPECIES_P)
-    assert (flip, weight, exits) == (False, 2, 0)
-    assert frame == _x_on(layout5, [(1, 3), (1, 5)])
+    frame = _x_on(layout5, [(1, 3), (1, 5)])
+    assert _species_chains(layout5, Syndrome(anyons, ()))[(SPECIES_P, False)] == (frame, 2, 0)
     v = decode_standard(layout5, Syndrome(anyons, ()), MODEL)
     assert v.cls == CLASS_I and v.correction == frame
 
@@ -424,20 +404,19 @@ def test_free_boundary_tie_prefers_fewest_exits():
     layout = build_layout(7)
     idx = {s.coord: s.species_index for s in layout.z_stabilizers}
     anyons = tuple(sorted(idx[(1, c)] for c in (0, 4, 8, 12)))
-    flip, (frame, weight, exits) = free_boundary_chain(layout, anyons, SPECIES_P)
-    assert (flip, weight, exits) == (False, 4, 0)
-    assert frame == _x_on(layout, [(1, 1), (1, 3), (1, 9), (1, 11)])
+    frame = _x_on(layout, [(1, 1), (1, 3), (1, 9), (1, 11)])
+    assert _species_chains(layout, Syndrome(anyons, ()))[(SPECIES_P, False)] == (frame, 4, 0)
     assert decode_standard(layout, Syndrome(anyons, ()), MODEL).correction == frame
 
 
 def test_free_boundary_odd_count_uses_boundary_vertex(layout5):
     # a cross-home direct pair (flipping the class) and a lone anyon that
-    # exits through the boundary vertex at boundary 0
+    # exits at boundary 0, the boundary vertex of class bit 1
     idx = {s.coord: s.species_index for s in layout5.z_stabilizers}
     anyons = tuple(sorted((idx[(3, 2)], idx[(5, 2)], idx[(1, 8)])))
-    flip, (frame, weight, exits) = free_boundary_chain(layout5, anyons, SPECIES_P)
-    assert (flip, weight, exits) == (True, 2, 1)
-    assert frame == _x_on(layout5, [(4, 2), (0, 8)])
+    frame = _x_on(layout5, [(4, 2), (0, 8)])
+    assert _species_chains(layout5, Syndrome(anyons, ()))[(SPECIES_P, True)] == (frame, 2, 1)
+    assert class_chain(layout5, anyons, SPECIES_P, 1) == (frame, 2, 1)
     v = decode_standard(layout5, Syndrome(anyons, ()), MODEL)
     assert v.scores == {v.cls: 2.0} and v.correction == frame
 
