@@ -131,6 +131,43 @@ def test_forced_matchings_flip_class(rng):
                     assert (getattr(cls, attr), getattr(cls, other)) == (bit, 0)
 
 
+def _boundary0_ends(layout, anyons, species, bit, m):
+    """Chain ends on boundary 0 in a class-bit-``bit`` matching: anyons
+    matched to the boundary-0 vertex, two per anyon pair routed through
+    boundary 0, and one for the boundary-boundary pair, whose reference
+    logical runs from boundary 0 to 1."""
+    coords, dists = matching._anyon_sites(layout, anyons, species)
+    n = len(coords)
+    bounds = matching._class_boundaries(n, bit)
+    ends = 0
+    for u, v in m.pairs:
+        if v < n:
+            via = matching._pair_via(
+                matching.anyon_distance(coords[u], coords[v]), dists[u], dists[v]
+            )
+            ends += 2 * (via == 0)
+        elif u < n:
+            ends += bounds[v - n] == 0
+        else:
+            ends += 1
+    return ends
+
+
+def test_class_bit_is_parity_of_boundary0_ends(rng):
+    # row-first paths between anyons never touch row 0 or column 0, so a
+    # species' class bit is fixed by where its chains leave the lattice
+    for L in (5, 7):
+        layout = build_layout(L)
+        for _ in range(25):
+            syn, _ = random_syndrome(layout, rng, NoiseModel.depolarizing(0.13))
+            for species, anyons, attr in species_anyons(syn):
+                for bit in (0, 1):
+                    m = min_weight_perfect_matching(*class_graph(layout, anyons, species, bit))
+                    cls = layout.class_of(class_chain(layout, anyons, species, bit)[0])
+                    ends = _boundary0_ends(layout, anyons, species, bit, m)
+                    assert getattr(cls, attr) == ends % 2 == bit
+
+
 def test_species_chains_equal_brute_force():
     # every class-pure chain is the lightest of its class bit, against an
     # exhaustive reference; the chains reproduce their anyons and weigh
