@@ -2,7 +2,8 @@
 
 A refactor of the samplers or the harness must leave every seeded output
 byte-identical.  This file pins a short campaign (both noise models, all four
-algorithms) and the chain, sweep and decoder results it rests on, against
+algorithms), the chain, sweep and decoder results it rests on, and the
+spacetime substrate's record sampling, chain and deformation move, against
 ``golden.json`` next to it.  Floats are compared through ``repr``, so equal
 means bit-equal, NaN included.  The campaign's Wilson bounds come from scipy
 and are compared to a relative 1e-12 instead.
@@ -20,19 +21,24 @@ import numpy as np
 from surfmc import (
     EQUIV_CLASSES,
     ExperimentConfig,
+    MeasurementModel,
     MetropolisChain,
     NoiseModel,
+    SpacetimeChain,
     beta_bar,
     build_layout,
     decode_enhanced,
     decode_free_energy,
     decode_single_temperature,
     default_single_temp_config,
+    deformation_move,
     free_energy_temperatures,
+    initial_hypothesis,
     parallel_sweep_schedule,
     run_campaign,
     run_parallel_sweep,
     sample_frame,
+    sample_record,
 )
 from surfmc.harness import ALGORITHMS, CSV_HEADER, format_results_csv
 
@@ -152,6 +158,34 @@ def decoder_results() -> dict:
     return out
 
 
+def _hypothesis(hyp) -> dict:
+    return {"frames": [_frame(f) for f in hyp.frames], "flips": [hex(f) for f in hyp.flips]}
+
+
+def spacetime_results() -> dict:
+    out = {}
+    for L, t_max in ((3, 3), (3, 5), (5, 4)):
+        layout = build_layout(L)
+        for name, model in MODELS.items():
+            mm = MeasurementModel.from_probabilities(model, 0.1)
+            rng = np.random.default_rng(1000 * L + t_max)
+            record, truth = sample_record(layout, model, mm, t_max, rng)
+            chain = SpacetimeChain(layout, model, mm, initial_hypothesis(layout, record), rng)
+            trajectory = []
+            for _ in range(20):
+                chain.run(500)
+                trajectory.append({"n": chain.n, "m": chain.m, **_hypothesis(chain.hyp)})
+            q = int(rng.integers(0, layout.n_qubits))
+            moved = deformation_move(layout, truth, q, t_max - 1, "Z")
+            out[f"L={L} t_max={t_max} {name}"] = {
+                "record": [hex(o) for o in record.observed],
+                "truth": _hypothesis(truth),
+                "trajectory": trajectory,
+                "deformation": {"qubit": q, **_hypothesis(moved)},
+            }
+    return out
+
+
 def _rows(csv: str) -> list[dict]:
     lines = csv.splitlines()
     assert lines[0] == CSV_HEADER
@@ -184,12 +218,17 @@ def test_decoder_results():
     assert decoder_results() == json.loads(GOLDEN.read_text())["decoders"]
 
 
+def test_spacetime_results():
+    assert spacetime_results() == json.loads(GOLDEN.read_text())["spacetime"]
+
+
 if __name__ == "__main__":
     data = {
         "campaigns": campaign_csvs(),
         "chains": chain_results(),
         "sweeps": sweep_results(),
         "decoders": decoder_results(),
+        "spacetime": spacetime_results(),
     }
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
