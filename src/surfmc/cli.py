@@ -1,8 +1,8 @@
 """Command-line interface: campaigns, fatal patterns, scaling probe, oracle check.
 
 Exit codes: 0 success, 1 configuration error, 2 acceptance-suite failure.
-A ``--config FILE`` (JSON, keys matching the campaign config fields) may seed
-any subcommand's options; explicit flags override file values.  The
+``campaign --config FILE`` (JSON, keys matching the campaign config fields)
+seeds the campaign's options; explicit flags override file values.  The
 ``SURFMC_WORKERS`` environment variable overrides the worker count.
 """
 

@@ -395,10 +395,14 @@ def write_results_csv(result: CampaignResult, path: str) -> None:
 
 def write_plot_data(result: CampaignResult, directory: str) -> list[str]:
     """Two-column rate-ratio files (standard MWPM rate over each algorithm's),
-    one file per (L, algorithm) pair, in the style of the ratio figures."""
+    one file per (L, algorithm) pair, in the style of the ratio figures.
+
+    Only cells that ran at least one trial contribute a line, so the partial
+    result of an interrupted campaign writes what it has."""
     if STANDARD not in result.config.algorithms:
         return []
     os.makedirs(directory, exist_ok=True)
+    ran = {(c.L, c.p): c for c in result.cells if c.trials}
     written = []
     for L in result.config.L_values:
         for alg in result.config.algorithms:
@@ -407,7 +411,9 @@ def write_plot_data(result: CampaignResult, directory: str) -> list[str]:
             path = os.path.join(directory, f"ratio_standard_over_{alg}_L{L}.dat")
             with open(path, "w", encoding="utf-8") as fh:
                 for p in result.config.p_values:
-                    cell = result.cell(L, p)
+                    cell = ran.get((L, p))
+                    if cell is None:
+                        continue
                     r_std, r_alg = cell.rate(STANDARD), cell.rate(alg)
                     ratio = r_std / r_alg if r_alg > 0 else math.inf
                     fh.write(f"{p!r} {ratio!r}\n")
@@ -637,6 +643,8 @@ def scaling_probe(
 ) -> ScalingProbeResult:
     """Binary-search the minimal n_sample at which the single-temperature
     decoder provably beats the better matcher, then fit the growth exponent."""
+    if not p > 0:  # no trial fails at p = 0, so no n_sample can certify
+        raise ConfigError(f"a scaling probe needs p > 0, got {p}")
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"confidence must lie in (0, 1), got {confidence}")
     if max_n_sample is not None and max_n_sample < 1:

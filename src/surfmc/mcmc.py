@@ -204,7 +204,7 @@ class MetropolisChain:
         frame: PauliFrame,
         rng: np.random.Generator,
     ):
-        if beta < 0:
+        if not beta >= 0:  # also refuses NaN
             raise InvalidParameterError(f"beta must be >= 0, got {beta}")
         self.layout = layout
         self.rng = rng

@@ -9,7 +9,10 @@ one interval frame and (b) the elementary spacetime move: toggling an error on
 one qubit in two consecutive intervals while inverting the flip hypotheses of
 the anticommuting measurements at the shared time.  Both preserve the
 measurement record and the time-aggregated equivalence class, so a Metropolis
-chain over them explores exactly one spacetime equivalence class.
+chain over them explores exactly one spacetime equivalence class.  Each move
+is one data tuple (the frames it toggles, then the flip slot and mask it
+inverts), which ``SpacetimeChain`` scores and applies through one path and
+``deformation_move`` applies to a copy.
 
 Moves are restricted to interior times 1 < t < t_max; the time-boundary
 behavior of the equivalence classes is deliberately left open.
@@ -22,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InconsistentHypothesisError,
-    InvalidMoveError,
-    InvalidParameterError,
-)
+from .errors import InconsistentHypothesisError, InvalidMoveError, InvalidParameterError
 from .geometry import CodeLayout, EquivalenceClass, PauliFrame
-from .noise import NoiseModel, beta_bar, error_score, score_delta
+from .noise import NoiseModel, beta_bar, error_score, sample_frame, score_delta
+
+#: (frame index, mask, x plane) toggles, then the flip slot and its mask.
+Move = tuple[tuple[tuple[int, int, bool], ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,8 @@ class SpacetimeHypothesis:
         )
 
     def is_consistent(self, layout: CodeLayout) -> bool:
-        """Predicted record (cumulative syndrome XOR flips) matches the observed one."""
-        cum = layout.identity_frame()
-        for t in range(1, self.record.t_max + 1):
-            predicted = layout.syndrome_bits(cum) ^ self.flips[t - 1]
-            if predicted != self.record.observed[t - 1]:
-                return False
-            if t <= len(self.frames):
-                cum = cum * self.frames[t - 1]
-        return True
+        """Predicted record matches the observed one."""
+        return _predicted_record(layout, self.frames, self.flips) == self.record.observed
 
     def aggregate_frame(self, layout: CodeLayout) -> PauliFrame:
         cum = layout.identity_frame()
@@ -103,6 +98,17 @@ class SpacetimeHypothesis:
 
     def flip_count(self) -> int:
         return sum(f.bit_count() for f in self.flips)
+
+
+def _predicted_record(layout: CodeLayout, frames, flips: list[int]) -> tuple[int, ...]:
+    """Per round, the syndrome of all earlier frames XOR that round's flips."""
+    cum = layout.identity_frame()
+    predicted = []
+    for t, flip in enumerate(flips):
+        predicted.append(layout.syndrome_bits(cum) ^ flip)
+        if t < len(frames):
+            cum = cum * frames[t]
+    return tuple(predicted)
 
 
 def initial_hypothesis(layout: CodeLayout, record: MeasurementRecord) -> SpacetimeHypothesis:
@@ -125,15 +131,23 @@ def spacetime_energy(
     return hyp.error_count(model) + mm.xi * hyp.flip_count()
 
 
-def _anticommuting_mask(layout: CodeLayout, qubit: int, pauli: str) -> int:
-    """Global-index bitmask of stabilizers anticommuting with pauli on qubit."""
+def _deformation(layout: CodeLayout, qubit: int, t: int, pauli: str) -> Move:
+    """``pauli`` on ``qubit`` in frames t-2 and t-1, and its syndrome at slot t-1."""
     bit = 1 << qubit
-    mask = 0
-    stabs = layout.z_stabilizers if pauli == "X" else layout.x_stabilizers
-    for s in stabs:
-        if s.mask & bit:
-            mask |= 1 << s.index
-    return mask
+    x_plane = pauli == "X"
+    error = PauliFrame(layout.n_qubits, bit if x_plane else 0, 0 if x_plane else bit)
+    return ((t - 2, bit, x_plane), (t - 1, bit, x_plane)), t - 1, layout.syndrome_bits(error)
+
+
+def _apply(hyp: SpacetimeHypothesis, move: Move) -> None:
+    toggles, slot, flip_mask = move
+    for k, mask, x_plane in toggles:
+        frame = hyp.frames[k]
+        if x_plane:
+            frame.x ^= mask
+        else:
+            frame.z ^= mask
+    hyp.flips[slot] ^= flip_mask
 
 
 def deformation_move(
@@ -153,14 +167,12 @@ def deformation_move(
         raise InvalidMoveError(f"deformation time must satisfy 1 < t < t_max, got {t}")
     if pauli not in ("X", "Z"):
         raise InvalidParameterError(f"deformation pauli must be X or Z, got {pauli!r}")
+    if not 0 <= qubit < layout.n_qubits:
+        raise InvalidParameterError(
+            f"deformation qubit must lie in [0, {layout.n_qubits}), got {qubit}"
+        )
     out = hyp.copy()
-    bit = 1 << qubit
-    for k in (t - 2, t - 1):  # interval [t-1, t] is frames[t-2]
-        if pauli == "X":
-            out.frames[k].x ^= bit
-        else:
-            out.frames[k].z ^= bit
-    out.flips[t - 1] ^= _anticommuting_mask(layout, qubit, pauli)
+    _apply(out, _deformation(layout, qubit, t, pauli))
     return out
 
 
@@ -172,33 +184,22 @@ def sample_record(
     rng: np.random.Generator,
 ) -> tuple[MeasurementRecord, SpacetimeHypothesis]:
     """Simulate noisy rounds; returns the observed record and the true hypothesis."""
-    from .noise import sample_frame
-
     frames = [sample_frame(model, layout, rng) for _ in range(t_max - 1)]
-    n_stab = layout.n_stab
-    observed = []
-    flips = []
-    cum = layout.identity_frame()
-    for t in range(1, t_max + 1):
-        flip_bits = 0
-        draws = rng.random(n_stab)
-        for s in range(n_stab):
-            if draws[s] < mm.p_m:
-                flip_bits |= 1 << s
-        observed.append(layout.syndrome_bits(cum) ^ flip_bits)
-        flips.append(flip_bits)
-        if t <= t_max - 1:
-            cum = cum * frames[t - 1]
-    record = MeasurementRecord(t_max, tuple(observed))
+    flips = [
+        sum(1 << int(s) for s in np.flatnonzero(rng.random(layout.n_stab) < mm.p_m))
+        for _ in range(t_max)
+    ]
+    record = MeasurementRecord(t_max, _predicted_record(layout, frames, flips))
     return record, SpacetimeHypothesis(record, frames, flips)
 
 
 class SpacetimeChain:
     """Metropolis over spatial stabilizer moves and deformation moves.
 
-    Proposals are uniform over all (stabilizer, interval) and (qubit, interior
-    time, X/Z) moves; acceptance is exp(-beta * delta(n + xi * m)).  Error and
-    flip counts are tracked incrementally as exact integers.
+    Proposals are uniform over the move table: every (interval, stabilizer)
+    move, then every (X/Z, interior time, qubit) deformation; acceptance is
+    exp(-beta * delta(n + xi * m)).  Error and flip counts are tracked
+    incrementally as exact integers.
     """
 
     def __init__(
@@ -212,70 +213,45 @@ class SpacetimeChain:
     ):
         if not hyp.is_consistent(layout):
             raise InconsistentHypothesisError("chain seed is inconsistent")
+        self.beta = beta_bar(model) if beta is None else beta
+        if not self.beta >= 0:
+            raise InvalidParameterError(f"beta must be >= 0, got {self.beta}")
         self.layout = layout
         self.model = model
         self.mm = mm
         self.rng = rng
-        self.beta = beta_bar(model) if beta is None else beta
         self.hyp = hyp.copy()
         self.n = hyp.error_count(model)
         self.m = hyp.flip_count()
         self._delta = score_delta(model)
         t_max = hyp.record.t_max
-        self._n_spatial = layout.n_stab * (t_max - 1)
-        self._n_deform = 2 * layout.n_qubits * max(0, t_max - 2)
-        self._anti = {
-            (q, p): _anticommuting_mask(layout, q, p)
+        self._moves: list[Move] = [
+            (((k, s.mask, s.kind == "X"),), 0, 0)
+            for k in range(t_max - 1)
+            for s in layout.stabilizers
+        ] + [
+            _deformation(layout, q, t, pauli)
+            for pauli in ("X", "Z")
+            for t in range(2, t_max)
             for q in range(layout.n_qubits)
-            for p in ("X", "Z")
-        }
+        ]
 
     @property
     def energy(self) -> float:
         return self.n + self.mm.xi * self.m
 
     def step(self) -> None:
-        total = self._n_spatial + self._n_deform
-        pick = int(self.rng.integers(0, total))
-        if pick < self._n_spatial:
-            stab = self.layout.stabilizers[pick % self.layout.n_stab]
-            k = pick // self.layout.n_stab
-            frame = self.hyp.frames[k]
-            dn = self._delta(frame.x, frame.z, stab.mask, stab.kind == "X")
-            if self._accept(dn):
-                if stab.kind == "X":
-                    frame.x ^= stab.mask
-                else:
-                    frame.z ^= stab.mask
-                self.n += dn
-            return
-        pick -= self._n_spatial
-        q = pick % self.layout.n_qubits
-        pick //= self.layout.n_qubits
-        t = 2 + pick % (self.hyp.record.t_max - 2)
-        pauli = "X" if pick // (self.hyp.record.t_max - 2) == 0 else "Z"
-        bit = 1 << q
-        dn = sum(
-            self._delta(f.x, f.z, bit, pauli == "X") for f in self.hyp.frames[t - 2:t]
-        )
-        anti = self._anti[(q, pauli)]
-        flips = self.hyp.flips[t - 1]
-        dm = (flips ^ anti).bit_count() - flips.bit_count()
-        if self._accept(dn + self.mm.xi * dm):
-            for k in (t - 2, t - 1):
-                frame = self.hyp.frames[k]
-                if pauli == "X":
-                    frame.x ^= bit
-                else:
-                    frame.z ^= bit
-            self.hyp.flips[t - 1] ^= anti
+        move = self._moves[int(self.rng.integers(0, len(self._moves)))]
+        toggles, slot, flip_mask = move
+        frames = self.hyp.frames
+        dn = sum(self._delta(frames[k].x, frames[k].z, mask, x) for k, mask, x in toggles)
+        flips = self.hyp.flips[slot]
+        dm = (flips ^ flip_mask).bit_count() - flips.bit_count()
+        delta = dn + self.mm.xi * dm
+        if delta <= 0 or float(self.rng.random()) < math.exp(-self.beta * delta):
+            _apply(self.hyp, move)
             self.n += dn
             self.m += dm
-
-    def _accept(self, delta_energy: float) -> bool:
-        if delta_energy <= 0:
-            return True
-        return float(self.rng.random()) < math.exp(-self.beta * delta_energy)
 
     def run(self, n_steps: int) -> None:
         for _ in range(n_steps):

@@ -10,12 +10,13 @@ import pytest
 
 import surfmc
 from conftest import read_results_csv
-from surfmc import ConfigError, ExperimentConfig, build_layout
+from surfmc import ConfigError, ExperimentConfig, build_layout, harness
 from surfmc.cli import main as cli_main
 from surfmc.harness import (
     ENHANCED,
     SINGLE_TEMP,
     STANDARD,
+    TRUNCATION_MARKER,
     CampaignCell,
     build_half_chain,
     fatal_pattern_suite,
@@ -120,6 +121,19 @@ def test_campaign_worker_count_invariance():
     serial = format_results_csv(run_campaign(small))
     parallel = format_results_csv(run_campaign(tiny_config(max_trials=64, workers=2)))
     assert serial == parallel
+
+
+def test_campaign_worker_count_invariance_over_several_batches(monkeypatch):
+    # the error target is met in the fifth 64-trial batch, so two and three
+    # workers both run batches past the stop that must be dropped unmerged
+    monkeypatch.delenv("SURFMC_WORKERS", raising=False)
+    results = [
+        run_campaign(tiny_config(max_trials=None, target_logical_errors=25, workers=workers))
+        for workers in (1, 2, 3)
+    ]
+    assert results[0].cell(3, 0.1).trials == 5 * 64
+    serial, *parallel = [format_results_csv(r) for r in results]
+    assert parallel == [serial, serial]
 
 
 def test_campaign_exact_trial_budget():
@@ -351,6 +365,8 @@ def test_cli_config_errors(tmp_path, capsys):
         # a cap below the smallest n_sample the search tries
         ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--max-n-sample", "0"],
         ["scaling-probe", "--p", "0.1", "--L", "3", "--seed", "1", "--max-n-sample", "-5"],
+        # no trial fails at p = 0, so no n_sample can certify
+        ["scaling-probe", "--p", "0", "--L", "3", "--seed", "1"],
         ["fatal-patterns", "--L", ""],
         ["oracle-check", "--seed", "-1", "--syndromes", "2"],
         # bad flag values and unknown flags, caught by the parser
@@ -426,6 +442,34 @@ def test_cli_campaign_checks_plot_data_dir_before_running(monkeypatch, capsys, t
     assert code == 1
     assert "--plot-data-dir" in captured.err and len(captured.err.strip().splitlines()) == 1
     assert captured.out == "" and not (tmp_path / "y.csv").exists()
+
+
+def test_cli_campaign_interrupt_flushes_partial_results(monkeypatch, capsys, tmp_path):
+    # Ctrl-C in the first cell: the partial CSV and the plot data are written,
+    # and the run exits 130 with one line on stderr
+    monkeypatch.delenv("SURFMC_WORKERS", raising=False)
+    real = harness._run_one_trial
+
+    def interrupted(spec, trial):
+        if spec.cell_index == 0 and trial == 3:
+            raise KeyboardInterrupt
+        return real(spec, trial)
+
+    monkeypatch.setattr(harness, "_run_one_trial", interrupted)
+    out = tmp_path / "res.csv"
+    code = cli_main(["campaign", "--L", "3,5", "--p", "0.1", "--seed", "1", "--trials", "8",
+                     "--out", str(out), "--plot-data-dir", str(tmp_path / "plots")])
+    err = capsys.readouterr().err
+    assert code == 130
+    assert out.read_text().splitlines()[-1] == TRUNCATION_MARKER
+    assert len(err.strip().splitlines()) == 1 and err.startswith("interrupted")
+    # no cell ran a trial, so every ratio file is there and empty
+    plots = sorted((tmp_path / "plots").iterdir())
+    assert [f.name for f in plots] == [
+        f"ratio_standard_over_{alg}_L{L}.dat"
+        for alg in (ENHANCED, SINGLE_TEMP) for L in (3, 5)
+    ]
+    assert all(f.read_text() == "" for f in plots)
 
 
 def test_cli_help_exits_zero(capsys):

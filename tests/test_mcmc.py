@@ -60,6 +60,13 @@ def test_default_config(layout4):
     assert cfg2.beta_star == pytest.approx(0.85 * beta_bar(indep))
 
 
+def test_chain_rejects_nan_beta(layout3):
+    # NaN compares False with everything, so it would reject every uphill move
+    with pytest.raises(InvalidParameterError, match="beta must be >= 0"):
+        MetropolisChain(layout3, MODEL, math.nan, layout3.identity_frame(),
+                        np.random.default_rng(0))
+
+
 def test_chain_rejects_unsupported_model(layout3):
     # A model outside the integer-count kinds is refused when it is built,
     # so it never reaches the chain.

@@ -163,3 +163,31 @@ def test_chain_rejects_inconsistent_seed(layout3):
     )
     with pytest.raises(InconsistentHypothesisError):
         SpacetimeChain(layout3, MODEL, mm, bad, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("qubit", [-1, 13, 40])
+def test_deformation_qubit_out_of_range_rejected(layout3, qubit):
+    assert layout3.n_qubits == 13
+    hyp = initial_hypothesis(layout3, MeasurementRecord(3, (0, 0, 0)))
+    with pytest.raises(InvalidParameterError, match="deformation qubit"):
+        deformation_move(layout3, hyp, qubit, 2, "X")
+
+
+@pytest.mark.parametrize("beta", [-1.0, math.nan])
+def test_chain_rejects_negative_or_nan_beta(layout3, beta):
+    mm = MeasurementModel.from_probabilities(MODEL, 0.1)
+    hyp = initial_hypothesis(layout3, MeasurementRecord(3, (0, 0, 0)))
+    with pytest.raises(InvalidParameterError, match="beta must be >= 0"):
+        SpacetimeChain(layout3, MODEL, mm, hyp, np.random.default_rng(0), beta=beta)
+
+
+def test_chain_at_zero_temperature_never_raises_energy(layout3, rng):
+    mm = MeasurementModel.from_probabilities(MODEL, 0.1)
+    record, _ = sample_record(layout3, MODEL, mm, 4, rng)
+    chain = SpacetimeChain(layout3, MODEL, mm, initial_hypothesis(layout3, record), rng,
+                           beta=math.inf)
+    energy = chain.energy
+    for _ in range(500):
+        chain.step()
+        assert chain.energy <= energy + 1e-12
+        energy = chain.energy
