@@ -21,6 +21,7 @@ behavior of the equivalence classes is deliberately left open.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,16 +164,18 @@ def deformation_move(
     Only interior times 1 < t < t_max are valid; the move is an involution and
     preserves consistency and the aggregated class.
     """
-    if not 1 < t < hyp.record.t_max:
-        raise InvalidMoveError(f"deformation time must satisfy 1 < t < t_max, got {t}")
+    if not isinstance(t, numbers.Integral) or not 1 < t < hyp.record.t_max:
+        raise InvalidMoveError(
+            f"deformation time must be an integer with 1 < t < t_max, got {t!r}"
+        )
     if pauli not in ("X", "Z"):
         raise InvalidParameterError(f"deformation pauli must be X or Z, got {pauli!r}")
-    if not 0 <= qubit < layout.n_qubits:
+    if not isinstance(qubit, numbers.Integral) or not 0 <= qubit < layout.n_qubits:
         raise InvalidParameterError(
-            f"deformation qubit must lie in [0, {layout.n_qubits}), got {qubit}"
+            f"deformation qubit must be an integer in [0, {layout.n_qubits}), got {qubit!r}"
         )
     out = hyp.copy()
-    _apply(out, _deformation(layout, qubit, t, pauli))
+    _apply(out, _deformation(layout, int(qubit), t, pauli))  # a numpy int would overflow
     return out
 
 

@@ -14,6 +14,7 @@ from surfmc import (
     SpacetimeChain,
     SpacetimeHypothesis,
     beta_bar,
+    build_layout,
     deformation_move,
     initial_hypothesis,
     sample_record,
@@ -95,7 +96,7 @@ def test_deformation_involution(layout3, rng):
 def test_deformation_boundary_times_rejected(layout3):
     record = MeasurementRecord(3, (0, 0, 0))
     hyp = initial_hypothesis(layout3, record)
-    for t in (0, 1, 3, 4):
+    for t in (0, 1, 3, 4, 2.5):
         with pytest.raises(InvalidMoveError):
             deformation_move(layout3, hyp, 0, t)
     with pytest.raises(InvalidParameterError):
@@ -165,12 +166,21 @@ def test_chain_rejects_inconsistent_seed(layout3):
         SpacetimeChain(layout3, MODEL, mm, bad, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("qubit", [-1, 13, 40])
+@pytest.mark.parametrize("qubit", [-1, 13, 40, 2.5])
 def test_deformation_qubit_out_of_range_rejected(layout3, qubit):
     assert layout3.n_qubits == 13
     hyp = initial_hypothesis(layout3, MeasurementRecord(3, (0, 0, 0)))
     with pytest.raises(InvalidParameterError, match="deformation qubit"):
         deformation_move(layout3, hyp, qubit, 2, "X")
+
+
+def test_deformation_takes_numpy_qubit_index():
+    # 1 << np.int64(70) overflows; the move must shift a Python int
+    layout = build_layout(7)
+    hyp = initial_hypothesis(layout, MeasurementRecord(3, (0, 0, 0)))
+    moved = deformation_move(layout, hyp, np.int64(70), 2, "X")
+    assert moved.frames == deformation_move(layout, hyp, 70, 2, "X").frames
+    assert moved.frames[0].x == 1 << 70 and moved.is_consistent(layout)
 
 
 @pytest.mark.parametrize("beta", [-1.0, math.nan])
