@@ -37,6 +37,7 @@ from .errors import DecoderInternalError, InvalidParameterError
 from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
 from .noise import INDEPENDENT_XZ, NoiseModel, beta_bar, error_score, score_delta
+from .stats import simpson
 
 _CHUNK_BATCHES = 32
 
@@ -415,8 +416,6 @@ def decode_free_energy(
     if not np.allclose(steps, steps[0]):
         raise InvalidParameterError("temperature grid must be equidistant")
 
-    from scipy.integrate import simpson  # here, not at the top: slow to import
-
     rngs = _class_chain_rngs(seed_seq)
     h = float(steps[0])
     simpson_coef = np.ones(len(temps))
@@ -434,7 +433,7 @@ def decode_free_energy(
             means[k], ses[k] = _chain_mean(
                 layout, model, float(beta), seeds.frame_for(cls), rngs[cls.index], n_sample
             )
-        integral = float(simpson(means, x=temps))
+        integral = simpson(means, temps)
         # NaN as soon as one positive-temperature chain has no standard error
         integral_se = float(np.sqrt(np.sum((simpson_coef * ses) ** 2)))
         log_z = layout.n_stab * math.log(2.0) - integral

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .geometry import EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .noise import DEPOLARIZING, NoiseModel, beta_bar
+from .stats import logsumexp
 
 ENUMERATION_LIMIT = 16
 
@@ -77,12 +78,10 @@ def exact_boltzmann(orbit: ClassOrbit, beta: float) -> tuple[float, float]:
     Z is relative (a frame-independent constant is dropped throughout), so at
     beta = 0 it equals the orbit size 2^n_stab.
     """
-    from scipy.special import logsumexp  # here, not at the top: slow to import
-
     weights = np.array(sorted(orbit.weight_histogram), dtype=float)
     counts = np.array([orbit.weight_histogram[int(w)] for w in weights], dtype=float)
     log_terms = -beta * weights + np.log(counts)
-    log_z = float(logsumexp(log_terms))
+    log_z = logsumexp(log_terms)
     probs = np.exp(log_terms - log_z)
     mean_n = float(np.dot(weights, probs))
     return log_z, mean_n

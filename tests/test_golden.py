@@ -5,8 +5,8 @@ byte-identical.  This file pins a short campaign (both noise models, all four
 algorithms), the chain, sweep and decoder results it rests on, and the
 spacetime substrate's record sampling, chain and deformation move, against
 ``golden.json`` next to it.  Floats are compared through ``repr``, so equal
-means bit-equal, NaN included.  The campaign's Wilson bounds come from scipy
-and are compared to a relative 1e-12 instead.
+means bit-equal, NaN included; that holds for the campaign's Wilson bounds
+too, whose normal quantile is an exact constant.
 
 Regenerate the data only for an intended change of outputs, and name the
 moved values when you do: ``PYTHONPATH=src python tests/test_golden.py``.
@@ -40,14 +40,13 @@ from surfmc import (
     sample_frame,
     sample_record,
 )
-from surfmc.harness import ALGORITHMS, CSV_HEADER, format_results_csv
+from surfmc.harness import ALGORITHMS, format_results_csv
 
 GOLDEN = Path(__file__).with_name("golden.json")
 MODELS = {
     "depolarizing": NoiseModel.depolarizing(0.1),
     "independent_xz": NoiseModel.independent_xz(0.1, 0.1),
 }
-CI_COLUMNS = ("ci_low", "ci_high")
 
 
 def _f(v) -> str:
@@ -186,24 +185,8 @@ def spacetime_results() -> dict:
     return out
 
 
-def _rows(csv: str) -> list[dict]:
-    lines = csv.splitlines()
-    assert lines[0] == CSV_HEADER
-    names = CSV_HEADER.split(",")
-    return [dict(zip(names, line.split(","))) for line in lines[1:]]
-
-
 def test_campaign_csvs():
-    golden = json.loads(GOLDEN.read_text())["campaigns"]
-    got = campaign_csvs()
-    assert len(got) == len(golden)
-    for csv, want in zip(got, golden):
-        got_rows, want_rows = _rows(csv), _rows(want)
-        assert len(got_rows) == len(want_rows)
-        for g, w in zip(got_rows, want_rows):
-            for col in CI_COLUMNS:
-                assert math.isclose(float(g.pop(col)), float(w.pop(col)), rel_tol=1e-12)
-            assert g == w
+    assert campaign_csvs() == json.loads(GOLDEN.read_text())["campaigns"]
 
 
 def test_chain_results():

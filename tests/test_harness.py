@@ -488,11 +488,20 @@ def test_cli_oracle_check_rejects_syndrome_count(capsys, count):
 
 
 def test_import_loads_neither_networkx_nor_scipy():
-    # scipy is imported inside the few functions that call it; networkx only
-    # by the tests, as the reference matcher
+    # networkx is imported only by the tests, as the reference matcher; scipy
+    # by no module, not even on the run paths: a four-algorithm campaign and
+    # its CSV, the oracle check and the paired p-value
     code = (
         "import sys, surfmc; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))"
+        "from surfmc.harness import ALGORITHMS, format_results_csv, oracle_check, "
+        "paired_comparison_pvalue; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'})); "
+        "result = surfmc.run_campaign(surfmc.ExperimentConfig(L_values=(3,), p_values=(0.1,), "
+        "seed=3, algorithms=ALGORITHMS, max_trials=8, target_logical_errors=None)); "
+        "format_results_csv(result); "
+        "paired_comparison_pvalue(result.cells[0], ALGORITHMS[2], ALGORITHMS[:2]); "
+        "oracle_check(3, 0.1, 5); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(surfmc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -500,4 +509,15 @@ def test_import_loads_neither_networkx_nor_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(surfmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-m", "surfmc", "fatal-patterns", "--L", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "PASS" in out.stdout
