@@ -15,6 +15,15 @@ move is accepted.  The table is built from ``noise.score_delta``, the
 reference Delta n on arbitrary masks, which the refinement descent and the
 spacetime chain call directly.
 
+The accept test works on integer acceptance levels.  A uniform draw u in
+[0, 1) has level k, the number of the four thresholds exp(-beta * d),
+d = 1..4, that lie above it; since the thresholds fall with d, u <
+exp(-beta * Delta n) iff Delta n <= k, and every Delta n <= 0 is accepted
+(k >= 0).  The levels of a block of draws come from one ``np.searchsorted``
+against the thresholds in ascending order, which makes the same IEEE
+comparisons as testing u against each threshold: beta = 0 gives k = 4
+(every move accepted), beta = inf gives k = 0 (only non-increasing moves).
+
 The single-temperature decoder runs one chain per equivalence class from the
 minimum-weight hypothesis of that class and picks the class with the smallest
 average count; the free-energy variant instead integrates the average count
@@ -27,6 +36,7 @@ partition's proposals.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -51,10 +61,17 @@ class SingleTempConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if self.n_sample < 1:
-            raise InvalidParameterError(f"n_sample must be >= 1, got {self.n_sample}")
-        if self.burn_in < 0:
-            raise InvalidParameterError(f"burn_in must be >= 0, got {self.burn_in}")
+        if not isinstance(self.beta_star, numbers.Real) or not self.beta_star >= 0:
+            # the second test also refuses NaN
+            raise InvalidParameterError(f"beta_star must be >= 0, got {self.beta_star}")
+        _check_count("n_sample", self.n_sample, 1)
+        _check_count("burn_in", self.burn_in, 0)
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse a step count that is not an integer >= ``low``."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def default_single_temp_config(
@@ -167,16 +184,24 @@ def _delta_table(model: NoiseModel) -> list[int]:
     return table
 
 
-def _acceptance(beta: float) -> list[float]:
-    """Metropolis acceptance probability indexed by Delta n in -4..4.
+def _thresholds(beta: float) -> np.ndarray:
+    """The acceptance probabilities exp(-beta * d) of Delta n = d = 4, 3, 2, 1,
+    in ascending order for ``np.searchsorted``."""
+    # Delta n of a single 3-4 qubit stabilizer move is at most 4
+    return np.array([math.exp(-beta * d) for d in (4, 3, 2, 1)])
 
-    Negative Delta n wraps to the trailing 1.0 entries, which every uniform
-    draw in [0, 1) is below, so one comparison decides a move.
-    """
-    # |Delta n| of a single 3-4 qubit stabilizer move is at most 4
-    if math.isinf(beta):
-        return [1.0, 0.0, 0.0, 0.0, 0.0] + [1.0] * 4
-    return [1.0] + [math.exp(-beta * d) for d in (1, 2, 3, 4)] + [1.0] * 4
+
+class _SeedState:
+    """What a chain takes from its seed frame: a private copy of the frame
+    (for ``verify_confinement``), its local states and its error count.
+    Computed once per frame; every chain started from it copies ``states``."""
+
+    __slots__ = ("frame", "states", "n")
+
+    def __init__(self, layout: CodeLayout, model: NoiseModel, frame: PauliFrame):
+        self.states = _layout_moves(layout).local_states(frame)
+        self.n = error_score(model, frame)
+        self.frame = frame.copy()
 
 
 class MetropolisChain:
@@ -186,15 +211,17 @@ class MetropolisChain:
     stabilizers (single writer) and keeps them across calls; a frame of
     another layout is rejected.  ``_moves`` is the Metropolis loop: it reads
     Delta n from the model's table (``noise.score_delta`` on every local
-    state, built once per model kind), and an accepted move XORs its flip
-    list into the states of the at most nine stabilizers that share a qubit
-    with it (built once per layout).  ``run`` is the bulk sampler; ``step``
-    is the same path on a single proposal, and records no batch for
-    ``standard_error``.  The rectangle sweep makes its own proposals through
-    the same path.  ``estimate`` is the running average of the error count
-    over all proposals since the end of burn-in; by default nothing is
-    discarded, since heating up from a minimum-weight seed is faster than
-    cooling from a random one.
+    state, built once per model kind) and accepts a move iff Delta n is at
+    most the acceptance level of its uniform draw (``_levels``: the number of
+    thresholds exp(-beta * d), d = 1..4, above the draw).  An accepted move
+    XORs its flip list into the states of the at most nine stabilizers that
+    share a qubit with it (built once per layout).  ``run`` is the bulk
+    sampler; ``step`` is the same path on a single proposal, and records no
+    batch for ``standard_error``.  The rectangle sweep makes its own
+    proposals through the same path.  ``estimate`` is the running average of
+    the error count over all proposals since the end of burn-in; by default
+    nothing is discarded, since heating up from a minimum-weight seed is
+    faster than cooling from a random one.
     """
 
     def __init__(
@@ -204,22 +231,28 @@ class MetropolisChain:
         beta: float,
         frame: PauliFrame,
         rng: np.random.Generator,
+        *,
+        _seed_state: _SeedState | None = None,
     ):
+        """``_seed_state``, when given, must be ``_SeedState(layout, model,
+        frame)``; a caller that starts many chains from one frame builds it once."""
         if not beta >= 0:  # also refuses NaN
             raise InvalidParameterError(f"beta must be >= 0, got {beta}")
+        if _seed_state is None:
+            _seed_state = _SeedState(layout, model, frame)
         self.layout = layout
         self.rng = rng
         self._local = _layout_moves(layout)
         self._table = _delta_table(model)
-        self._acc = _acceptance(beta)
+        self._thresholds = _thresholds(beta)
         self._x = frame.x
         self._z = frame.z
-        self._states = self._local.local_states(frame)
-        self._n = error_score(model, frame)
+        self._states = _seed_state.states.copy()
+        self._n = _seed_state.n
         self.step_count = 0
         self.cumulative_n = 0
         self._batch_sums: list[tuple[int, int]] = []  # (steps, summed counts)
-        self._seed = frame.copy()
+        self._seed = _seed_state.frame
 
     @property
     def frame(self) -> PauliFrame:
@@ -247,26 +280,32 @@ class MetropolisChain:
         """Advance by one proposal and accumulate the post-move count."""
         # scalar draws continue the stream exactly as size-1 block draws would
         s = int(self.rng.integers(0, len(self._local.masks)))
-        u = float(self.rng.random())
-        self.cumulative_n += self._moves([s], [u])
+        levels = self._levels(self.rng.random(size=1))
+        self.cumulative_n += self._moves([s], levels)
         self.step_count += 1
 
-    def _moves(self, idx: list[int], us: list[float]) -> int:
+    def _levels(self, us: np.ndarray) -> list:
+        """Acceptance levels of the uniform draws ``us``, as a (nested) list of
+        ints of the same shape: the number of thresholds exp(-beta * d),
+        d = 1..4, above each draw."""
+        below = self._thresholds.searchsorted(us, side="right")
+        return np.subtract(4, below, out=below).tolist()
+
+    def _moves(self, idx: list[int], levels: list[int]) -> int:
         """Propose the stabilizers ``idx`` in turn, accepting a move iff its
-        uniform draw is below the acceptance of its Delta n (always when
-        Delta n <= 0); returns the summed post-move counts."""
+        Delta n is at most the acceptance level of its draw; returns the
+        summed post-move counts."""
         local = self._local
         masks = local.masks
         x_kind = local.x_kind
         flips = local.flips
         table = self._table
-        acc = self._acc
         states = self._states
         x, z, n = self._x, self._z, self._n
         cum = 0
-        for s, u in zip(idx, us):
+        for s, k in zip(idx, levels):
             d = table[states[s]]
-            if u < acc[d]:
+            if d <= k:
                 n += d
                 if x_kind[s]:
                     x ^= masks[s]
@@ -286,8 +325,7 @@ class MetropolisChain:
         while done < n_steps:
             todo = min(chunk_size, n_steps - done)
             idx = self.rng.integers(0, n_stab, size=todo).tolist()
-            us = self.rng.random(size=todo).tolist()
-            cum = self._moves(idx, us)
+            cum = self._moves(idx, self._levels(self.rng.random(size=todo)))
             done += todo
             if accumulate:
                 self._accumulate(todo, cum)
@@ -315,15 +353,15 @@ def _chain_mean(
     layout: CodeLayout,
     model: NoiseModel,
     beta: float,
-    frame: PauliFrame,
+    seed: _SeedState,
     rng: np.random.Generator,
     n_sample: int,
     burn_in: int = 0,
 ) -> tuple[float, float]:
-    """<n> of one chain from ``frame`` over ``n_sample`` steps after
+    """<n> of one chain from ``seed`` over ``n_sample`` steps after
     ``burn_in``, checked for confinement, and its batch-means SE (NaN with
     fewer than two full batches)."""
-    chain = MetropolisChain(layout, model, beta, frame, rng)
+    chain = MetropolisChain(layout, model, beta, seed.frame, rng, _seed_state=seed)
     if burn_in:
         chain.run(burn_in, accumulate=False)
     chain.run(n_sample)
@@ -354,8 +392,8 @@ def decode_single_temperature(
     ses: dict[EquivalenceClass, float] = {}
     for cls in EQUIV_CLASSES:
         scores[cls], ses[cls] = _chain_mean(
-            layout, model, cfg.beta_star, seeds.frame_for(cls), rngs[cls.index],
-            cfg.n_sample, cfg.burn_in,
+            layout, model, cfg.beta_star, _SeedState(layout, model, seeds.frame_for(cls)),
+            rngs[cls.index], cfg.n_sample, cfg.burn_in,
         )
     cls = _pick_class(scores)
     return DecoderVerdict(cls, scores, seeds.frame_for(cls), detail={"se": ses})
@@ -402,11 +440,13 @@ def decode_free_energy(
     """Thermodynamic-integration decoder.
 
     Samples <n> per class at each positive grid temperature (n_sample steps
-    each, fresh chain from the class seed), substitutes the closed form at
+    each, a fresh chain from the class seed, whose local states and count are
+    computed once per class), substitutes the closed form at
     beta = 0, integrates with composite Simpson, and corrects per the class
     with the smallest integral, i.e. the largest log Z = n_stab log 2 -
     integral.  Per-class estimates are attached as ``detail["free_energy"]``.
     """
+    _check_count("n_sample", n_sample, 1)
     temps = np.asarray(temps, dtype=float)
     if len(temps) < 3 or len(temps) % 2 == 0:
         raise InvalidParameterError("temperature grid must have an odd count >= 3")
@@ -429,9 +469,10 @@ def decode_free_energy(
         means = np.empty(len(temps))
         ses = np.zeros(len(temps))
         means[0] = zero_temperature_score(model, layout)
+        seed = _SeedState(layout, model, seeds.frame_for(cls))
         for k, beta in enumerate(temps[1:], start=1):
             means[k], ses[k] = _chain_mean(
-                layout, model, float(beta), seeds.frame_for(cls), rngs[cls.index], n_sample
+                layout, model, float(beta), seed, rngs[cls.index], n_sample
             )
         integral = simpson(means, temps)
         # NaN as soon as one positive-temperature chain has no standard error
@@ -586,6 +627,8 @@ def run_parallel_sweep(
     those of a ``MetropolisChain``, which keeps the frame, its local states
     and count for the whole run and checks its confinement at the end.
     """
+    _check_count("n_steps", n_steps, 1)
+    _check_count("burn_in", burn_in, 0)
     chain = MetropolisChain(layout, model, beta, frame, rng)
     group_rects = [
         [schedule.rectangles[r].stab_indices for r in group] for group in schedule.groups
@@ -598,13 +641,13 @@ def run_parallel_sweep(
     while done < n_steps:
         todo = min(chunk, n_steps - done) if done >= 0 else -done
         pick = rng.random(size=(todo, max_rects)).tolist()
-        us = rng.random(size=(todo, max_rects)).tolist()
+        levels = chain._levels(rng.random(size=(todo, max_rects)))
         chunk_cum = 0
         for i in range(todo):
             rects = group_rects[(done + i) % n_groups]
             row_pick = pick[i]
             idx = [ids[int(row_pick[k] * len(ids))] for k, ids in enumerate(rects)]
-            chain._moves(idx, us[i])
+            chain._moves(idx, levels[i])
             chunk_cum += chain.current_n
         if done >= 0:
             chain._accumulate(todo, chunk_cum)

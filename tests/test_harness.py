@@ -369,6 +369,7 @@ def test_cli_config_errors(tmp_path, capsys):
         ["scaling-probe", "--p", "0", "--L", "3", "--seed", "1"],
         ["fatal-patterns", "--L", ""],
         ["oracle-check", "--seed", "-1", "--syndromes", "2"],
+        ["oracle-check", "--syndromes", "2", "--n-sample-factor", "0"],
         # bad flag values and unknown flags, caught by the parser
         ["campaign", "--L", "3,x", "--p", "0.1", "--seed", "1"],
         ["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--trials", "abc"],

@@ -45,10 +45,20 @@ def seeded_chain_set(layout, rng, model=MODEL):
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
-        SingleTempConfig(1.0, 0)
-    with pytest.raises(InvalidParameterError):
-        SingleTempConfig(1.0, 10, burn_in=-1)
+    for args, kwargs, name in (
+        ((1.0, 0), {}, "n_sample"),
+        ((1.0, 10), {"burn_in": -1}, "burn_in"),
+        # non-integer step counts used to fail only later, inside ``run``
+        ((1.0, 2.5), {}, "n_sample"),
+        ((1.0, 10), {"burn_in": 1.5}, "burn_in"),
+        # NaN used to fail only when a chain was built
+        ((math.nan, 10), {}, "beta_star"),
+        ((-0.5, 10), {}, "beta_star"),
+    ):
+        with pytest.raises(InvalidParameterError, match=name):
+            SingleTempConfig(*args, **kwargs)
+    cfg = SingleTempConfig(math.inf, np.int64(5), burn_in=np.int64(0))
+    assert cfg.n_sample == 5
 
 
 def test_default_config(layout4):
@@ -232,6 +242,75 @@ def test_free_energy_rejects_bad_grids(layout3, rng):
         )
 
 
+@pytest.mark.parametrize("n_sample", [0, -5, 2.5])
+def test_free_energy_rejects_bad_sample_count(layout3, rng, n_sample):
+    syn, _, chain_set = seeded_chain_set(layout3, rng)
+    with pytest.raises(InvalidParameterError, match="n_sample"):
+        decode_free_energy(
+            layout3, syn, MODEL, free_energy_temperatures(MODEL, 3), n_sample, chain_set,
+            np.random.SeedSequence(0),
+        )
+
+
+def test_free_energy_equals_independent_chains(layout3, rng):
+    # one seed state per class must not move a bit: rebuild every chain on
+    # its own from the class seed frame and the class's RNG stream
+    syn, _, chain_set = seeded_chain_set(layout3, rng)
+    temps = free_energy_temperatures(MODEL, 21)
+    n_sample = 3000  # three batches, two full: a finite standard error
+    verdict = decode_free_energy(
+        layout3, syn, MODEL, temps, n_sample, chain_set, np.random.SeedSequence(31)
+    )
+    rngs = mcmc._class_chain_rngs(np.random.SeedSequence(31))
+    for cls in EQUIV_CLASSES:
+        means, ses = [zero_temperature_score(MODEL, layout3)], [0.0]
+        for beta in temps[1:]:
+            chain = MetropolisChain(
+                layout3, MODEL, float(beta), chain_set.frame_for(cls), rngs[cls.index]
+            )
+            chain.run(n_sample)
+            means.append(chain.estimate)
+            ses.append(chain.standard_error())
+        est = verdict.detail["free_energy"][cls]
+        assert est.means.tolist() == means and est.ses.tolist() == ses
+
+
+def test_decoders_build_and_run_chains_through_the_traced_methods(layout3, rng, monkeypatch):
+    # the benchmark counts chains at MetropolisChain.__init__ and steps at
+    # MetropolisChain.run; every chain must pass both and verify_confinement
+    counts = {"chains": 0, "steps": 0, "verified": 0}
+    init, run, verify = (
+        MetropolisChain.__init__, MetropolisChain.run, MetropolisChain.verify_confinement
+    )
+
+    def counted_init(self, *args, **kwargs):
+        counts["chains"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_run(self, n_steps, accumulate=True):
+        counts["steps"] += n_steps
+        run(self, n_steps, accumulate)
+
+    def counted_verify(self):
+        counts["verified"] += 1
+        verify(self)
+
+    monkeypatch.setattr(MetropolisChain, "__init__", counted_init)
+    monkeypatch.setattr(MetropolisChain, "run", counted_run)
+    monkeypatch.setattr(MetropolisChain, "verify_confinement", counted_verify)
+    syn, _, chain_set = seeded_chain_set(layout3, rng)
+    n_sample = 81
+    decode_free_energy(
+        layout3, syn, MODEL, free_energy_temperatures(MODEL, 21), n_sample, chain_set,
+        np.random.SeedSequence(2),
+    )
+    assert counts == {"chains": 4 * 20, "steps": 4 * 20 * n_sample, "verified": 4 * 20}
+    counts.update(chains=0, steps=0, verified=0)
+    cfg = SingleTempConfig(BB, n_sample, burn_in=17)
+    decode_single_temperature(layout3, syn, MODEL, cfg, chain_set, np.random.SeedSequence(3))
+    assert counts == {"chains": 4, "steps": 4 * (17 + n_sample), "verified": 4}
+
+
 def test_free_energy_log_z_matches_oracle(layout3, rng):
     syn, _, chain_set = seeded_chain_set(layout3, rng)
     temps = free_energy_temperatures(MODEL, 21)
@@ -361,6 +440,21 @@ def test_degenerate_schedule_is_sequential(layout3):
     assert result.steps == 2000
 
 
+@pytest.mark.parametrize(
+    "n_steps, burn_in, name",
+    [(10, -4, "burn_in"), (0, 0, "n_steps"), (-3, 0, "n_steps"), (2.5, 0, "n_steps"),
+     (10, 1.5, "burn_in")],
+)
+def test_parallel_sweep_rejects_bad_step_counts(layout3, n_steps, burn_in, name):
+    # a negative burn-in used to run fewer steps than SweepResult.steps reported
+    sched = parallel_sweep_schedule(layout3, rectangle_size=2)
+    with pytest.raises(InvalidParameterError, match=name):
+        run_parallel_sweep(
+            layout3, MODEL, BB, layout3.identity_frame(), sched, n_steps,
+            np.random.default_rng(3), burn_in=burn_in,
+        )
+
+
 def test_schedule_dump(layout5):
     sched = parallel_sweep_schedule(layout5, rectangle_size=2)
     text = sched.dump_text()
@@ -417,10 +511,32 @@ def test_batch_loop_matches_delta(rng, model):
                 # beta = 0 accepts every move, beta = inf only non-increasing ones
                 for beta, accepts in ((0.0, True), (math.inf, d <= 0)):
                     chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(0))
-                    cum = chain._moves([s], [0.5])
+                    cum = chain._moves([s], chain._levels(np.array([0.5])))
                     after, n_after = (moved, n + d) if accepts else (frame, n)
                     assert (chain.frame, chain.current_n, cum) == (after, n_after, n_after)
                     assert chain._states == moves.local_states(after)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_levels_decide_as_the_threshold_test(layout3, model):
+    # accepting iff Delta n <= level must be u < exp(-beta Delta n) (always
+    # for Delta n <= 0), also for u on a threshold and on its neighbours
+    temps = free_energy_temperatures(model, 21)
+    for beta in (0.0, math.inf, beta_bar(model), *map(float, temps[1:])):
+        chain = MetropolisChain(
+            layout3, model, beta, layout3.identity_frame(), np.random.default_rng(0)
+        )
+        thresholds = [math.exp(-beta * d) for d in (1, 2, 3, 4)]
+        assert chain._thresholds.tolist() == sorted(thresholds)
+        us = [0.0, np.nextafter(1.0, 0.0)]
+        for t in thresholds:
+            us += [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)]
+        us = sorted({float(u) for u in us if 0.0 <= u < 1.0})
+        levels = chain._levels(np.array(us))
+        assert levels == [chain._levels(np.array([[u]]))[0][0] for u in us]
+        for u, k in zip(us, levels):
+            for d in range(-4, 5):
+                assert (d <= k) == (d <= 0 or u < math.exp(-beta * d)), (beta, u, d)
 
 
 @pytest.mark.parametrize("L", [3, 4, 7])
