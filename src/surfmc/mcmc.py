@@ -278,7 +278,8 @@ class MetropolisChain:
 
     def step(self) -> None:
         """Advance by one proposal and accumulate the post-move count."""
-        # scalar draws continue the stream exactly as size-1 block draws would
+        # scalar and size-1 block draws continue the stream alike, so this is
+        # run(1) without the batch record
         s = int(self.rng.integers(0, len(self._local.masks)))
         levels = self._levels(self.rng.random(size=1))
         self.cumulative_n += self._moves([s], levels)
@@ -441,10 +442,9 @@ def decode_free_energy(
 
     Samples <n> per class at each positive grid temperature (n_sample steps
     each, a fresh chain from the class seed, whose local states and count are
-    computed once per class), substitutes the closed form at
-    beta = 0, integrates with composite Simpson, and corrects per the class
-    with the smallest integral, i.e. the largest log Z = n_stab log 2 -
-    integral.  Per-class estimates are attached as ``detail["free_energy"]``.
+    computed once per class), substitutes the closed form at beta = 0,
+    integrates with composite Simpson, and corrects per the class with the
+    smallest integral, i.e. the largest log Z = n_stab log 2 - integral.  Per-class estimates are attached as ``detail["free_energy"]``.
     """
     _check_count("n_sample", n_sample, 1)
     temps = np.asarray(temps, dtype=float)
