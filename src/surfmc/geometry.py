@@ -19,6 +19,8 @@ Reference logicals: ``X_L`` is sigma-x on every qubit of column ``c = 0`` and
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
@@ -237,6 +239,16 @@ class CodeLayout:
             qs = ",".join(str(q) for q in s.qubits)
             lines.append(f"stab {s.index} {s.kind} ({s.coord[0]},{s.coord[1]}) qubits={qs}")
         return "\n".join(lines) + "\n"
+
+
+def _per_layout(cache: dict, layout: CodeLayout, build: Callable[[CodeLayout], object]):
+    """``build(layout)``, kept in ``cache`` under ``id(layout)`` until the
+    layout is garbage-collected, so tables derived from a layout are built once."""
+    value = cache.get(id(layout))
+    if value is None:
+        value = cache[id(layout)] = build(layout)
+        weakref.finalize(layout, cache.pop, id(layout))
+    return value
 
 
 def build_layout(L: int) -> CodeLayout:

@@ -44,6 +44,7 @@ when equally-short paths could have been routed through a shared qubit.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from collections.abc import Sequence
@@ -59,7 +60,14 @@ from .geometry import (
     PauliFrame,
     Syndrome,
 )
-from .noise import NoiseModel, chain_energy, qubit_energy_weights, score_delta
+from .noise import (
+    NoiseModel,
+    _delta_table,
+    _layout_moves,
+    chain_energy,
+    qubit_energy_weights,
+    score_delta,
+)
 
 SPECIES_P = "p"  # violated Z-stabilizers, repaired with sigma-x chains
 SPECIES_S = "s"  # violated X-stabilizers, repaired with sigma-z chains
@@ -183,28 +191,14 @@ def decode_standard(layout: CodeLayout, syndrome: Syndrome, model: NoiseModel) -
 _PLATEAU_TOL = 1e-12
 
 
-def _refinement_moves(layout: CodeLayout) -> list[tuple[int, bool]]:
-    """Stabilizer moves plus logical-translation compounds, as (mask, x_plane).
-
-    The compounds are products of one full stabilizer column (or row); they
-    shift a logical-operator line sideways by one step, letting the descent
-    hop the unit energy barrier between parallel logical representatives.
-    """
-    moves: list[tuple[int, bool]] = [(s.mask, s.kind == "X") for s in layout.stabilizers]
-    span = layout.span
-    for c in range(1, span, 2):  # X-stabilizer column c: x on columns c-1 and c+1
-        mask = 0
-        for s in layout.x_stabilizers:
-            if s.coord[1] == c:
-                mask ^= s.mask
-        moves.append((mask, True))
-    for r in range(1, span, 2):  # Z-stabilizer row r: z on rows r-1 and r+1
-        mask = 0
-        for s in layout.z_stabilizers:
-            if s.coord[0] == r:
-                mask ^= s.mask
-        moves.append((mask, False))
-    return moves
+@functools.lru_cache(maxsize=64)
+def _energy_tables(model: NoiseModel) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Energy change w * Delta n of a single-stabilizer move, indexed by the
+    stabilizer's local state: (z-plane table, x-plane table), built from the
+    model's Delta n table once per model."""
+    w_x, _, w_z = qubit_energy_weights(model)
+    table = _delta_table(model)
+    return tuple(w_z * d for d in table), tuple(w_x * d for d in table)
 
 
 def refine_frame(
@@ -219,16 +213,36 @@ def refine_frame(
     Breadth-first search over at most ``plateau_budget`` states, so plateaus
     of equally-short reroutings are crossed and every downhill basin reachable
     through them is inspected rather than greedily committing to the first
-    one.  Deterministic, and never leaves the syndrome/class orbit.  The
-    energy of a move is its plane's weight times the Metropolis count change.
+    one.  Deterministic, and never leaves the syndrome/class orbit; a frame of
+    another layout is rejected.  The moves are every stabilizer, then the
+    logical-translation compounds of the layout's move tables (one full
+    X-stabilizer column or Z-stabilizer row).  The energy of a move is its
+    plane's weight times the Metropolis count change.  Each queued state
+    carries the local states of all stabilizers (a child's are its parent's
+    XORed with the move's flip list), so a single-stabilizer move costs one
+    lookup in the model's table of w * Delta n, built from the Delta n table
+    that ``mcmc.MetropolisChain`` reads; a compound calls
+    ``noise.score_delta``.  Those n_stab ints per queued state are the
+    descent's memory: one L = 11 descent at a budget of 50,000 states peaks
+    near 80 MB of Python objects, about 7x what the frames alone take; at the
+    default budgets it stays under 1 MB.
     """
-    delta = score_delta(model)
+    if frame.n_qubits != layout.n_qubits:
+        raise InvalidParameterError(
+            f"frame has {frame.n_qubits} qubits, the layout {layout.n_qubits}"
+        )
     weights = qubit_energy_weights(model)
-    if plateau_budget <= 0 or not all(map(math.isfinite, weights)):
+    # the start alone fills a budget of 1
+    if plateau_budget <= 1 or not all(map(math.isfinite, weights)):
         return frame.copy()
+    local = _layout_moves(layout)
+    delta = score_delta(model)
     w_x, _, w_z = weights
-    moves = [(mask, x_plane, w_x if x_plane else w_z)
-             for mask, x_plane in _refinement_moves(layout)]
+    tables = _energy_tables(model)
+    singles = [(tables[x_plane], mask, x_plane, flips)
+               for mask, x_plane, flips in zip(local.masks, local.x_kind, local.flips)]
+    compounds = [(mask, x_plane, w_x if x_plane else w_z, flips)
+                 for mask, x_plane, flips in local.compounds]
     # allow excursions one error above the start so equal-weight reroutings
     # separated by a unit barrier are still reached
     ceiling = max(weights) + _PLATEAU_TOL
@@ -236,25 +250,39 @@ def refine_frame(
     best = start
     best_e = 0.0  # energies tracked relative to the start frame
     visited = {start}
-    queue = deque([(frame.x, frame.z, 0.0)])
+    queue = deque([(frame.x, frame.z, 0.0, local.local_states(frame))])
+
+    def enqueue(key, ne, states, flips) -> bool:
+        """Queue an unseen state reached by a move with flip list ``flips``;
+        True once ``visited`` has reached the budget."""
+        nonlocal best, best_e
+        visited.add(key)
+        child = states.copy()
+        for t, bits in flips:
+            child[t] ^= bits
+        queue.append((*key, ne, child))
+        if ne < best_e - 1e-9:
+            best = key
+            best_e = ne
+        return len(visited) >= plateau_budget
+
     while queue:
-        x, z, e = queue.popleft()
-        for mask, x_plane, w in moves:
-            if len(visited) >= plateau_budget:
-                queue.clear()
-                break
+        x, z, e, states = queue.popleft()
+        for (table, mask, x_plane, flips), state in zip(singles, states):
+            ne = e + table[state]
+            if ne > ceiling:
+                continue
+            key = (x ^ mask, z) if x_plane else (x, z ^ mask)
+            if key not in visited and enqueue(key, ne, states, flips):
+                return PauliFrame(frame.n_qubits, *best)
+        for mask, x_plane, w, flips in compounds:
             ne = e + w * delta(x, z, mask, x_plane)
             if ne > ceiling:
                 continue
             key = (x ^ mask, z) if x_plane else (x, z ^ mask)
-            if key in visited:
-                continue
-            visited.add(key)
-            queue.append((key[0], key[1], ne))
-            if ne < best_e - 1e-9:
-                best = key
-                best_e = ne
-    return PauliFrame(frame.n_qubits, best[0], best[1])
+            if key not in visited and enqueue(key, ne, states, flips):
+                return PauliFrame(frame.n_qubits, *best)
+    return PauliFrame(frame.n_qubits, *best)
 
 
 #: (chain, matching weight, boundary exits) of one class-pure matching

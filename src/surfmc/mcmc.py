@@ -11,9 +11,10 @@ exp(-beta * Delta n) otherwise, then accumulates the post-move count.
 ``MetropolisChain`` reads Delta n from a table indexed by the stabilizer's
 local state (the x and z bits of its support, at most 8 bits) and updates
 the local states of the at most nine overlapping stabilizers only when a
-move is accepted.  The table is built from ``noise.score_delta``, the
-reference Delta n on arbitrary masks, which the refinement descent and the
-spacetime chain call directly.
+move is accepted.  The table and the layout's local-state machinery live in
+``noise``, next to ``score_delta`` from which the table is built; the
+refinement descent in ``matching`` reads the same table, and the spacetime
+chain calls ``score_delta`` directly.
 
 The accept test works on integer acceptance levels.  A uniform draw u in
 [0, 1) has level k, the number of the four thresholds exp(-beta * d),
@@ -35,9 +36,9 @@ partition's proposals.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -46,7 +47,8 @@ import numpy as np
 from .errors import DecoderInternalError, InvalidParameterError
 from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
-from .noise import INDEPENDENT_XZ, NoiseModel, beta_bar, error_score, score_delta
+from .noise import INDEPENDENT_XZ, NoiseModel, _delta_table, _layout_moves, beta_bar, error_score
+from .noise import _LAYOUT_MOVES  # noqa: F401  (the layout-move cache, read by the tests here)
 from .stats import simpson
 
 _CHUNK_BATCHES = 32
@@ -102,93 +104,15 @@ def batch_means_se(batch_sums: list[tuple[int, int]]) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(len(means)))
 
 
-# A stabilizer's local state: bit i is its own plane's bit (x for an X
-# stabilizer, z for a Z one) on its i-th support qubit, bit 4 + i the other
-# plane's.  4-qubit supports index the Delta n table directly; 3-qubit ones
-# carry the offset of the table's second block above the 8 bits moves flip.
-_OFFSET_3 = 256
-_BIT_WEIGHTS = np.array([1 << i for i in range(8)], dtype=np.uint8)
-
-
-class _LayoutMoves:
-    """The layout's side of the table-driven move, built once per layout:
-    masks, kinds, block offsets, the bit gather behind ``local_states``, and
-    each stabilizer's flip list."""
-
-    def __init__(self, layout: CodeLayout):
-        stabs = layout.stabilizers
-        nq = layout.n_qubits
-        self.n_qubits = nq
-        self.masks = [s.mask for s in stabs]
-        self.x_kind = [s.kind == "X" for s in stabs]
-        self.offsets = np.array([_OFFSET_3 * (len(s.qubits) == 3) for s in stabs])
-        # states are gathered from the bits of x | z << nq; its bit 2 nq is
-        # always clear and stands in for the missing qubit of 3-qubit supports
-        pad = [2 * nq] * 4
-        self.n_bytes = 2 * nq // 8 + 1
-        gather = []
-        for s in stabs:
-            xs = (list(s.qubits) + pad)[:4]
-            zs = ([nq + q for q in s.qubits] + pad)[:4]
-            gather.append(xs + zs if s.kind == "X" else zs + xs)
-        self.gather = np.array(gather)
-        # flips[s]: (t, bits) for every stabilizer t sharing a qubit with s,
-        # itself included; accepting s XORs bits into t's local state
-        holders: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
-        for t, stab in enumerate(stabs):
-            for i, q in enumerate(stab.qubits):
-                holders[q].append((t, i))
-        self.flips = []
-        for stab in stabs:
-            bits: dict[int, int] = {}
-            for q in stab.qubits:
-                for t, i in holders[q]:
-                    plane = 0 if stabs[t].kind == stab.kind else 4
-                    bits[t] = bits.get(t, 0) | 1 << (plane + i)
-            self.flips.append(tuple(bits.items()))
-
-    def local_states(self, frame: PauliFrame) -> list[int]:
-        """Every stabilizer's Delta n table index in ``frame``."""
-        if frame.n_qubits != self.n_qubits:
-            raise InvalidParameterError(
-                f"frame has {frame.n_qubits} qubits, the layout {self.n_qubits}"
-            )
-        packed = (frame.x | frame.z << self.n_qubits).to_bytes(self.n_bytes, "little")
-        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
-        return (self.offsets | bits[self.gather] @ _BIT_WEIGHTS).tolist()
-
-
-_LAYOUT_MOVES: dict[int, _LayoutMoves] = {}  # by id(layout), dropped with it
-_DELTA_TABLES: dict[str, list[int]] = {}     # by model kind
-
-
-def _layout_moves(layout: CodeLayout) -> _LayoutMoves:
-    moves = _LAYOUT_MOVES.get(id(layout))
-    if moves is None:
-        moves = _LAYOUT_MOVES[id(layout)] = _LayoutMoves(layout)
-        weakref.finalize(layout, _LAYOUT_MOVES.pop, id(layout))
-    return moves
-
-
-def _delta_table(model: NoiseModel) -> list[int]:
-    """Delta n indexed by local state: ``noise.score_delta`` evaluated once per
-    model kind on every local state of a 4- and then a 3-qubit support."""
-    table = _DELTA_TABLES.get(model.kind)
-    if table is None:
-        delta = score_delta(model)
-        table = _DELTA_TABLES[model.kind] = [
-            delta(state & 15, state >> 4, mask, True)
-            for mask in (0b1111, 0b111)
-            for state in range(256)
-        ]
-    return table
-
-
+@functools.lru_cache(maxsize=256)
 def _thresholds(beta: float) -> np.ndarray:
     """The acceptance probabilities exp(-beta * d) of Delta n = d = 4, 3, 2, 1,
-    in ascending order for ``np.searchsorted``."""
+    in ascending order for ``np.searchsorted``; read-only, shared by every
+    chain at ``beta``."""
     # Delta n of a single 3-4 qubit stabilizer move is at most 4
-    return np.array([math.exp(-beta * d) for d in (4, 3, 2, 1)])
+    thresholds = np.array([math.exp(-beta * d) for d in (4, 3, 2, 1)])
+    thresholds.setflags(write=False)
+    return thresholds
 
 
 class _SeedState:

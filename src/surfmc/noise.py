@@ -6,6 +6,14 @@ depolarizing noise, and independent bit and phase flips.  For depolarizing
 noise the relative probability of an error chain with n single-qubit errors
 is exp(-beta_bar * n) with beta_bar = -log((p/3)/(1-p)), which is what the
 Metropolis decoders sample.
+
+The count change Delta n of flipping a mask in one plane is written once, as
+``score_delta``.  For single-stabilizer moves it is also tabulated by the
+stabilizer's local state (the x and z bits of its 3-4 qubits): the table
+(``_delta_table``, once per model kind) and the layout's side of it
+(``_layout_moves``: each stabilizer's local-state gather and the flip lists
+that keep local states current after a move, once per layout) serve both
+the Metropolis chains of ``mcmc`` and the refinement descent of ``matching``.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import CodeLayout, PauliFrame
+from .geometry import CodeLayout, PauliFrame, _per_layout
 
 DEPOLARIZING = "depolarizing"
 INDEPENDENT_XZ = "independent_xz"
@@ -173,6 +181,102 @@ def score_delta(model: NoiseModel) -> Callable[[int, int, int, bool], int]:
     much ``error_score`` of the frame (x, z) changes when ``mask`` is flipped
     in its x plane (else its z plane)."""
     return _delta_independent if model.kind == INDEPENDENT_XZ else _delta_depolarizing
+
+
+# A stabilizer's local state: bit i is its own plane's bit (x for an X
+# stabilizer, z for a Z one) on its i-th support qubit, bit 4 + i the other
+# plane's.  4-qubit supports index the Delta n table directly; 3-qubit ones
+# carry the offset of the table's second block above the 8 bits moves flip.
+_OFFSET_3 = 256
+_BIT_WEIGHTS = np.array([1 << i for i in range(8)], dtype=np.uint8)
+
+
+class _LayoutMoves:
+    """The layout's side of the table-driven move, built once per layout:
+    masks, kinds, block offsets, the bit gather behind ``local_states``, each
+    stabilizer's flip list, and the compound moves of the refinement descent."""
+
+    def __init__(self, layout: CodeLayout):
+        stabs = layout.stabilizers
+        nq = layout.n_qubits
+        self.n_qubits = nq
+        self.masks = [s.mask for s in stabs]
+        self.x_kind = [s.kind == "X" for s in stabs]
+        self.offsets = np.array([_OFFSET_3 * (len(s.qubits) == 3) for s in stabs])
+        # states are gathered from the bits of x | z << nq; its bit 2 nq is
+        # always clear and stands in for the missing qubit of 3-qubit supports
+        pad = [2 * nq] * 4
+        self.n_bytes = 2 * nq // 8 + 1
+        gather = []
+        for s in stabs:
+            xs = (list(s.qubits) + pad)[:4]
+            zs = ([nq + q for q in s.qubits] + pad)[:4]
+            gather.append(xs + zs if s.kind == "X" else zs + xs)
+        self.gather = np.array(gather)
+        # flips[s]: (t, bits) for every stabilizer t sharing a qubit with s,
+        # itself included; accepting s XORs bits into t's local state
+        holders: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
+        for t, stab in enumerate(stabs):
+            for i, q in enumerate(stab.qubits):
+                holders[q].append((t, i))
+        self.flips = []
+        for stab in stabs:
+            bits: dict[int, int] = {}
+            for q in stab.qubits:
+                for t, i in holders[q]:
+                    plane = 0 if stabs[t].kind == stab.kind else 4
+                    bits[t] = bits.get(t, 0) | 1 << (plane + i)
+            self.flips.append(tuple(bits.items()))
+        # compounds: (mask, x_plane, flips) of the product of one full
+        # X-stabilizer column (x on columns c - 1 and c + 1) or Z-stabilizer
+        # row (z on rows r - 1 and r + 1), the moves of matching.refine_frame
+        # after the single stabilizers.  They shift a logical-operator line
+        # sideways by one step, letting the descent hop the unit energy
+        # barrier between parallel logical representatives.
+        self.compounds = []
+        for kind, axis in (("X", 1), ("Z", 0)):
+            for line in range(1, layout.span, 2):
+                mask = 0
+                bits = {}
+                for s in stabs:
+                    if s.kind == kind and s.coord[axis] == line:
+                        mask ^= s.mask
+                        for t, b in self.flips[s.index]:
+                            bits[t] = bits.get(t, 0) ^ b
+                flips = tuple((t, b) for t, b in bits.items() if b)
+                self.compounds.append((mask, kind == "X", flips))
+
+    def local_states(self, frame: PauliFrame) -> list[int]:
+        """Every stabilizer's Delta n table index in ``frame``."""
+        if frame.n_qubits != self.n_qubits:
+            raise InvalidParameterError(
+                f"frame has {frame.n_qubits} qubits, the layout {self.n_qubits}"
+            )
+        packed = (frame.x | frame.z << self.n_qubits).to_bytes(self.n_bytes, "little")
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+        return (self.offsets | bits[self.gather] @ _BIT_WEIGHTS).tolist()
+
+
+_LAYOUT_MOVES: dict[int, _LayoutMoves] = {}  # by id(layout), dropped with it
+_DELTA_TABLES: dict[str, list[int]] = {}     # by model kind
+
+
+def _layout_moves(layout: CodeLayout) -> _LayoutMoves:
+    return _per_layout(_LAYOUT_MOVES, layout, _LayoutMoves)
+
+
+def _delta_table(model: NoiseModel) -> list[int]:
+    """Delta n indexed by local state: ``score_delta`` evaluated once per
+    model kind on every local state of a 4- and then a 3-qubit support."""
+    table = _DELTA_TABLES.get(model.kind)
+    if table is None:
+        delta = score_delta(model)
+        table = _DELTA_TABLES[model.kind] = [
+            delta(state & 15, state >> 4, mask, True)
+            for mask in (0b1111, 0b111)
+            for state in range(256)
+        ]
+    return table
 
 
 def sample_frame(model: NoiseModel, layout: CodeLayout, rng: np.random.Generator) -> PauliFrame:

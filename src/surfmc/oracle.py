@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
+from .geometry import (
+    EQUIV_CLASSES,
+    CodeLayout,
+    EquivalenceClass,
+    PauliFrame,
+    Syndrome,
+    _per_layout,
+)
 from .noise import DEPOLARIZING, NoiseModel, beta_bar
 from .stats import logsumexp
 
@@ -57,6 +64,20 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return table
 
 
+class _OrbitTables:
+    """A layout's side of the enumeration, built once per layout: the
+    subset-XOR tables of the X- and Z-stabilizer masks and the popcounts of
+    every n_qubits-bit word."""
+
+    def __init__(self, layout: CodeLayout):
+        self.x_flips = _subset_xor([s.mask for s in layout.x_stabilizers])
+        self.z_flips = _subset_xor([s.mask for s in layout.z_stabilizers])
+        self.popcounts = _popcounts(layout.n_qubits)
+
+
+_ORBIT_TABLES: dict[int, _OrbitTables] = {}  # by id(layout), dropped with it
+
+
 def enumerate_orbit(layout: CodeLayout, representative: PauliFrame) -> ClassOrbit:
     """Histogram the weights of representative * S over the whole stabilizer group."""
     m = layout.n_stab
@@ -64,9 +85,15 @@ def enumerate_orbit(layout: CodeLayout, representative: PauliFrame) -> ClassOrbi
         raise InvalidParameterError(
             f"orbit enumeration is desk-scale only (n_stab <= {ENUMERATION_LIMIT}, got {m})"
         )
-    xs = representative.x ^ _subset_xor([s.mask for s in layout.x_stabilizers])
-    zs = representative.z ^ _subset_xor([s.mask for s in layout.z_stabilizers])
-    weights = _popcounts(layout.n_qubits)[xs[:, None] | zs[None, :]]
+    if representative.n_qubits != layout.n_qubits:
+        raise InvalidParameterError(
+            f"representative has {representative.n_qubits} qubits, "
+            f"the layout {layout.n_qubits}"
+        )
+    tables = _per_layout(_ORBIT_TABLES, layout, _OrbitTables)
+    xs = representative.x ^ tables.x_flips
+    zs = representative.z ^ tables.z_flips
+    weights = tables.popcounts[xs[:, None] | zs[None, :]]
     counts = np.bincount(weights.ravel(), minlength=layout.n_qubits + 1).tolist()
     histogram = {w: c for w, c in enumerate(counts) if c}
     return ClassOrbit(layout.class_of(representative), representative.copy(), histogram)

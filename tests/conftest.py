@@ -1,14 +1,15 @@
 import functools
 import math
+from collections import deque
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from surfmc import InfeasibleMatchingError, Matching, build_layout, error_score
+from surfmc import InfeasibleMatchingError, Matching, PauliFrame, build_layout, error_score
 from surfmc.harness import CSV_HEADER
-from surfmc.noise import score_delta
+from surfmc.noise import qubit_energy_weights, score_delta
 
 
 @pytest.fixture(scope="session")
@@ -207,3 +208,65 @@ def reference_metropolis(layout, model, beta, frame, rng, plan):
                 steps += todo
                 batch_sums.append((todo, cum))
     return (x, z), cumulative, steps, batch_sums
+
+
+def reference_refinement_moves(layout) -> list[tuple[int, bool]]:
+    """Stabilizer moves plus logical-translation compounds, as (mask, x_plane),
+    in the order the refinement descent tries them.
+
+    The compounds are products of one full stabilizer column (or row); they
+    shift a logical-operator line sideways by one step.
+    """
+    moves: list[tuple[int, bool]] = [(s.mask, s.kind == "X") for s in layout.stabilizers]
+    span = layout.span
+    for c in range(1, span, 2):  # X-stabilizer column c: x on columns c-1 and c+1
+        mask = 0
+        for s in layout.x_stabilizers:
+            if s.coord[1] == c:
+                mask ^= s.mask
+        moves.append((mask, True))
+    for r in range(1, span, 2):  # Z-stabilizer row r: z on rows r-1 and r+1
+        mask = 0
+        for s in layout.z_stabilizers:
+            if s.coord[0] == r:
+                mask ^= s.mask
+        moves.append((mask, False))
+    return moves
+
+
+def reference_refine_frame(layout, model, frame, plateau_budget):
+    """Reference for ``matching.refine_frame``: the same breadth-first descent
+    with every move's Delta n from ``noise.score_delta`` on the whole frame."""
+    delta = score_delta(model)
+    weights = qubit_energy_weights(model)
+    if plateau_budget <= 0 or not all(map(math.isfinite, weights)):
+        return frame.copy()
+    w_x, _, w_z = weights
+    moves = [(mask, x_plane, w_x if x_plane else w_z)
+             for mask, x_plane in reference_refinement_moves(layout)]
+    # allow excursions one error above the start so equal-weight reroutings
+    # separated by a unit barrier are still reached
+    ceiling = max(weights) + 1e-12
+    start = (frame.x, frame.z)
+    best = start
+    best_e = 0.0  # energies tracked relative to the start frame
+    visited = {start}
+    queue = deque([(frame.x, frame.z, 0.0)])
+    while queue:
+        x, z, e = queue.popleft()
+        for mask, x_plane, w in moves:
+            if len(visited) >= plateau_budget:
+                queue.clear()
+                break
+            ne = e + w * delta(x, z, mask, x_plane)
+            if ne > ceiling:
+                continue
+            key = (x ^ mask, z) if x_plane else (x, z ^ mask)
+            if key in visited:
+                continue
+            visited.add(key)
+            queue.append((key[0], key[1], ne))
+            if ne < best_e - 1e-9:
+                best = key
+                best_e = ne
+    return PauliFrame(frame.n_qubits, best[0], best[1])

@@ -8,6 +8,8 @@ from conftest import (
     brute_force_free_boundary_weight,
     brute_force_min_matching,
     networkx_min_weight_perfect_matching,
+    reference_refine_frame,
+    reference_refinement_moves,
 )
 from surfmc import (
     CLASS_I,
@@ -34,7 +36,8 @@ from surfmc.matching import (
     boundary_distances,
     class_chain,
 )
-from surfmc import blossom, matching
+from surfmc import blossom, matching, sample_frame
+from surfmc.noise import _layout_moves
 from surfmc.oracle import enumerate_orbit
 
 MODEL = NoiseModel.depolarizing(0.1)
@@ -617,3 +620,46 @@ def test_refine_independent_noise_keeps_syndrome_and_class(layout5, rng):
         assert layout5.syndrome_of(refined) == syn
         assert layout5.class_of(refined) == layout5.class_of(frame)
         assert chain_energy(model, refined) <= chain_energy(model, frame) + 1e-9
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 11])
+@pytest.mark.parametrize(
+    "model", [NoiseModel.depolarizing(0.13), NoiseModel.independent_xz(0.12, 0.07)]
+)
+def test_refine_matches_reference_descent(L, model):
+    # the table-driven descent must return the frame of the one that calls
+    # score_delta on every move: same move order, ceiling, ties and budget stop
+    layout = build_layout(L)
+    rng = np.random.default_rng(100 + L)
+    _, hypotheses = decode_enhanced(
+        layout, layout.syndrome_of(sample_frame(model, layout, rng)), model, refine_steps=0
+    )
+    raw = [sample_frame(p, layout, rng) for p in (model, NoiseModel.depolarizing(0.3))]
+    for frame in (*hypotheses.frames, *raw):
+        for budget in (1, 2, 7, 256, 4096):
+            refined = refine_frame(layout, model, frame, budget)
+            assert refined == reference_refine_frame(layout, model, frame, budget), budget
+
+
+@pytest.mark.parametrize("L", [2, 3, 6])
+def test_compound_flip_lists_follow_frame(L, rng):
+    layout = build_layout(L)
+    local = _layout_moves(layout)
+    compounds = reference_refinement_moves(layout)[layout.n_stab:]
+    assert [(mask, x_plane) for mask, x_plane, _ in local.compounds] == compounds
+    for _ in range(5):
+        frame = sample_frame(NoiseModel.depolarizing(0.4), layout, rng)
+        states = local.local_states(frame)
+        for mask, x_plane, flips in local.compounds:
+            moved = PauliFrame(layout.n_qubits, mask if x_plane else 0, 0 if x_plane else mask)
+            expect = states.copy()
+            for t, bits in flips:
+                expect[t] ^= bits
+            assert local.local_states(frame * moved) == expect
+
+
+def test_refine_rejects_frame_of_another_layout(layout3, layout5, rng):
+    frame = sample_frame(MODEL, layout5, rng)
+    for budget in (0, 256):
+        with pytest.raises(InvalidParameterError):
+            refine_frame(layout3, MODEL, frame, budget)

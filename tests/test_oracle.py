@@ -50,6 +50,13 @@ def test_enumeration_bound():
         enumerate_orbit(lay, lay.identity_frame())
 
 
+def test_orbit_rejects_representative_of_another_layout(layout3, rng):
+    for L in (2, 5):
+        lay = build_layout(L)
+        with pytest.raises(InvalidParameterError):
+            enumerate_orbit(layout3, sample_frame(MODEL, lay, rng))
+
+
 def test_boltzmann_limits(layout3):
     q = layout3.qubit_index[(2, 2)]
     rep = PauliFrame.from_paulis(layout3.n_qubits, {q: "X"})
