@@ -98,7 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle-check", help="sampler vs exact enumeration at desk scale")
     oracle.add_argument("--L", type=int, default=3)
     oracle.add_argument("--p", type=float, default=0.1)
-    oracle.add_argument("--syndromes", type=int, default=300)
+    oracle.add_argument(
+        "--syndromes", type=int, default=300,
+        help="syndromes to compare (default 300); the pass bar is calibrated on the same "
+        "syndromes, so a sound sampler can fail by chance at small counts: keep 300 or more",
+    )
     oracle.add_argument("--n-sample-factor", type=int, default=10)
     oracle.add_argument("--seed", type=int, default=2024)
     return parser

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numbers
 
 
 class InvalidParameterError(ValueError):
@@ -23,3 +25,9 @@ class ConfigError(ValueError):
 
 class DecoderInternalError(RuntimeError):
     """A decoder invariant (syndrome/class conservation) was violated."""
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse a step or item count that is not an integer >= ``low``."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")

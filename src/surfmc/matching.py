@@ -439,9 +439,9 @@ def decode_enhanced(
     matchings), combines them into the 2x2 class hypotheses, tightens each
     with the zero-temperature descent (``refine_steps`` is its search
     budget; ``0`` disables it and reproduces the bare matcher comparison,
-    ``None`` picks a size-dependent default), and scores them under the true correlated model.  Returns the winning
-    verdict and the per-class chain set used to seed the Monte Carlo
-    decoders.
+    ``None`` picks a size-dependent default), and scores them under the true
+    correlated model.  Returns the winning verdict and the per-class chain
+    set used to seed the Monte Carlo decoders.
     """
     chains = _species_chains(layout, syndrome)
     return _enhanced_from_chains(layout, syndrome, model, chains, refine_steps)

@@ -25,13 +25,15 @@ against the thresholds in ascending order, which makes the same IEEE
 comparisons as testing u against each threshold: beta = 0 gives k = 4
 (every move accepted), beta = inf gives k = 0 (only non-increasing moves).
 
-The single-temperature decoder runs one chain per equivalence class from the
-minimum-weight hypothesis of that class and picks the class with the smallest
-average count; the free-energy variant instead integrates the average count
-over an equidistant temperature grid with Simpson's rule.  A rectangle
-partition of the code allows many non-overlapping stabilizers to be probed per
-step for parallel operation; that sweep drives a ``MetropolisChain`` with the
-partition's proposals.
+Both sampling decoders run one chain per equivalence class, on that class's
+random stream, and restart it from the class's minimum-weight hypothesis at
+each inverse temperature they sample.  The single-temperature decoder samples
+beta* alone and picks the class with the smallest average count; the
+free-energy variant instead integrates the average count over an equidistant
+temperature grid with Simpson's rule.  A rectangle partition of the code
+allows many non-overlapping stabilizers to be probed per step for parallel
+operation; that sweep drives a ``MetropolisChain`` with the partition's
+proposals.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecoderInternalError, InvalidParameterError
+from .errors import DecoderInternalError, InvalidParameterError, _check_count
 from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
 from .noise import INDEPENDENT_XZ, NoiseModel, _delta_table, _layout_moves, beta_bar, error_score
@@ -68,12 +70,6 @@ class SingleTempConfig:
             raise InvalidParameterError(f"beta_star must be >= 0, got {self.beta_star}")
         _check_count("n_sample", self.n_sample, 1)
         _check_count("burn_in", self.burn_in, 0)
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """Refuse a step count that is not an integer >= ``low``."""
-    if not isinstance(value, numbers.Integral) or value < low:
-        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def default_single_temp_config(
@@ -115,25 +111,15 @@ def _thresholds(beta: float) -> np.ndarray:
     return thresholds
 
 
-class _SeedState:
-    """What a chain takes from its seed frame: a private copy of the frame
-    (for ``verify_confinement``), its local states and its error count.
-    Computed once per frame; every chain started from it copies ``states``."""
-
-    __slots__ = ("frame", "states", "n")
-
-    def __init__(self, layout: CodeLayout, model: NoiseModel, frame: PauliFrame):
-        self.states = _layout_moves(layout).local_states(frame)
-        self.n = error_score(model, frame)
-        self.frame = frame.copy()
-
-
 class MetropolisChain:
     """One Markov chain over the stabilizer orbit of its seed frame.
 
     The chain owns its frame, error count and the local states of its
     stabilizers (single writer) and keeps them across calls; a frame of
-    another layout is rejected.  ``_moves`` is the Metropolis loop: it reads
+    another layout is rejected.  The seed's copy, local states and count are
+    computed once; ``_restart``, which the constructor ends in and the
+    decoders call at each temperature, returns to them at a new beta with
+    empty tallies.  ``_moves`` is the Metropolis loop: it reads
     Delta n from the model's table (``noise.score_delta`` on every local
     state, built once per model kind) and accepts a move iff Delta n is at
     most the acceptance level of its uniform draw (``_levels``: the number of
@@ -155,28 +141,29 @@ class MetropolisChain:
         beta: float,
         frame: PauliFrame,
         rng: np.random.Generator,
-        *,
-        _seed_state: _SeedState | None = None,
     ):
-        """``_seed_state``, when given, must be ``_SeedState(layout, model,
-        frame)``; a caller that starts many chains from one frame builds it once."""
-        if not beta >= 0:  # also refuses NaN
-            raise InvalidParameterError(f"beta must be >= 0, got {beta}")
-        if _seed_state is None:
-            _seed_state = _SeedState(layout, model, frame)
         self.layout = layout
         self.rng = rng
         self._local = _layout_moves(layout)
         self._table = _delta_table(model)
+        self._seed = frame.copy()
+        self._seed_states = self._local.local_states(frame)
+        self._seed_n = error_score(model, frame)
+        self._restart(beta)
+
+    def _restart(self, beta: float) -> None:
+        """Return to the seed frame, its local states and count at inverse
+        temperature ``beta``, with empty tallies; draws nothing from ``rng``."""
+        if not beta >= 0:  # also refuses NaN
+            raise InvalidParameterError(f"beta must be >= 0, got {beta}")
         self._thresholds = _thresholds(beta)
-        self._x = frame.x
-        self._z = frame.z
-        self._states = _seed_state.states.copy()
-        self._n = _seed_state.n
+        self._x = self._seed.x
+        self._z = self._seed.z
+        self._states = self._seed_states.copy()
+        self._n = self._seed_n
         self.step_count = 0
         self.cumulative_n = 0
         self._batch_sums: list[tuple[int, int]] = []  # (steps, summed counts)
-        self._seed = _seed_state.frame
 
     @property
     def frame(self) -> PauliFrame:
@@ -244,6 +231,7 @@ class MetropolisChain:
 
     def run(self, n_steps: int, accumulate: bool = True) -> None:
         """Advance by ``n_steps`` proposals (tight loop, block-drawn randomness)."""
+        _check_count("n_steps", n_steps, 0)
         n_stab = len(self._local.masks)
         chunk_size = max(1024, n_steps // _CHUNK_BATCHES)
         done = 0
@@ -274,28 +262,42 @@ class MetropolisChain:
             raise DecoderInternalError("chain escaped its equivalence class")
 
 
-def _chain_mean(
-    layout: CodeLayout,
-    model: NoiseModel,
-    beta: float,
-    seed: _SeedState,
-    rng: np.random.Generator,
-    n_sample: int,
-    burn_in: int = 0,
-) -> tuple[float, float]:
-    """<n> of one chain from ``seed`` over ``n_sample`` steps after
-    ``burn_in``, checked for confinement, and its batch-means SE (NaN with
-    fewer than two full batches)."""
-    chain = MetropolisChain(layout, model, beta, seed.frame, rng, _seed_state=seed)
-    if burn_in:
-        chain.run(burn_in, accumulate=False)
-    chain.run(n_sample)
-    chain.verify_confinement()
-    return chain.estimate, batch_means_se(chain._batch_sums)
-
-
 def _class_chain_rngs(seed_seq: np.random.SeedSequence) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for child in seed_seq.spawn(4)]
+
+
+def _class_means(
+    layout: CodeLayout,
+    model: NoiseModel,
+    betas: list[float],
+    seeds: ClassChainSet,
+    seed_seq: np.random.SeedSequence,
+    n_sample: int,
+    burn_in: int = 0,
+) -> dict[EquivalenceClass, tuple[list[float], list[float]]]:
+    """Per class, <n> and its batch-means SE (NaN with fewer than two full
+    batches) at each of ``betas``.
+
+    One chain per class, on the class's stream, is restarted from the class
+    seed at every beta and run for ``burn_in`` then ``n_sample`` steps; its
+    confinement is checked after every beta, since the next restart would
+    hide an escape.
+    """
+    rngs = _class_chain_rngs(seed_seq)
+    sampled = {}
+    for cls in EQUIV_CLASSES:
+        chain = MetropolisChain(layout, model, betas[0], seeds.frame_for(cls), rngs[cls.index])
+        means, ses = [], []
+        for beta in betas:
+            chain._restart(beta)
+            if burn_in:
+                chain.run(burn_in, accumulate=False)
+            chain.run(n_sample)
+            chain.verify_confinement()
+            means.append(chain.estimate)
+            ses.append(batch_means_se(chain._batch_sums))
+        sampled[cls] = (means, ses)
+    return sampled
 
 
 def decode_single_temperature(
@@ -312,14 +314,11 @@ def decode_single_temperature(
     Chains start from the minimum-weight hypothesis of each class and are
     fully determined by ``seed_seq``.
     """
-    rngs = _class_chain_rngs(seed_seq)
-    scores: dict[EquivalenceClass, float] = {}
-    ses: dict[EquivalenceClass, float] = {}
-    for cls in EQUIV_CLASSES:
-        scores[cls], ses[cls] = _chain_mean(
-            layout, model, cfg.beta_star, _SeedState(layout, model, seeds.frame_for(cls)),
-            rngs[cls.index], cfg.n_sample, cfg.burn_in,
-        )
+    sampled = _class_means(
+        layout, model, [cfg.beta_star], seeds, seed_seq, cfg.n_sample, cfg.burn_in
+    )
+    scores = {cls: means[0] for cls, (means, _) in sampled.items()}
+    ses = {cls: se[0] for cls, (_, se) in sampled.items()}
     cls = _pick_class(scores)
     return DecoderVerdict(cls, scores, seeds.frame_for(cls), detail={"se": ses})
 
@@ -338,8 +337,10 @@ def zero_temperature_score(model: NoiseModel, layout: CodeLayout) -> float:
 
 def free_energy_temperatures(model: NoiseModel, count: int = 21) -> np.ndarray:
     """Equidistant inverse-temperature grid on [0, beta_bar], odd point count."""
-    if count < 3 or count % 2 == 0:
-        raise InvalidParameterError(f"temperature count must be odd and >= 3, got {count}")
+    if not isinstance(count, numbers.Integral) or count < 3 or count % 2 == 0:
+        raise InvalidParameterError(
+            f"temperature count must be an odd integer >= 3, got {count!r}"
+        )
     return np.linspace(0.0, beta_bar(model), count)
 
 
@@ -365,10 +366,11 @@ def decode_free_energy(
     """Thermodynamic-integration decoder.
 
     Samples <n> per class at each positive grid temperature (n_sample steps
-    each, a fresh chain from the class seed, whose local states and count are
-    computed once per class), substitutes the closed form at beta = 0,
-    integrates with composite Simpson, and corrects per the class with the
-    smallest integral, i.e. the largest log Z = n_stab log 2 - integral.  Per-class estimates are attached as ``detail["free_energy"]``.
+    each, from one chain per class restarted from the class seed at every
+    temperature), substitutes the closed form at beta = 0, integrates with
+    composite Simpson, and corrects per the class with the smallest integral,
+    i.e. the largest log Z = n_stab log 2 - integral.  Per-class estimates
+    are attached as ``detail["free_energy"]``.
     """
     _check_count("n_sample", n_sample, 1)
     temps = np.asarray(temps, dtype=float)
@@ -380,24 +382,18 @@ def decode_free_energy(
     if not np.allclose(steps, steps[0]):
         raise InvalidParameterError("temperature grid must be equidistant")
 
-    rngs = _class_chain_rngs(seed_seq)
     h = float(steps[0])
     simpson_coef = np.ones(len(temps))
     simpson_coef[1:-1:2] = 4.0
     simpson_coef[2:-1:2] = 2.0
     simpson_coef *= h / 3.0
 
+    sampled = _class_means(layout, model, temps[1:].tolist(), seeds, seed_seq, n_sample)
     estimates: dict[EquivalenceClass, FreeEnergyEstimate] = {}
     scores: dict[EquivalenceClass, float] = {}
-    for cls in EQUIV_CLASSES:
-        means = np.empty(len(temps))
-        ses = np.zeros(len(temps))
-        means[0] = zero_temperature_score(model, layout)
-        seed = _SeedState(layout, model, seeds.frame_for(cls))
-        for k, beta in enumerate(temps[1:], start=1):
-            means[k], ses[k] = _chain_mean(
-                layout, model, float(beta), seed, rngs[cls.index], n_sample
-            )
+    for cls, (sampled_means, sampled_ses) in sampled.items():
+        means = np.array([zero_temperature_score(model, layout), *sampled_means])
+        ses = np.array([0.0, *sampled_ses])
         integral = simpson(means, temps)
         # NaN as soon as one positive-temperature chain has no standard error
         integral_se = float(np.sqrt(np.sum((simpson_coef * ses) ** 2)))

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentHypothesisError, InvalidMoveError, InvalidParameterError
+from .errors import (
+    InconsistentHypothesisError, InvalidMoveError, InvalidParameterError, _check_count,
+)
 from .geometry import CodeLayout, EquivalenceClass, PauliFrame
 from .noise import NoiseModel, beta_bar, error_score, sample_frame, score_delta
 
@@ -257,5 +259,6 @@ class SpacetimeChain:
             self.m += dm
 
     def run(self, n_steps: int) -> None:
+        _check_count("n_steps", n_steps, 0)
         for _ in range(n_steps):
             self.step()

@@ -488,6 +488,12 @@ def test_cli_oracle_check_rejects_syndrome_count(capsys, count):
     assert "n_syndromes" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0])
+def test_oracle_check_takes_an_integer_syndrome_count(count):
+    with pytest.raises(surfmc.InvalidParameterError, match="n_syndromes"):
+        oracle_check(3, 0.1, count)
+
+
 def test_import_loads_neither_networkx_nor_scipy():
     # networkx is imported only by the tests, as the reference matcher; scipy
     # by no module, not even on the run paths: a four-algorithm campaign and

@@ -228,6 +228,21 @@ def test_free_energy_temperature_grid():
         free_energy_temperatures(MODEL, 20)
 
 
+@pytest.mark.parametrize("count", [21.0, 5.0])
+def test_free_energy_temperatures_take_an_integer_count(count):
+    with pytest.raises(InvalidParameterError, match="temperature count"):
+        free_energy_temperatures(MODEL, count)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, 3.0, -3])
+def test_chain_run_takes_an_integer_step_count(layout3, n_steps):
+    chain = MetropolisChain(layout3, MODEL, BB, layout3.identity_frame(), np.random.default_rng(0))
+    with pytest.raises(InvalidParameterError, match="n_steps"):
+        chain.run(n_steps)
+    chain.run(np.int64(2))
+    assert chain.step_count == 2
+
+
 def test_free_energy_rejects_bad_grids(layout3, rng):
     syn, _, chain_set = seeded_chain_set(layout3, rng)
     with pytest.raises(InvalidParameterError):
@@ -277,7 +292,8 @@ def test_free_energy_equals_independent_chains(layout3, rng):
 
 def test_decoders_build_and_run_chains_through_the_traced_methods(layout3, rng, monkeypatch):
     # the benchmark counts chains at MetropolisChain.__init__ and steps at
-    # MetropolisChain.run; every chain must pass both and verify_confinement
+    # MetropolisChain.run; one chain per class is built, and every
+    # temperature it samples passes run and verify_confinement
     counts = {"chains": 0, "steps": 0, "verified": 0}
     init, run, verify = (
         MetropolisChain.__init__, MetropolisChain.run, MetropolisChain.verify_confinement
@@ -304,7 +320,7 @@ def test_decoders_build_and_run_chains_through_the_traced_methods(layout3, rng, 
         layout3, syn, MODEL, free_energy_temperatures(MODEL, 21), n_sample, chain_set,
         np.random.SeedSequence(2),
     )
-    assert counts == {"chains": 4 * 20, "steps": 4 * 20 * n_sample, "verified": 4 * 20}
+    assert counts == {"chains": 4, "steps": 4 * 20 * n_sample, "verified": 4 * 20}
     counts.update(chains=0, steps=0, verified=0)
     cfg = SingleTempConfig(BB, n_sample, burn_in=17)
     decode_single_temperature(layout3, syn, MODEL, cfg, chain_set, np.random.SeedSequence(3))

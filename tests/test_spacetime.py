@@ -201,3 +201,12 @@ def test_chain_at_zero_temperature_never_raises_energy(layout3, rng):
         chain.step()
         assert chain.energy <= energy + 1e-12
         energy = chain.energy
+
+
+@pytest.mark.parametrize("n_steps", [2.5, -1])
+def test_chain_run_takes_an_integer_step_count(layout3, n_steps):
+    mm = MeasurementModel.from_probabilities(MODEL, 0.1)
+    hyp = initial_hypothesis(layout3, MeasurementRecord(3, (0, 0, 0)))
+    chain = SpacetimeChain(layout3, MODEL, mm, hyp, np.random.default_rng(0))
+    with pytest.raises(InvalidParameterError, match="n_steps"):
+        chain.run(n_steps)
