@@ -12,7 +12,9 @@ exhausted), evaluated at fixed batch boundaries.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -192,14 +194,16 @@ class _CellSpec:
     L: int
     p: float
     cell_index: int
+    model: NoiseModel
     sampler: SingleTempConfig | None  # None when beta_bar is undefined (p = 0)
+    temps: np.ndarray | None          # free-energy grid, None when p = 0
 
 
 def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
     t0 = time.perf_counter()
     cfg = spec.cfg
     layout = _cached_layout(spec.L)
-    model = make_model(cfg.model_kind, spec.p)
+    model = spec.model
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(spec.cell_index, trial, 0)))
     )
@@ -228,9 +232,9 @@ def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
                     layout, syndrome, model, spec.sampler, chain_set, seed_seq
                 )
             else:
-                temps = free_energy_temperatures(model, cfg.n_temperatures)
                 verdict = decode_free_energy(
-                    layout, syndrome, model, temps, spec.sampler.n_sample, chain_set, seed_seq
+                    layout, syndrome, model, spec.temps, spec.sampler.n_sample, chain_set,
+                    seed_seq,
                 )
         verdicts[alg] = verdict.cls.label
     successes = {alg: verdicts[alg] == true_cls.label for alg in cfg.algorithms}
@@ -261,13 +265,20 @@ def _merge_batch(cell: CampaignCell, algs: tuple[str, ...], batch: list[TrialRec
 
 
 def _cell_spec(cfg: ExperimentConfig, cell_index: int, L: int, p: float) -> _CellSpec:
-    sampler = None  # beta_bar is undefined at p = 0
+    model = make_model(cfg.model_kind, p)
+    sampler = temps = None  # beta_bar is undefined at p = 0
     if p > 0:
         sampler = default_single_temp_config(
-            make_model(cfg.model_kind, p), _cached_layout(L), cfg.n_sample,
-            cfg.beta_star_factor, cfg.burn_in,
+            model, _cached_layout(L), cfg.n_sample, cfg.beta_star_factor, cfg.burn_in,
         )
-    return _CellSpec(cfg, L, p, cell_index, sampler)
+        temps = free_energy_temperatures(model, cfg.n_temperatures)
+    return _CellSpec(cfg, L, p, cell_index, model, sampler, temps)
+
+
+def _batch_size(cfg: ExperimentConfig, start: int) -> int:
+    if cfg.max_trials is None:
+        return _BATCH_SIZE
+    return max(0, min(_BATCH_SIZE, cfg.max_trials - start))
 
 
 def _stop_reached(cfg: ExperimentConfig, cell: CampaignCell) -> bool:
@@ -296,56 +307,45 @@ def _workers(cfg: ExperimentConfig) -> int:
 
 
 def run_campaign(cfg: ExperimentConfig, keep_trials: bool = False) -> CampaignResult:
-    """Run the sweep; deterministic in (config, seed), whatever the worker count."""
+    """Run the sweep; deterministic in (config, seed), whatever the worker count.
+
+    Each round maps ``_run_trial_batch`` over one batch of trials per worker,
+    with the builtin ``map`` for one worker and a process pool's for more,
+    and merges the batches in trial-id order until the stop rule holds; the
+    trials of a round past that point are discarded.
+    """
     cfg.validate()
     workers = _workers(cfg)
     cells: list[CampaignCell] = []
-    cell_index = 0
-    executor = None
-    if workers > 1:
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    try:
-        for L in cfg.L_values:
-            for p in cfg.p_values:
-                spec = _cell_spec(cfg, cell_index, L, p)
-                cell = CampaignCell(L=L, p=p)
-                cell.failures = {a: 0 for a in cfg.algorithms}
-                cell.discordant = {
-                    (a, b): (0, 0)
-                    for i, a in enumerate(cfg.algorithms)
-                    for b in cfg.algorithms[i + 1:]
-                }
-                try:
-                    next_trial = 0
-
-                    def batch_size(start: int) -> int:
-                        if cfg.max_trials is None:
-                            return _BATCH_SIZE
-                        return max(0, min(_BATCH_SIZE, cfg.max_trials - start))
-
-                    while not _stop_reached(cfg, cell):
-                        starts = [next_trial + k * _BATCH_SIZE for k in range(max(1, workers))]
-                        sizes = [batch_size(s) for s in starts]
-                        if executor is None:
-                            batches = [_run_trial_batch(spec, starts[0], sizes[0])]
-                        else:
-                            batches = list(
-                                executor.map(_run_trial_batch, [spec] * len(starts), starts, sizes)
-                            )
-                        for batch in batches:  # merged in trial-id order
-                            _merge_batch(cell, cfg.algorithms, batch, keep_trials)
-                            next_trial += _BATCH_SIZE
-                            if _stop_reached(cfg, cell):
-                                break
-                except KeyboardInterrupt:
-                    cell.truncated = True
-                    cells.append(cell)
-                    raise _CampaignInterrupted(CampaignResult(cfg, cells))
-                cells.append(cell)
-                cell_index += 1
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        batch_map = map if pool is None else pool.map
+        for cell_index, (L, p) in enumerate(itertools.product(cfg.L_values, cfg.p_values)):
+            spec = _cell_spec(cfg, cell_index, L, p)
+            cell = CampaignCell(L=L, p=p)
+            cell.failures = {a: 0 for a in cfg.algorithms}
+            cell.discordant = {
+                (a, b): (0, 0)
+                for i, a in enumerate(cfg.algorithms)
+                for b in cfg.algorithms[i + 1:]
+            }
+            cells.append(cell)
+            try:
+                next_trial = 0
+                while not _stop_reached(cfg, cell):
+                    starts = range(next_trial, next_trial + workers * _BATCH_SIZE, _BATCH_SIZE)
+                    next_trial = starts.stop
+                    sizes = [_batch_size(cfg, s) for s in starts]
+                    # every batch of the round is read, so no worker's error is dropped
+                    batches = list(batch_map(_run_trial_batch, itertools.repeat(spec), starts,
+                                             sizes))
+                    for batch in batches:  # merged in trial-id order
+                        _merge_batch(cell, cfg.algorithms, batch, keep_trials)
+                        if _stop_reached(cfg, cell):
+                            break
+            except KeyboardInterrupt:
+                cell.truncated = True
+                raise _CampaignInterrupted(CampaignResult(cfg, cells))
     return CampaignResult(cfg, cells)
 
 

@@ -51,7 +51,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .blossom import min_weight_matching
-from .errors import DecoderInternalError, InfeasibleMatchingError, InvalidParameterError
+from .errors import (
+    DecoderInternalError,
+    InfeasibleMatchingError,
+    InvalidParameterError,
+    _check_count,
+)
 from .geometry import (
     EQUIV_CLASSES,
     CodeLayout,
@@ -231,6 +236,7 @@ def refine_frame(
         raise InvalidParameterError(
             f"frame has {frame.n_qubits} qubits, the layout {layout.n_qubits}"
         )
+    _check_count("plateau_budget", plateau_budget, 0)
     weights = qubit_energy_weights(model)
     # the start alone fills a budget of 1
     if plateau_budget <= 1 or not all(map(math.isfinite, weights)):
@@ -405,6 +411,7 @@ def _enhanced_from_chains(
 ) -> tuple[DecoderVerdict, ClassChainSet]:
     if refine_steps is None:
         refine_steps = default_plateau_budget(layout)
+    _check_count("refine_steps", refine_steps, 0)
 
     frames: list[PauliFrame | None] = [None] * 4
     for fp in (False, True):

@@ -50,7 +50,6 @@ from .errors import DecoderInternalError, InvalidParameterError, _check_count
 from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
 from .noise import INDEPENDENT_XZ, NoiseModel, _delta_table, _layout_moves, beta_bar, error_score
-from .noise import _LAYOUT_MOVES  # noqa: F401  (the layout-move cache, read by the tests here)
 from .stats import simpson
 
 _CHUNK_BATCHES = 32
@@ -469,8 +468,7 @@ def parallel_sweep_schedule(layout: CodeLayout, rectangle_size: int = 4) -> Para
     larger than the code degenerates to a single-rectangle schedule that is
     probed every step (sequential behavior).
     """
-    if rectangle_size < 2:
-        raise InvalidParameterError(f"rectangle_size must be >= 2, got {rectangle_size}")
+    _check_count("rectangle_size", rectangle_size, 2)
     span = layout.span
     units = 2 * rectangle_size
     row_bounds = _band_bounds(span, units)
@@ -549,6 +547,11 @@ def run_parallel_sweep(
     """
     _check_count("n_steps", n_steps, 1)
     _check_count("burn_in", burn_in, 0)
+    if schedule.row_bounds[-1] != layout.span or schedule.col_bounds[-1] != layout.span:
+        raise InvalidParameterError(
+            f"the schedule tiles a code of span {schedule.row_bounds[-1]}, "
+            f"the layout has span {layout.span}"
+        )
     chain = MetropolisChain(layout, model, beta, frame, rng)
     group_rects = [
         [schedule.rectangles[r].stab_indices for r in group] for group in schedule.groups

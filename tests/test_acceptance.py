@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from conftest import brute_force_free_boundary_weight, brute_force_min_matching
+from helpers import brute_force_free_boundary_weight, brute_force_min_matching
 from surfmc import (
     CLASS_I,
     EQUIV_CLASSES,

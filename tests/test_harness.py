@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import surfmc
-from conftest import read_results_csv
+from helpers import read_results_csv
 from surfmc import ConfigError, ExperimentConfig, build_layout, harness
 from surfmc.cli import main as cli_main
 from surfmc.harness import (

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (
+from helpers import (
     brute_force_class_weight,
     brute_force_free_boundary_weight,
     brute_force_min_matching,
@@ -669,6 +669,32 @@ def test_compound_flip_lists_follow_frame(L, rng):
             for t, bits in flips:
                 expect[t] ^= bits
             assert local.local_states(frame * moved) == expect
+
+
+@pytest.mark.parametrize("budget", [-1, -7, 2.5])
+def test_refinement_budgets_are_counts(layout3, budget):
+    # a negative budget used to return the input silently, and 2.5 ran
+    syn = layout3.syndrome_of(sample_frame(MODEL, layout3, np.random.default_rng(4)))
+    with pytest.raises(InvalidParameterError, match="plateau_budget"):
+        refine_frame(layout3, MODEL, layout3.identity_frame(), budget)
+    for decode in (decode_enhanced, decode_both):
+        with pytest.raises(InvalidParameterError, match="refine_steps"):
+            decode(layout3, syn, MODEL, refine_steps=budget)
+
+
+def test_refinement_budgets_accept_small_and_numpy_counts(layout3):
+    frame = sample_frame(MODEL, layout3, np.random.default_rng(5))
+    syn = layout3.syndrome_of(frame)
+    for budget in (0, 1, np.int64(0), np.int64(64)):
+        assert refine_frame(layout3, MODEL, frame, budget) == refine_frame(
+            layout3, MODEL, frame, int(budget)
+        )
+        for decode in (decode_enhanced, decode_both):
+            assert decode(layout3, syn, MODEL, refine_steps=budget) == decode(
+                layout3, syn, MODEL, refine_steps=int(budget)
+            )
+    assert refine_frame(layout3, MODEL, frame, 0) == frame
+    assert refine_frame(layout3, MODEL, frame, 1) == frame
 
 
 def test_refine_rejects_frame_of_another_layout(layout3, layout5, rng):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_metropolis
+from helpers import reference_metropolis
 from surfmc import (
     CLASS_I,
     EQUIV_CLASSES,
@@ -28,7 +28,7 @@ from surfmc import (
     sample_frame,
     zero_temperature_score,
 )
-from surfmc import mcmc
+from surfmc import mcmc, noise
 from surfmc.mcmc import SweepResult, batch_means_se
 from surfmc.noise import score_delta
 from surfmc.oracle import enumerate_orbit, exact_boltzmann
@@ -418,8 +418,21 @@ def test_degenerate_tie_breaks_to_identity(layout3):
 
 
 def test_schedule_validation(layout5):
-    with pytest.raises(InvalidParameterError):
-        parallel_sweep_schedule(layout5, rectangle_size=1)
+    for size in (1, 2.5):
+        with pytest.raises(InvalidParameterError, match="rectangle_size"):
+            parallel_sweep_schedule(layout5, rectangle_size=size)
+
+
+def test_parallel_sweep_rejects_schedule_of_another_layout(layout3, layout5):
+    # an L = 3 schedule on an L = 5 chain used to probe 12 of its 40
+    # stabilizers; an L = 5 schedule on an L = 3 chain ended in an IndexError
+    for layout, other in ((layout5, layout3), (layout3, layout5)):
+        with pytest.raises(InvalidParameterError, match="span"):
+            run_parallel_sweep(
+                layout, MODEL, BB, layout.identity_frame(),
+                parallel_sweep_schedule(other, rectangle_size=2), 10,
+                np.random.default_rng(1),
+            )
 
 
 def test_schedule_coloring_invariant():
@@ -575,10 +588,10 @@ def test_layout_move_cache_released_with_layout():
     frame = sample_frame(MODEL, layout, np.random.default_rng(1))
     chain = MetropolisChain(layout, MODEL, BB, frame, np.random.default_rng(2))
     key = id(layout)
-    assert mcmc._LAYOUT_MOVES[key] is chain._local
+    assert noise._LAYOUT_MOVES[key] is chain._local
     del chain, layout
     gc.collect()
-    assert key not in mcmc._LAYOUT_MOVES
+    assert key not in noise._LAYOUT_MOVES
 
 
 @pytest.mark.parametrize("L", [5, 7])
