@@ -40,6 +40,19 @@ A deterministic zero-temperature descent (stabilizer moves that never increase
 the correlated energy, with best-seen tracking) optionally tightens each class
 hypothesis before the comparison; matching alone can miss correlated minima
 when equally-short paths could have been routed through a shared qubit.
+
+Both stages draw no randomness, and small codes at low p see the same anyon
+sets again and again, so each layout keeps two memos, dropped with the layout
+(``geometry._per_layout``): ``_species_chains`` keys one species' two class
+chains, as ``(flip, mask, weight, exits)``, on ``(species, anyons)``, and
+``refine_frame`` keys the refined ``(x, z)`` on ``(x, z, model,
+plateau_budget)``.  Each holds at most ``_MEMO_SIZE`` entries of ints and
+tuples and is cleared when full (evicting the oldest entry instead,
+``del memo[next(iter(memo))]``, costs a scan of the deleted prefix of the
+dict on every insert).  Every call builds fresh ``PauliFrame`` objects from
+the stored ints, since frames are mutable.  ``class_chain``,
+``min_weight_perfect_matching`` and the oracle are not memoized, so their
+callers always see real solves.
 """
 
 from __future__ import annotations
@@ -64,6 +77,7 @@ from .geometry import (
     EquivalenceClass,
     PauliFrame,
     Syndrome,
+    _per_layout,
 )
 from .noise import (
     NoiseModel,
@@ -76,6 +90,23 @@ from .noise import (
 
 SPECIES_P = "p"  # violated Z-stabilizers, repaired with sigma-x chains
 SPECIES_S = "s"  # violated X-stabilizers, repaired with sigma-z chains
+
+#: entries per layout in each memo (module docstring)
+_MEMO_SIZE = 2048
+_CHAIN_MEMOS: dict = {}
+_REFINE_MEMOS: dict = {}
+
+
+def _layout_memo(memos: dict, layout: CodeLayout) -> dict:
+    return _per_layout(memos, layout, lambda _: {})
+
+
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key``, first clearing a full memo."""
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def default_plateau_budget(layout: CodeLayout) -> int:
@@ -231,6 +262,10 @@ def refine_frame(
     descent's memory: one L = 11 descent at a budget of 50,000 states peaks
     near 80 MB of Python objects, about 7x what the frames alone take; at the
     default budgets it stays under 1 MB.
+
+    The result is memoized per layout under ``(frame.x, frame.z, model,
+    plateau_budget)`` as plain ints (module docstring), so a frame seen
+    before costs one lookup; every call returns a new frame.
     """
     if frame.n_qubits != layout.n_qubits:
         raise InvalidParameterError(
@@ -241,6 +276,22 @@ def refine_frame(
     # the start alone fills a budget of 1
     if plateau_budget <= 1 or not all(map(math.isfinite, weights)):
         return frame.copy()
+    memo = _layout_memo(_REFINE_MEMOS, layout)
+    key = (frame.x, frame.z, model, plateau_budget)
+    best = memo.get(key)
+    if best is None:
+        best = _remember(memo, key, _descend(layout, model, frame, plateau_budget, weights))
+    return PauliFrame(frame.n_qubits, *best)
+
+
+def _descend(
+    layout: CodeLayout,
+    model: NoiseModel,
+    frame: PauliFrame,
+    plateau_budget: int,
+    weights: tuple[float, float, float],
+) -> tuple[int, int]:
+    """``refine_frame``'s breadth-first descent: the best ``(x, z)`` found."""
     local = _layout_moves(layout)
     delta = score_delta(model)
     w_x, _, w_z = weights
@@ -280,15 +331,15 @@ def refine_frame(
                 continue
             key = (x ^ mask, z) if x_plane else (x, z ^ mask)
             if key not in visited and enqueue(key, ne, states, flips):
-                return PauliFrame(frame.n_qubits, *best)
+                return best
         for mask, x_plane, w, flips in compounds:
             ne = e + w * delta(x, z, mask, x_plane)
             if ne > ceiling:
                 continue
             key = (x ^ mask, z) if x_plane else (x, z ^ mask)
             if key not in visited and enqueue(key, ne, states, flips):
-                return PauliFrame(frame.n_qubits, *best)
-    return PauliFrame(frame.n_qubits, *best)
+                return best
+    return best
 
 
 #: (chain, matching weight, boundary exits) of one class-pure matching
@@ -377,13 +428,23 @@ def _species_chains(
     """The four class-pure matchings, keyed by (species, flip).  ``flip`` is
     set when the chain's class bit differs from that of every anyon exiting
     at its home (closer, ties toward 0) boundary, which is the parity of the
-    anyons whose home is boundary 0."""
+    anyons whose home is boundary 0.  Memoized per layout on (species,
+    anyons); the frames are built anew on every call."""
+    memo = _layout_memo(_CHAIN_MEMOS, layout)
     chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
-        _, dists = _anyon_sites(layout, anyons, species)
-        home0 = sum(d0 <= d1 for d0, d1 in dists) % 2
-        for bit in (0, 1):
-            chains[(species, bool(bit ^ home0))] = class_chain(layout, anyons, species, bit)
+        key = (species, anyons)
+        solved = memo.get(key)
+        if solved is None:
+            _, dists = _anyon_sites(layout, anyons, species)
+            home0 = sum(d0 <= d1 for d0, d1 in dists) % 2
+            solved = []
+            for bit in (0, 1):
+                frame, weight, exits = class_chain(layout, anyons, species, bit)
+                solved.append((bool(bit ^ home0), frame.x | frame.z, weight, exits))
+            solved = _remember(memo, key, tuple(solved))
+        for flip, mask, weight, exits in solved:
+            chains[(species, flip)] = (_species_frame(layout, species, mask), weight, exits)
     return chains
 
 
@@ -402,17 +463,22 @@ def _standard_from_chains(
     return DecoderVerdict(cls, {cls: float(total)}, frame)
 
 
+def _refine_budget(layout: CodeLayout, refine_steps: int | None) -> int:
+    """The descent budget ``refine_steps`` asks for, checked before any
+    matching runs."""
+    if refine_steps is None:
+        return default_plateau_budget(layout)
+    _check_count("refine_steps", refine_steps, 0)
+    return refine_steps
+
+
 def _enhanced_from_chains(
     layout: CodeLayout,
     syndrome: Syndrome,
     model: NoiseModel,
     chains: dict[tuple[str, bool], SpeciesChain],
-    refine_steps: int | None,
+    refine_steps: int,
 ) -> tuple[DecoderVerdict, ClassChainSet]:
-    if refine_steps is None:
-        refine_steps = default_plateau_budget(layout)
-    _check_count("refine_steps", refine_steps, 0)
-
     frames: list[PauliFrame | None] = [None] * 4
     for fp in (False, True):
         for fs in (False, True):
@@ -450,6 +516,7 @@ def decode_enhanced(
     correlated model.  Returns the winning verdict and the per-class chain
     set used to seed the Monte Carlo decoders.
     """
+    refine_steps = _refine_budget(layout, refine_steps)
     chains = _species_chains(layout, syndrome)
     return _enhanced_from_chains(layout, syndrome, model, chains, refine_steps)
 
@@ -461,6 +528,7 @@ def decode_both(
     refine_steps: int | None = None,
 ) -> tuple[DecoderVerdict, DecoderVerdict, ClassChainSet]:
     """Standard and class-forced verdicts, both read off the same four matchings."""
+    refine_steps = _refine_budget(layout, refine_steps)
     chains = _species_chains(layout, syndrome)
     enh, chain_set = _enhanced_from_chains(layout, syndrome, model, chains, refine_steps)
     return _standard_from_chains(layout, chains), enh, chain_set

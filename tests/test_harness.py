@@ -275,6 +275,25 @@ def test_oracle_check_quick():
     assert "PASS" in res.summary()
 
 
+ORACLE_LINE = (
+    "agreement(single-temperature, oracle) = 0.9233 over 300 syndromes; oracle "
+    "success = 0.9233 (pass bar 0.8932), single-temperature success = 0.9000 -> PASS"
+)
+
+
+def test_oracle_check_output_pinned_cold_and_warm():
+    # the first call runs on a fresh layout, whose matcher memos are empty;
+    # the second reads the memos the first filled
+    from surfmc import matching
+
+    harness._cached_layout.cache_clear()
+    key = id(harness._cached_layout(3))
+    assert key not in matching._CHAIN_MEMOS and key not in matching._REFINE_MEMOS
+    assert oracle_check(3, 0.1, 300, seed=2024).summary() == ORACLE_LINE
+    assert matching._CHAIN_MEMOS[key] and matching._REFINE_MEMOS[key]
+    assert oracle_check(3, 0.1, 300, seed=2024).summary() == ORACLE_LINE
+
+
 def test_scaling_probe_structure():
     res = scaling_probe(
         p=0.12, L_values=(3,), seed=31, target_errors=40, max_trials=600,

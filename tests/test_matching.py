@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 
 import numpy as np
@@ -332,24 +334,29 @@ def test_solver_checks_its_certificate(layout5, monkeypatch):
 
 
 @pytest.mark.parametrize("decode", [decode_both, decode_standard])
-def test_decoders_solve_through_module_hook(layout5, rng, monkeypatch, decode):
+def test_decoders_solve_through_module_hook(rng, monkeypatch, decode):
     # tracing wraps matching.min_weight_perfect_matching to count and time
     # solves, so every decode must reach the solver through that name; per
     # species one solve for class bit 0 (the anyons, plus boundary 1 when
     # their count is odd) and one for class bit 1 (plus boundary 0, and
-    # boundary 1 when their count is even)
+    # boundary 1 when their count is even).  A fresh layout starts with an
+    # empty chain memo; decoding the syndrome again solves nothing
     calls = []
     solve = matching.min_weight_perfect_matching
     monkeypatch.setattr(
         matching, "min_weight_perfect_matching", lambda n, edges: calls.append(n) or solve(n, edges)
     )
     for _ in range(10):
-        syn, _ = random_syndrome(layout5, rng)
+        layout = build_layout(5)
+        syn, _ = random_syndrome(layout, rng)
         calls.clear()
-        decode(layout5, syn, MODEL)
+        first = decode(layout, syn, MODEL)
         assert len(calls) == 4
         for k, n in enumerate((len(syn.p_anyons), len(syn.s_anyons))):
             assert calls[2 * k: 2 * k + 2] == ([n + 1] * 2 if n % 2 else [n, n + 2])
+        calls.clear()
+        assert decode(layout, syn, MODEL) == first
+        assert calls == []
 
 
 def _x_on(layout, coords):
@@ -702,3 +709,107 @@ def test_refine_rejects_frame_of_another_layout(layout3, layout5, rng):
     for budget in (0, 256):
         with pytest.raises(InvalidParameterError):
             refine_frame(layout3, MODEL, frame, budget)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5])
+def test_refine_steps_checked_before_matching(layout3, monkeypatch, budget):
+    # the budget used to be checked only after the four matchings had run
+    calls = []
+    chains = matching._species_chains
+    monkeypatch.setattr(matching, "_species_chains", lambda *a: calls.append(1) or chains(*a))
+    syn = layout3.syndrome_of(sample_frame(MODEL, layout3, np.random.default_rng(4)))
+    for decode in (decode_enhanced, decode_both):
+        with pytest.raises(InvalidParameterError, match="refine_steps"):
+            decode(layout3, syn, MODEL, refine_steps=budget)
+    assert calls == []
+
+
+MEMO_MODELS = (NoiseModel.depolarizing(0.13), NoiseModel.independent_xz(0.12, 0.07))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_memoized_decode_equals_cold_decode(L):
+    # the warm layout sees every syndrome under both models and all budgets
+    # before it is read; each cold decode runs on a fresh layout, whose
+    # memos are empty
+    budgets = (0, 256, 4096)
+    warm = build_layout(L)
+    rng = np.random.default_rng(300 + L)
+    syndromes = [warm.syndrome_of(sample_frame(model, warm, rng)) for model in MEMO_MODELS]
+    runs = list(itertools.product(syndromes, MEMO_MODELS, budgets))
+    for syn, model, budget in runs:
+        decode_both(warm, syn, model, refine_steps=budget)
+    for syn, model, budget in runs:
+        cold = decode_both(build_layout(L), syn, model, refine_steps=budget)
+        assert decode_both(warm, syn, model, refine_steps=budget) == cold
+
+
+def test_refine_memo_keys_on_model_and_budget():
+    # one layout refines each frame under both models and several budgets
+    layout = build_layout(5)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        frame = sample_frame(NoiseModel.depolarizing(0.2), layout, rng)
+        for model in MEMO_MODELS:
+            for budget in (2, 7, 256):
+                expect = reference_refine_frame(layout, model, frame, budget)
+                assert refine_frame(layout, model, frame, budget) == expect
+                assert refine_frame(layout, model, frame, budget) == expect
+
+
+def test_memo_results_are_fresh_frames():
+    # frames are mutable: editing what a decode returned must not reach the
+    # memos that the next decode reads
+    layout, cold_layout = build_layout(5), build_layout(5)
+    syn, _ = random_syndrome(layout, np.random.default_rng(8))
+    _, bare = decode_enhanced(cold_layout, syn, MODEL, refine_steps=0)
+    cold = decode_both(cold_layout, syn, MODEL)
+    cold_chains = _species_chains(cold_layout, syn)
+    cold_refined = [refine_frame(cold_layout, MODEL, f, 256) for f in bare.frames]
+    for _ in range(2):
+        std, enh, chain_set = decode_both(layout, syn, MODEL)
+        assert (std, enh, chain_set) == cold
+        chains = _species_chains(layout, syn)
+        assert chains == cold_chains
+        refined = [refine_frame(layout, MODEL, f, 256) for f in bare.frames]
+        assert refined == cold_refined
+        returned = (std.correction, enh.correction, *chain_set.frames,
+                    *(c[0] for c in chains.values()), *refined)
+        for frame in {id(f): f for f in returned}.values():
+            frame.set_pauli(0, "I" if frame.pauli_at(0) == "Y" else "Y")
+
+
+def test_memos_hold_at_most_their_bound():
+    layout = build_layout(7)
+    chain_memo = matching._layout_memo(matching._CHAIN_MEMOS, layout)
+    refine_memo = matching._layout_memo(matching._REFINE_MEMOS, layout)
+    # distinct anyon sets of one to three anyons, cheap to match; each
+    # syndrome adds one entry per species
+    sets = itertools.chain.from_iterable(
+        itertools.combinations(range(len(layout.z_stabilizers)), k) for k in (1, 2, 3)
+    )
+    largest = 0
+    for anyons in itertools.islice(sets, matching._MEMO_SIZE // 2 + 10):
+        _species_chains(layout, Syndrome(anyons, anyons))
+        assert len(chain_memo) <= matching._MEMO_SIZE
+        largest = max(largest, len(chain_memo))
+    assert largest == matching._MEMO_SIZE and 0 < len(chain_memo) < largest
+    # distinct frames, each a budget-2 descent
+    rng = np.random.default_rng(12)
+    largest = 0
+    for _ in range(matching._MEMO_SIZE + 10):
+        refine_frame(layout, MODEL, sample_frame(MODEL, layout, rng), 2)
+        assert len(refine_memo) <= matching._MEMO_SIZE
+        largest = max(largest, len(refine_memo))
+    assert largest == matching._MEMO_SIZE and 0 < len(refine_memo) < largest
+
+
+def test_matcher_memos_released_with_layout():
+    layout = build_layout(3)
+    syn = layout.syndrome_of(sample_frame(MODEL, layout, np.random.default_rng(1)))
+    decode_enhanced(layout, syn, MODEL)
+    key = id(layout)
+    assert matching._CHAIN_MEMOS[key] and matching._REFINE_MEMOS[key]
+    del layout
+    gc.collect()
+    assert key not in matching._CHAIN_MEMOS and key not in matching._REFINE_MEMOS
