@@ -12,8 +12,19 @@ edges carry a per-stage stamp, and the recursive expansions are plain
 recursion instead of a trampoline.  The vertex order (first appearance in the
 inverted graph's edge list) and every neighbour list keep networkx's order, so
 ties are decided as networkx decides them and the same matching comes out.
-The optimality certificate is kept: a violated condition raises
-``DecoderInternalError``.
+The optimality certificate is kept and checked on every solve: a violated
+condition raises ``DecoderInternalError``.
+
+There are two entries into the one solver core (``_max_weight_matching``,
+which takes twice the inverted weights as a dense matrix and one neighbour
+list per vertex).  ``min_weight_matching`` takes an edge list and converts it,
+as networkx would, into vertex order, neighbour lists and inverted weights.
+``dense_min_weight_matching`` takes the weight matrix of a complete graph,
+which is every graph the decoders solve; inverting it takes a few numpy
+operations, and its neighbour lists are the ascending ones, cached per vertex
+count.  A complete graph whose edges are listed in ascending order has
+exactly that vertex order and those neighbour lists, so both entries return
+the same matching on it.
 
 networkx is distributed under the 3-clause BSD licence:
 
@@ -54,7 +65,10 @@ networkx is distributed under the 3-clause BSD licence:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DecoderInternalError
 
@@ -69,7 +83,8 @@ def min_weight_matching(
     their total weight.  A repeated edge keeps its first position and its
     last weight.  As in networkx, the weights are inverted (``1 + max - w``)
     and a maximum-weight maximum-cardinality matching is solved on the
-    inverted graph, whose vertices are numbered in order of first appearance.
+    inverted graph, whose vertices are numbered in order of first appearance
+    and whose neighbour lists follow the edge order.
     """
     nbrs: list[dict[int, int]] = [{} for _ in range(n)]
     for u, v, w in edges:
@@ -95,7 +110,17 @@ def min_weight_matching(
             if u != v:  # self-loops never join a matching
                 inverted.append((index[u], index[v], top - w))
 
-    mate = _max_weight_matching(len(order), inverted)
+    nv = len(order)
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    # 2 * weight, so that 2 * slack(v, w) = dualvar[v] + dualvar[w] - w2[v][w]
+    w2 = [[0] * nv for _ in range(nv)]
+    for i, j, wt in inverted:
+        adj[i].append(j)
+        adj[j].append(i)
+        w2[i][j] = w2[j][i] = 2 * wt
+    mate = _max_weight_matching(
+        w2, adj, max((wt for _, _, wt in inverted), default=0), inverted
+    )
     pairs = sorted(
         (min(order[a], order[b]), max(order[a], order[b]))
         for a, b in enumerate(mate)
@@ -104,23 +129,60 @@ def min_weight_matching(
     return pairs, sum(nbrs[u][v] for u, v in pairs)
 
 
-def _max_weight_matching(nv: int, edges: list[tuple[int, int, int]]) -> list[int]:
+def dense_min_weight_matching(weights: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+    """``min_weight_matching`` of the complete graph whose edge ``(u, v)``
+    weighs ``weights[u, v]``, for a symmetric integer matrix (the diagonal is
+    ignored).
+
+    The same solver on the same inverted weights, without the edge list: the
+    complete graph listed edge by edge in ascending order numbers its
+    vertices in index order and gives every vertex its other vertices in
+    ascending order, so the cached ascending neighbour lists reproduce that
+    scan order, and ties fall as on the edge list.
+    """
+    nv = len(weights)
+    if nv < 2:
+        return [], 0
+    weights = np.asarray(weights, dtype=np.int64)  # 2 * weight must not wrap
+    adj, rows, cols, edge_ends = _complete_graph(nv)
+    top = int(weights[rows, cols].max()) + 1
+    inverted = top - weights  # the diagonal is never read
+    edge_weights = inverted[rows, cols]
+    mate = _max_weight_matching(
+        (2 * inverted).tolist(), adj, int(edge_weights.max()),
+        zip(*edge_ends, edge_weights.tolist()),
+    )
+    pairs = [(a, b) for a, b in enumerate(mate) if a < b]
+    return pairs, sum(top - int(inverted[a, b]) for a, b in pairs)
+
+
+@functools.lru_cache(maxsize=128)
+def _complete_graph(nv: int) -> tuple:
+    """The complete graph on ``nv`` vertices: ascending neighbour lists, the
+    edges' ends as index arrays, and the same ends as lists."""
+    adj = tuple(tuple(w for w in range(nv) if w != v) for v in range(nv))
+    rows, cols = np.triu_indices(nv, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return adj, rows, cols, (tuple(rows.tolist()), tuple(cols.tolist()))
+
+
+def _max_weight_matching(
+    w2: list[list[int]],
+    adj: Sequence[Sequence[int]],
+    maxweight: int,
+    edges: Iterable[tuple[int, int, int]],
+) -> list[int]:
     """networkx's ``max_weight_matching(G, maxcardinality=True)``.
 
-    ``edges`` lists the graph's edges (no self-loops) in the order networkx
-    would add them; neighbour lists follow that order.  Returns ``mate``,
-    with ``-1`` for a single vertex.
+    ``adj[v]`` lists v's neighbours (no self-loops) in the order networkx
+    would scan them, ``w2[v][w]`` is twice the weight of edge (v, w),
+    ``maxweight`` the largest edge weight, and ``edges`` lists every edge as
+    ``(v, w, weight)`` once, for the optimality certificate, which is
+    checked on every call.  Returns ``mate``, with ``-1`` for a single
+    vertex.
     """
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    # 2 * weight, so that 2 * slack(v, w) = dualvar[v] + dualvar[w] - w2[v][w]
-    w2 = [[0] * nv for _ in range(nv)]
-    maxweight = 0
-    for i, j, wt in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-        w2[i][j] = w2[j][i] = 2 * wt
-        if wt > maxweight:
-            maxweight = wt
+    nv = len(adj)
 
     # Ids 0 .. nv-1 are vertices, nv .. 2nv-1 non-trivial blossoms (at most
     # (nv - 1) / 2 exist at a time).  An id >= nv is a blossom.

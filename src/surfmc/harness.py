@@ -89,6 +89,15 @@ class ExperimentConfig:
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad or not self.algorithms:
             raise ConfigError(f"unknown algorithms {bad}; choose from {ALGORITHMS}")
+        for name, values in (
+            ("L values", self.L_values),
+            ("p values", self.p_values),
+            ("algorithms", self.algorithms),
+        ):
+            # compared by value: 0.1 and 0.10 name one cell
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} must not repeat, got {repeated[0]} twice")
         if self.target_logical_errors is None and self.max_trials is None:
             raise ConfigError("need a stop rule: target_logical_errors or max_trials")
         if self.max_trials is None and 0.0 in self.p_values:

@@ -20,21 +20,34 @@ lattice, none for the logical) with K = n + 2, more than any matching's exit
 count, so among the lightest matchings the solver returns one with the
 fewest exits.
 
+Each layout builds, on first use and through ``geometry._per_layout``, one
+complete graph per species (``_SpeciesGraph``): pair weights in units of K
+and exit counts for every pair of the species' stabilizers and the two
+boundaries, as numpy tables, and the chain mask of each edge, built when a
+matching first uses it.  A species' two class bits share one block of that
+graph: the (n + 2) x (n + 2) weights K w + exits of its anyons and both
+boundaries, cut out once (``_SpeciesGraph.block``); each bit's graph is the
+block's sub-matrix on the anyons and that bit's 0-2 boundaries
+(``_class_matrix``).  ``_class_graph`` lists the same graph edge by edge.
+
 All solves go through ``min_weight_perfect_matching`` to ``blossom``,
-surfmc's own exact primal-dual blossom solver on dense integer weights, which
-checks an optimality certificate on every solve.  Where several perfect
-matchings have the minimum weight, the one returned is fixed by that solver's
-vertex and neighbour scan order, which follows the order of the edge list;
-the order was taken over from networkx, so the matchings (ties included) are
-the ones networkx returns.
+surfmc's own exact primal-dual blossom solver, which checks an optimality
+certificate on every solve.  The decoders hand it the dense weight matrix;
+it also takes an edge list.  Where several perfect matchings have the
+minimum weight, the one returned is fixed by that solver's vertex and
+neighbour scan order: networkx's order on the edge list, and on a dense
+matrix the ascending order that the same complete graph gets when its edges
+are listed in ascending order, so the matchings (ties included) are the ones
+networkx returns.
 
 Standard decoding takes, per species, the lighter of the two chains (ties go
 to fewer boundary exits, then to the unforced one, the class of every anyon
 exiting at its home, closer boundary): plain matching with free
 boundaries.  The class-forced decoder combines the 2x2 chains into one
-minimum-weight hypothesis per equivalence class and compares the four under
-the true correlated error count, where an x- and a z-error on the same qubit
-cost one sigma-y rather than two errors.
+hypothesis per equivalence class, minimal per species but not always under
+the correlated count, and compares the four under that true correlated
+error count, where an x- and a z-error on the same qubit cost one sigma-y
+rather than two errors.
 
 A deterministic zero-temperature descent (stabilizer moves that never increase
 the correlated energy, with best-seen tracking) optionally tightens each class
@@ -63,7 +76,9 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .blossom import min_weight_matching
+import numpy as np
+
+from .blossom import dense_min_weight_matching, min_weight_matching
 from .errors import (
     DecoderInternalError,
     InfeasibleMatchingError,
@@ -144,15 +159,30 @@ class Matching:
     total_weight: int
 
 
-def min_weight_perfect_matching(n: int, edges: Sequence[tuple[int, int, int]]) -> Matching:
+def min_weight_perfect_matching(
+    n: int, edges: Sequence[tuple[int, int, int]] | np.ndarray
+) -> Matching:
     """Globally minimal perfect matching of the graph on vertices 0 .. n-1
-    with weighted ``edges`` (exact blossom algorithm).
+    (exact blossom algorithm).
 
-    Raises ``InfeasibleMatchingError`` when the graph has no perfect
-    matching, and ``DecoderInternalError`` if the solver's optimality
-    certificate fails.
+    ``edges`` is either a sequence of weighted edges ``(u, v, w)`` or, as a
+    numpy array, the n x n symmetric weight matrix of the complete graph
+    (diagonal ignored).  The two are told apart by type alone, so a 3 x 3
+    matrix never reads as three edges.  Raises ``InfeasibleMatchingError``
+    when the graph has no perfect matching, and ``DecoderInternalError`` if
+    the solver's optimality certificate fails.
     """
-    pairs, weight = min_weight_matching(n, edges)
+    if isinstance(edges, np.ndarray):
+        if edges.shape != (n, n) or edges.dtype.kind not in "iu":
+            raise InvalidParameterError(
+                f"the weights of {n} vertices must be an {n} x {n} integer matrix, "
+                f"got {edges.dtype} of shape {edges.shape}"
+            )
+        if (edges != edges.T).any():
+            raise InvalidParameterError("the weight matrix must be symmetric")
+        pairs, weight = dense_min_weight_matching(edges)
+    else:
+        pairs, weight = min_weight_matching(n, edges)
     if 2 * len(pairs) != n:
         raise InfeasibleMatchingError("no perfect matching exists")
     return Matching(tuple(pairs), weight)
@@ -376,7 +406,8 @@ def _class_graph(
     layout: CodeLayout, coords: tuple[Coord, ...], dists: list[tuple[int, int]], bit: int
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """(vertex count, edges) of the matching that ``class_chain`` solves,
-    numbered as in the module docstring."""
+    numbered as in the module docstring: the edge-list description of the
+    matrix that ``_class_matrix`` builds from the species tables."""
     n = len(coords)
     k = n + 2
     edges = []
@@ -394,6 +425,118 @@ def _class_graph(
     return n + len(bounds), edges
 
 
+class _SpeciesGraph:
+    """One species' complete matching graph on a layout, built on first use.
+
+    Vertex a < m, for the species' m stabilizers, is stabilizer a; m and
+    m + 1 are boundaries 0 and 1.  Edge (a, b) weighs ``units[a, b]``
+    single-qubit errors and leaves the lattice ``exits[a, b]`` times (module
+    docstring): two stabilizers pair at min(d_ab, a_a + a_b, b_a + b_b), with
+    2 exits when through a boundary; a stabilizer joins a boundary at its
+    distance to it, with 1 exit; the boundaries join at L, with none.  The
+    graph a class chain is solved on is the subgraph on the anyons and its
+    boundaries, at K units + exits per edge.  ``route(layout, a, b)`` is the
+    qubit mask of edge (a, b)'s chain; masks are built only for edges that
+    some matching used, since the full table grows as L^5 bits.  The graph
+    holds no reference to its layout, which keeps it in a per-layout cache.
+    """
+
+    def __init__(self, layout: CodeLayout, species: str):
+        self.species = species
+        stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
+        self.coords = [s.coord for s in stabs]
+        self.dists = [boundary_distances(layout, species, c) for c in self.coords]
+        #: anyon a's home (closer, ties toward 0) boundary is boundary 0
+        self.home0 = [d0 <= d1 for d0, d1 in self.dists]
+        m = self.m = len(stabs)
+        rows, cols = np.array(self.coords).T
+        to0, to1 = np.array(self.dists).T
+        direct = (abs(rows[:, None] - rows) + abs(cols[:, None] - cols)) // 2
+        via = np.minimum(to0[:, None] + to0, to1[:, None] + to1)
+        self.units = np.zeros((m + 2, m + 2), dtype=np.int64)
+        self.exits = np.zeros((m + 2, m + 2), dtype=np.int8)
+        # ties go to the direct path
+        self.units[:m, :m] = np.minimum(direct, via)
+        self.exits[:m, :m] = np.where(direct <= via, 0, 2)
+        for b, to in ((m, to0), (m + 1, to1)):
+            self.units[:m, b] = self.units[b, :m] = to
+            self.exits[:m, b] = self.exits[b, :m] = 1
+        self.units[m, m + 1] = self.units[m + 1, m] = layout.L
+        self._routes: dict[int, int] = {}
+
+    def block(self, anyons: tuple[int, ...]) -> np.ndarray:
+        """Weights, K = n + 2 units plus exits, of the graph on the n anyons
+        then boundaries 0 and 1: both class bits' graphs are subgraphs."""
+        verts = np.array((*anyons, self.m, self.m + 1))
+        rows = verts[:, None]
+        return (len(anyons) + 2) * self.units[rows, verts] + self.exits[rows, verts]
+
+    def route(self, layout: CodeLayout, a: int, b: int) -> int:
+        """Qubit mask of the chain that edge (a, b) stands for."""
+        if a > b:
+            a, b = b, a
+        key = a * (self.m + 2) + b
+        mask = self._routes.get(key)
+        if mask is None:
+            mask = self._routes[key] = self._build_route(layout, a, b)
+        return mask
+
+    def _build_route(self, layout: CodeLayout, a: int, b: int) -> int:
+        species, coords, m = self.species, self.coords, self.m
+        if a >= m:  # boundary 0 to boundary 1: the reference logical
+            return layout.logical_x_mask if species == SPECIES_P else layout.logical_z_mask
+        if b >= m:
+            return _exit_mask(layout, species, coords[a], b - m)
+        via = _pair_via(anyon_distance(coords[a], coords[b]), self.dists[a], self.dists[b])
+        if via is None:
+            return _path_mask(layout, *sorted((coords[a], coords[b])))
+        return (_exit_mask(layout, species, coords[a], via)
+                ^ _exit_mask(layout, species, coords[b], via))
+
+
+_SPECIES_GRAPHS: dict = {}  # by id(layout), dropped with it
+
+
+def _species_graph(layout: CodeLayout, species: str) -> _SpeciesGraph:
+    graphs = _per_layout(
+        _SPECIES_GRAPHS, layout,
+        lambda lay: {sp: _SpeciesGraph(lay, sp) for sp in (SPECIES_P, SPECIES_S)},
+    )
+    if species not in graphs:
+        raise InvalidParameterError(f"unknown species {species!r}")
+    return graphs[species]
+
+
+def _class_matrix(block: np.ndarray, bit: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The class-bit-``bit`` graph as a sub-matrix of ``block``: its anyons
+    and boundaries (``_class_boundaries``), and their rows of the block."""
+    n = len(block) - 2
+    bounds = _class_boundaries(n, bit)
+    keep = (*range(n), *(n + b for b in bounds))
+    if bounds == (1,):  # boundary 1 without boundary 0: drop row and column n
+        rows = np.array(keep)
+        return block[rows[:, None], rows], keep
+    return block[:len(keep), :len(keep)], keep
+
+
+def _solve_class(
+    layout: CodeLayout,
+    graph: _SpeciesGraph,
+    anyons: tuple[int, ...],
+    block: np.ndarray,
+    bit: int,
+) -> tuple[int, int, int]:
+    """(chain mask, weight, exits) of ``class_chain``, from the anyons' block."""
+    matrix, keep = _class_matrix(block, bit)
+    m = min_weight_perfect_matching(len(keep), matrix)
+    verts = (*anyons, graph.m, graph.m + 1)
+    mask = 0
+    for u, v in m.pairs:
+        mask ^= graph.route(layout, verts[keep[u]], verts[keep[v]])
+    weight, exits = divmod(m.total_weight, len(anyons) + 2)
+    return mask, weight, exits
+
+
 def class_chain(
     layout: CodeLayout, anyons: tuple[int, ...], species: str, bit: int
 ) -> SpeciesChain:
@@ -401,24 +544,8 @@ def class_chain(
     among the lightest one with the fewest boundary exits, as
     ``(frame, weight, exits)``: a minimum T-join solved as a perfect matching
     (module docstring)."""
-    coords, dists = _anyon_sites(layout, anyons, species)
-    n = len(coords)
-    m = min_weight_perfect_matching(*_class_graph(layout, coords, dists, bit))
-    bounds = _class_boundaries(n, bit)
-    mask = 0
-    for u, v in m.pairs:
-        if v < n:
-            via = _pair_via(anyon_distance(coords[u], coords[v]), dists[u], dists[v])
-            if via is None:
-                mask ^= _path_mask(layout, *sorted((coords[u], coords[v])))
-            else:
-                mask ^= _exit_mask(layout, species, coords[u], via)
-                mask ^= _exit_mask(layout, species, coords[v], via)
-        elif u < n:
-            mask ^= _exit_mask(layout, species, coords[u], bounds[v - n])
-        else:  # boundary 0 to boundary 1: the reference logical
-            mask ^= layout.logical_x_mask if species == SPECIES_P else layout.logical_z_mask
-    weight, exits = divmod(m.total_weight, n + 2)
+    graph = _species_graph(layout, species)
+    mask, weight, exits = _solve_class(layout, graph, anyons, graph.block(anyons), bit)
     return _species_frame(layout, species, mask), weight, exits
 
 
@@ -429,20 +556,21 @@ def _species_chains(
     set when the chain's class bit differs from that of every anyon exiting
     at its home (closer, ties toward 0) boundary, which is the parity of the
     anyons whose home is boundary 0.  Memoized per layout on (species,
-    anyons); the frames are built anew on every call."""
+    anyons); the frames are built anew on every call.  On a miss, one block
+    of weights serves both class bits."""
     memo = _layout_memo(_CHAIN_MEMOS, layout)
     chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
         key = (species, anyons)
         solved = memo.get(key)
         if solved is None:
-            _, dists = _anyon_sites(layout, anyons, species)
-            home0 = sum(d0 <= d1 for d0, d1 in dists) % 2
-            solved = []
-            for bit in (0, 1):
-                frame, weight, exits = class_chain(layout, anyons, species, bit)
-                solved.append((bool(bit ^ home0), frame.x | frame.z, weight, exits))
-            solved = _remember(memo, key, tuple(solved))
+            graph = _species_graph(layout, species)
+            block = graph.block(anyons)
+            home0 = sum(graph.home0[a] for a in anyons) % 2
+            solved = _remember(memo, key, tuple(
+                (bool(bit ^ home0), *_solve_class(layout, graph, anyons, block, bit))
+                for bit in (0, 1)
+            ))
         for flip, mask, weight, exits in solved:
             chains[(species, flip)] = (_species_frame(layout, species, mask), weight, exits)
     return chains
@@ -506,7 +634,7 @@ def decode_enhanced(
     model: NoiseModel,
     refine_steps: int | None = None,
 ) -> tuple[DecoderVerdict, ClassChainSet]:
-    """Class-forced matching: one minimum-weight hypothesis per class.
+    """Class-forced matching: one hypothesis per class, minimal per species.
 
     Per species, solves the lightest chain of each class bit (four
     matchings), combines them into the 2x2 class hypotheses, tightens each

@@ -24,6 +24,11 @@ exp(-beta * Delta n) iff Delta n <= k, and every Delta n <= 0 is accepted
 against the thresholds in ascending order, which makes the same IEEE
 comparisons as testing u against each threshold: beta = 0 gives k = 4
 (every move accepted), beta = inf gives k = 0 (only non-increasing moves).
+The loop reads its feed packed: the levels as ``bytes``, one per draw, and
+the stabilizer indices as an ``array`` of the generator's int64 draws, so no
+list of Python ints is built per block and no index is narrowed at any code
+size.  The draws themselves, their order and their sizes are those of the
+reference loop (``tests/helpers.py``).
 
 Both sampling decoders run one chain per equivalence class, on that class's
 random stream, and restart it from the class's minimum-weight hypothesis at
@@ -33,7 +38,7 @@ free-energy variant instead integrates the average count over an equidistant
 temperature grid with Simpson's rule.  A rectangle partition of the code
 allows many non-overlapping stabilizers to be probed per step for parallel
 operation; that sweep drives a ``MetropolisChain`` with the partition's
-proposals.
+proposals, drawn per block in numpy and fed to the loop one step at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from array import array
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,14 +202,14 @@ class MetropolisChain:
         self.cumulative_n += self._moves([s], levels)
         self.step_count += 1
 
-    def _levels(self, us: np.ndarray) -> list:
-        """Acceptance levels of the uniform draws ``us``, as a (nested) list of
-        ints of the same shape: the number of thresholds exp(-beta * d),
-        d = 1..4, above each draw."""
+    def _levels(self, us: np.ndarray) -> bytes:
+        """Acceptance levels of the uniform draws ``us``, one byte (0-4) per
+        draw in C order: the number of thresholds exp(-beta * d), d = 1..4,
+        above each draw."""
         below = self._thresholds.searchsorted(us, side="right")
-        return np.subtract(4, below, out=below).tolist()
+        return (4 - below).astype(np.uint8).tobytes()
 
-    def _moves(self, idx: list[int], levels: list[int]) -> int:
+    def _moves(self, idx: Iterable[int], levels: Iterable[int]) -> int:
         """Propose the stabilizers ``idx`` in turn, accepting a move iff its
         Delta n is at most the acceptance level of its draw; returns the
         summed post-move counts."""
@@ -236,7 +243,7 @@ class MetropolisChain:
         done = 0
         while done < n_steps:
             todo = min(chunk_size, n_steps - done)
-            idx = self.rng.integers(0, n_stab, size=todo).tolist()
+            idx = array("q", self.rng.integers(0, n_stab, size=todo).tobytes())
             cum = self._moves(idx, self._levels(self.rng.random(size=todo)))
             done += todo
             if accumulate:
@@ -553,24 +560,35 @@ def run_parallel_sweep(
             f"the layout has span {layout.span}"
         )
     chain = MetropolisChain(layout, model, beta, frame, rng)
-    group_rects = [
-        [schedule.rectangles[r].stab_indices for r in group] for group in schedule.groups
-    ]
-    n_groups = len(group_rects)
+    groups = [[schedule.rectangles[r].stab_indices for r in group] for group in schedule.groups]
+    n_groups = len(groups)
+    widths = [len(rects) for rects in groups]  # proposals per step
+    max_rects = max(widths)
+    # per group and rectangle slot: its stabilizer count and where its
+    # stabilizers start in ``flat`` (0 and 0 in the unused slots)
+    flat = np.array([s for rects in groups for ids in rects for s in ids])
+    counts = np.zeros((n_groups, max_rects))
+    starts = np.zeros((n_groups, max_rects), dtype=np.intp)
+    offset = 0
+    for g, rects in enumerate(groups):
+        for k, ids in enumerate(rects):
+            counts[g, k] = len(ids)
+            starts[g, k] = offset
+            offset += len(ids)
     chunk = max(256, n_steps // _CHUNK_BATCHES)
-    max_rects = max(len(g) for g in group_rects)
 
     done = -burn_in
     while done < n_steps:
         todo = min(chunk, n_steps - done) if done >= 0 else -done
-        pick = rng.random(size=(todo, max_rects)).tolist()
+        step_groups = (done + np.arange(todo)) % n_groups
+        # truncating the float64 product u * count picks as int(u * count)
+        picks = (rng.random(size=(todo, max_rects)) * counts[step_groups]).astype(np.intp)
+        stabs = flat[starts[step_groups] + picks].ravel().tolist()
         levels = chain._levels(rng.random(size=(todo, max_rects)))
         chunk_cum = 0
-        for i in range(todo):
-            rects = group_rects[(done + i) % n_groups]
-            row_pick = pick[i]
-            idx = [ids[int(row_pick[k] * len(ids))] for k, ids in enumerate(rects)]
-            chain._moves(idx, levels[i])
+        for i, g in enumerate(step_groups.tolist()):
+            row = i * max_rects
+            chain._moves(stabs[row:row + widths[g]], levels[row:row + max_rects])
             chunk_cum += chain.current_n
         if done >= 0:
             chain._accumulate(todo, chunk_cum)

@@ -88,6 +88,21 @@ def test_config_rejects(kw):
         tiny_config(**kw).validate()
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(L_values=(3, 5, 3)),
+        dict(p_values=(0.1, 0.10)),
+        dict(p_values=(0.1, 0.13, np.float64(0.13))),
+        dict(algorithms=(STANDARD, SINGLE_TEMP, STANDARD)),
+    ],
+)
+def test_config_rejects_repeated_cells(kw):
+    # a repeated value would run its cells twice, on different streams
+    with pytest.raises(ConfigError, match="must not repeat"):
+        tiny_config(**kw).validate()
+
+
 def test_make_model():
     assert make_model("depolarizing", 0.1).kind == "depolarizing"
     m = make_model("independent_xz", 0.1)
@@ -401,6 +416,25 @@ def test_cli_config_errors(tmp_path, capsys):
         assert len(captured.err.strip().splitlines()) == 1, (argv, captured.err)
         assert captured.out == "", argv
     assert not (tmp_path / "res.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ["--L", "3,3", "--p", "0.1"],
+        ["--L", "3", "--p", "0.1,0.10"],
+        ["--L", "3", "--p", "0.1", "--algorithms", "standard_mwpm,standard_mwpm"],
+    ],
+)
+def test_cli_campaign_refuses_repeated_cells(capsys, tmp_path, cells):
+    out = tmp_path / "res.csv"
+    code = cli_main(["campaign", *cells, "--trials", "2", "--seed", "1", "--out", str(out),
+                     "--plot-data-dir", str(tmp_path / "plots")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.err.strip().splitlines()) == 1 and "must not repeat" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "plots").exists()
 
 
 def test_cli_fatal_patterns():

@@ -34,6 +34,7 @@ from surfmc import (
 from surfmc.matching import (
     SPECIES_P,
     SPECIES_S,
+    Matching,
     _species_chains,
     boundary_distances,
     class_chain,
@@ -304,6 +305,85 @@ def test_pairs_equal_networkx_on_raw_graphs(rng):
         feasible += ok
         infeasible += not ok
     assert feasible > 50 and infeasible > 50
+
+
+def _edge_matrix(n, edges):
+    matrix = np.zeros((n, n), dtype=np.int64)
+    for u, v, w in edges:
+        matrix[u, v] = matrix[v, u] = w
+    return matrix
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_dense_class_matrix_equals_edge_list(L):
+    # the matrix each class solve hands the solver, cut from the species'
+    # shared block, is the graph ``_class_graph`` lists edge by edge, and
+    # solving either form gives the same pairs and weight
+    layout = build_layout(L)
+    rng = np.random.default_rng(700 + L)
+    anyon_sets = [((), ()), ((0,), (0,)), ((layout.n_stab // 2 - 1,), (1,))]
+    for p in (0.05, 0.13, 0.2):
+        for _ in range(8):
+            syn, _ = random_syndrome(layout, rng, NoiseModel.depolarizing(p))
+            anyon_sets.append((syn.p_anyons, syn.s_anyons))
+    checked = 0
+    for p_anyons, s_anyons in anyon_sets:
+        for species, anyons in ((SPECIES_P, p_anyons), (SPECIES_S, s_anyons)):
+            block = matching._species_graph(layout, species).block(anyons)
+            for bit in (0, 1):
+                n, edges = class_graph(layout, anyons, species, bit)
+                matrix, _ = matching._class_matrix(block, bit)
+                assert matrix.shape == (n, n)
+                assert np.array_equal(matrix, _edge_matrix(n, edges))
+                assert min_weight_perfect_matching(n, matrix) == min_weight_perfect_matching(
+                    n, edges)
+                checked += 1
+    assert checked == len(anyon_sets) * 4
+
+
+def test_dense_pairs_equal_networkx_on_tied_complete_graphs(rng):
+    # weights in {1, 2, 3} tie often; listed in ascending order, a complete
+    # graph has the dense solver's vertex order and neighbour lists
+    for n in range(2, 13, 2):
+        for _ in range(40):
+            upper = np.triu(rng.integers(1, 4, size=(n, n)), 1)
+            matrix = upper + upper.T
+            edges = [(u, v, int(matrix[u, v])) for u in range(n) for v in range(u + 1, n)]
+            expect = networkx_min_weight_perfect_matching(n, edges)
+            assert min_weight_perfect_matching(n, matrix) == expect
+            assert min_weight_perfect_matching(n, edges) == expect
+
+
+def test_solver_input_told_apart_by_type():
+    # rows of three ints are edges unless they come as a numpy array, which
+    # is always a weight matrix
+    rows = [[0, 1, 5], [2, 3, 7], [0, 2, 1]]
+    as_edges = Matching(((0, 1), (2, 3)), 12)
+    assert min_weight_perfect_matching(4, rows) == as_edges
+    assert min_weight_perfect_matching(4, [tuple(r) for r in rows]) == as_edges
+    with pytest.raises(InvalidParameterError):
+        min_weight_perfect_matching(4, np.array(rows))
+    with pytest.raises(InvalidParameterError, match="symmetric"):
+        min_weight_perfect_matching(3, np.array(rows))
+    with pytest.raises(InfeasibleMatchingError):  # an odd complete graph
+        min_weight_perfect_matching(3, np.array([[0, 1, 5], [1, 0, 2], [5, 2, 0]]))
+    with pytest.raises(InvalidParameterError):
+        min_weight_perfect_matching(2, np.array([[0.0, 1.5], [1.5, 0.0]]))
+    assert min_weight_perfect_matching(0, np.zeros((0, 0), dtype=int)) == Matching((), 0)
+    # the diagonal is never read
+    matrix = np.array([[9, 1, 4, 4], [1, -9, 4, 4], [4, 4, 0, 2], [4, 4, 2, 7]])
+    assert min_weight_perfect_matching(4, matrix) == Matching(((0, 1), (2, 3)), 3)
+
+
+def test_species_graph_built_on_first_use_and_released_with_layout():
+    layout = build_layout(4)
+    key = id(layout)
+    assert key not in matching._SPECIES_GRAPHS
+    class_chain(layout, (1, 2), SPECIES_S, 1)
+    assert set(matching._SPECIES_GRAPHS[key]) == {SPECIES_P, SPECIES_S}
+    del layout
+    gc.collect()
+    assert key not in matching._SPECIES_GRAPHS
 
 
 def test_certificate_rejects_non_optimal_matching():

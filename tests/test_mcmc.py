@@ -562,7 +562,7 @@ def test_levels_decide_as_the_threshold_test(layout3, model):
             us += [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)]
         us = sorted({float(u) for u in us if 0.0 <= u < 1.0})
         levels = chain._levels(np.array(us))
-        assert levels == [chain._levels(np.array([[u]]))[0][0] for u in us]
+        assert levels == bytes(chain._levels(np.array([[u]]))[0] for u in us)
         for u, k in zip(us, levels):
             for d in range(-4, 5):
                 assert (d <= k) == (d <= 0 or u < math.exp(-beta * d)), (beta, u, d)
@@ -594,7 +594,9 @@ def test_layout_move_cache_released_with_layout():
     assert key not in noise._LAYOUT_MOVES
 
 
-@pytest.mark.parametrize("L", [5, 7])
+# L = 12 has 264 stabilizers, one more byte than an index container of
+# bytes holds
+@pytest.mark.parametrize("L", [5, 7, 12])
 @pytest.mark.parametrize("model", MODELS)
 def test_chain_matches_reference_loop(L, model):
     layout = build_layout(L)
