@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, _check_count
+from .errors import ConfigError, InvalidParameterError, _check_count, _is_number
 from .geometry import CodeLayout, PauliFrame, build_layout
 from .matching import decode_both, decode_enhanced
 from .mcmc import (
@@ -72,11 +72,11 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if not self.L_values or any(
-            not isinstance(L, numbers.Integral) or L < 2 for L in self.L_values
+            not _is_number(L, numbers.Integral) or L < 2 for L in self.L_values
         ):
             raise ConfigError(f"L values must all be integers >= 2, got {self.L_values}")
         if not self.p_values or any(
-            not isinstance(p, numbers.Real) or not 0.0 <= p < 0.75 for p in self.p_values
+            not _is_number(p, numbers.Real) or not 0.0 <= p < 0.75 for p in self.p_values
         ):
             raise ConfigError(f"p values must lie in [0, 0.75), got {self.p_values}")
         if self.model_kind not in (DEPOLARIZING, INDEPENDENT_XZ):
@@ -121,7 +121,7 @@ class ExperimentConfig:
             if v is None:
                 continue
             integer = name != "beta_star_factor"
-            if not isinstance(v, numbers.Integral if integer else numbers.Real):
+            if not _is_number(v, numbers.Integral if integer else numbers.Real):
                 kind = "an integer" if integer else "a number"
                 raise ConfigError(f"{name} must be {kind}, got {v!r}")
             if not v >= low:  # NaN fails too

@@ -16,6 +16,18 @@ move is accepted.  The table and the layout's local-state machinery live in
 refinement descent in ``matching`` reads the same table, and the spacetime
 chain calls ``score_delta`` directly.
 
+Hot chains take a second loop.  Near beta = 0 most moves are accepted, and
+each accepted move of the table loop updates up to nine local states, while
+the count of the whole proposed frame (one XOR, one OR and one
+``bit_count`` for depolarizing noise; one XOR and a ``bit_count`` of the
+moved plane for independent noise) costs the same at any beta.  So ``run``
+takes this frame loop below ``_FRAME_LOOP_BELOW`` = 1.25, where it was
+measured faster (at L = 5-11, 120-140 ns per step against about 340 for the
+table loop at beta = 0.15), and rebuilds the local states once afterwards; at
+and above it, where most moves are rejected, the table loop stays: about
+twice as fast at beta_bar.  Both loops make the same decisions on the same
+draws, so the choice moves no output.
+
 The accept test works on integer acceptance levels.  A uniform draw u in
 [0, 1) has level k, the number of the four thresholds exp(-beta * d),
 d = 1..4, that lie above it; since the thresholds fall with d, u <
@@ -53,13 +65,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecoderInternalError, InvalidParameterError, _check_count
+from .errors import DecoderInternalError, InvalidParameterError, _check_count, _is_number
 from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
 from .noise import INDEPENDENT_XZ, NoiseModel, _delta_table, _layout_moves, beta_bar, error_score
 from .stats import simpson
 
 _CHUNK_BATCHES = 32
+# ``run`` takes the frame loop below this inverse temperature and the table
+# loop at or above it: the measured crossover of their per-step costs, 1.12 to
+# 1.31 at L = 5-11 for both noise kinds (README, Notes)
+_FRAME_LOOP_BELOW = 1.25
 
 
 @dataclass(frozen=True)
@@ -71,9 +87,11 @@ class SingleTempConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.beta_star, numbers.Real) or not self.beta_star >= 0:
+        if not _is_number(self.beta_star, numbers.Real) or not self.beta_star >= 0:
             # the second test also refuses NaN
-            raise InvalidParameterError(f"beta_star must be >= 0, got {self.beta_star}")
+            raise InvalidParameterError(
+                f"beta_star must be a number >= 0, got {self.beta_star!r}"
+            )
         _check_count("n_sample", self.n_sample, 1)
         _check_count("burn_in", self.burn_in, 0)
 
@@ -132,9 +150,13 @@ class MetropolisChain:
     thresholds exp(-beta * d), d = 1..4, above the draw).  An accepted move
     XORs its flip list into the states of the at most nine stabilizers that
     share a qubit with it (built once per layout).  ``run`` is the bulk
-    sampler; ``step`` is the same path on a single proposal, and records no
+    sampler.  Below beta = ``_FRAME_LOOP_BELOW`` it runs ``_frame_moves``
+    instead, which accepts on the count of the whole proposed frame against
+    the same level and keeps no local states, then rebuilds the states once;
+    each loop is the faster one on its side of that beta, and the two decide
+    alike.  ``step`` is the table loop on a single proposal, and records no
     batch for ``standard_error``.  The rectangle sweep makes its own
-    proposals through the same path.  ``estimate`` is the running average of
+    proposals through the table loop.  ``estimate`` is the running average of
     the error count over all proposals since the end of burn-in; by default
     nothing is discarded, since heating up from a minimum-weight seed is
     faster than cooling from a random one.
@@ -152,6 +174,7 @@ class MetropolisChain:
         self.rng = rng
         self._local = _layout_moves(layout)
         self._table = _delta_table(model)
+        self._independent = model.kind == INDEPENDENT_XZ
         self._seed = frame.copy()
         self._seed_states = self._local.local_states(frame)
         self._seed_n = error_score(model, frame)
@@ -162,6 +185,7 @@ class MetropolisChain:
         temperature ``beta``, with empty tallies; draws nothing from ``rng``."""
         if not beta >= 0:  # also refuses NaN
             raise InvalidParameterError(f"beta must be >= 0, got {beta}")
+        self._beta = beta
         self._thresholds = _thresholds(beta)
         self._x = self._seed.x
         self._z = self._seed.z
@@ -235,19 +259,66 @@ class MetropolisChain:
         self._x, self._z, self._n = x, z, n
         return cum
 
+    def _frame_moves(self, idx: Iterable[int], levels: Iterable[int]) -> int:
+        """``_moves`` without local states: each proposal's count is that of
+        the whole proposed frame, compared with the current count plus the
+        acceptance level.  Leaves ``_states`` stale."""
+        local = self._local
+        masks = local.masks
+        x_kind = local.x_kind
+        x, z, n = self._x, self._z, self._n
+        cum = 0
+        if self._independent:
+            # sigma-y counts in both planes: a move changes only its own
+            # plane's count
+            nx = x.bit_count()
+            nz = n - nx
+            for s, k in zip(idx, levels):
+                if x_kind[s]:
+                    y = x ^ masks[s]
+                    c = y.bit_count()
+                    if c <= nx + k:
+                        x, nx = y, c
+                else:
+                    y = z ^ masks[s]
+                    c = y.bit_count()
+                    if c <= nz + k:
+                        z, nz = y, c
+                cum += nx + nz
+            n = nx + nz
+        else:
+            for s, k in zip(idx, levels):
+                if x_kind[s]:
+                    y = x ^ masks[s]
+                    c = (y | z).bit_count()
+                    if c <= n + k:
+                        x, n = y, c
+                else:
+                    y = z ^ masks[s]
+                    c = (x | y).bit_count()
+                    if c <= n + k:
+                        z, n = y, c
+                cum += n
+        self._x, self._z, self._n = x, z, n
+        return cum
+
     def run(self, n_steps: int, accumulate: bool = True) -> None:
         """Advance by ``n_steps`` proposals (tight loop, block-drawn randomness)."""
         _check_count("n_steps", n_steps, 0)
         n_stab = len(self._local.masks)
         chunk_size = max(1024, n_steps // _CHUNK_BATCHES)
+        hot = self._beta < _FRAME_LOOP_BELOW
+        moves = self._frame_moves if hot else self._moves
         done = 0
         while done < n_steps:
             todo = min(chunk_size, n_steps - done)
             idx = array("q", self.rng.integers(0, n_stab, size=todo).tobytes())
-            cum = self._moves(idx, self._levels(self.rng.random(size=todo)))
+            cum = moves(idx, self._levels(self.rng.random(size=todo)))
             done += todo
             if accumulate:
                 self._accumulate(todo, cum)
+        if hot:
+            self._states = self._local.local_states(self.frame)
 
     def _accumulate(self, steps: int, cum: int) -> None:
         """Record one batch of ``steps`` steps whose post-move counts sum to ``cum``."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InconsistentHypothesisError, InvalidMoveError, InvalidParameterError, _check_count,
+    InconsistentHypothesisError, InvalidMoveError, InvalidParameterError, _check_count, _is_number,
 )
 from .geometry import CodeLayout, EquivalenceClass, PauliFrame
 from .noise import NoiseModel, beta_bar, error_score, sample_frame, score_delta
@@ -166,13 +166,13 @@ def deformation_move(
     Only interior times 1 < t < t_max are valid; the move is an involution and
     preserves consistency and the aggregated class.
     """
-    if not isinstance(t, numbers.Integral) or not 1 < t < hyp.record.t_max:
+    if not _is_number(t, numbers.Integral) or not 1 < t < hyp.record.t_max:
         raise InvalidMoveError(
             f"deformation time must be an integer with 1 < t < t_max, got {t!r}"
         )
     if pauli not in ("X", "Z"):
         raise InvalidParameterError(f"deformation pauli must be X or Z, got {pauli!r}")
-    if not isinstance(qubit, numbers.Integral) or not 0 <= qubit < layout.n_qubits:
+    if not _is_number(qubit, numbers.Integral) or not 0 <= qubit < layout.n_qubits:
         raise InvalidParameterError(
             f"deformation qubit must be an integer in [0, {layout.n_qubits}), got {qubit!r}"
         )

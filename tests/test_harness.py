@@ -437,6 +437,32 @@ def test_cli_campaign_refuses_repeated_cells(capsys, tmp_path, cells):
     assert not out.exists() and not (tmp_path / "plots").exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"p_values": [False]},
+        {"max_trials": True},
+        {"seed": True},
+        {"n_sample": True},
+        {"beta_star_factor": True},
+    ],
+    ids=["p_false", "max_trials_true", "seed_true", "n_sample_true", "beta_star_factor_true"],
+)
+def test_cli_campaign_refuses_json_booleans(capsys, tmp_path, override):
+    # a JSON true or false is a Python bool, which is a number: before, it
+    # ran as 1 or 0 (p = 0 cells printed and written as "False")
+    config = {"L_values": [3], "p_values": [0.1], "seed": 1, "max_trials": 2, **override}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "res.csv"
+    code = cli_main(["campaign", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_fatal_patterns():
     assert cli_main(["fatal-patterns", "--L", "3,5"]) == 0
 

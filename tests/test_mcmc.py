@@ -29,6 +29,7 @@ from surfmc import (
     zero_temperature_score,
 )
 from surfmc import mcmc, noise
+from surfmc.errors import _check_count
 from surfmc.mcmc import SweepResult, batch_means_se
 from surfmc.noise import score_delta
 from surfmc.oracle import enumerate_orbit, exact_boltzmann
@@ -59,6 +60,23 @@ def test_config_validation():
             SingleTempConfig(*args, **kwargs)
     cfg = SingleTempConfig(math.inf, np.int64(5), burn_in=np.int64(0))
     assert cfg.n_sample == 5
+
+
+def test_bools_are_not_counts(layout3):
+    # True is a numbers.Integral equal to 1; as a count it is a slip
+    with pytest.raises(InvalidParameterError, match="n_steps"):
+        _check_count("n_steps", True, 0)
+    chain = MetropolisChain(
+        layout3, MODEL, BB, layout3.identity_frame(), np.random.default_rng(0)
+    )
+    with pytest.raises(InvalidParameterError, match="n_steps"):
+        chain.run(True)
+    assert chain.step_count == 0
+    for args, name in (((True, True), "beta_star"), ((1.0, True), "n_sample")):
+        with pytest.raises(InvalidParameterError, match=name):
+            SingleTempConfig(*args)
+    with pytest.raises(InvalidParameterError, match="burn_in"):
+        SingleTempConfig(1.0, 10, burn_in=False)
 
 
 def test_default_config(layout4):
@@ -601,7 +619,11 @@ def test_layout_move_cache_released_with_layout():
 def test_chain_matches_reference_loop(L, model):
     layout = build_layout(L)
     plan = [("burn", 700), ("step",), ("run", 2500), ("step",), ("step",), ("run", 1500)]
-    for k, beta in enumerate((0.3, beta_bar(model), math.inf)):
+    # run takes the frame loop below mcmc._FRAME_LOOP_BELOW and the table loop
+    # from it on; steps always take the table loop
+    betas = (0.0, 0.3, 1.0, 1.4, beta_bar(model), math.inf)
+    assert mcmc._FRAME_LOOP_BELOW not in betas
+    for k, beta in enumerate(betas):
         frame = sample_frame(model, layout, np.random.default_rng(100 + k))
         chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(k))
         for call in plan:
@@ -615,6 +637,34 @@ def test_chain_matches_reference_loop(L, model):
         assert (chain.frame.x, chain.frame.z) == ref_frame
         assert chain.cumulative_n == ref_cum and chain.step_count == ref_steps
         assert chain._batch_sums == ref_batches
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_run_takes_the_frame_loop_below_the_switch(layout5, model, monkeypatch):
+    calls = []
+    for name in ("_moves", "_frame_moves"):
+        def counted(self, idx, levels, loop=getattr(MetropolisChain, name), name=name):
+            calls.append(name)
+            return loop(self, idx, levels)
+
+        monkeypatch.setattr(MetropolisChain, name, counted)
+    switch = mcmc._FRAME_LOOP_BELOW
+    frame = sample_frame(model, layout5, np.random.default_rng(3))
+    for beta, loop in (
+        (0.0, "_frame_moves"),
+        (float(np.nextafter(switch, 0.0)), "_frame_moves"),
+        (switch, "_moves"),
+        (beta_bar(model), "_moves"),
+        (math.inf, "_moves"),
+    ):
+        chain = MetropolisChain(layout5, model, beta, frame, np.random.default_rng(4))
+        calls.clear()
+        chain.run(3000)  # three blocks of at most 1024 draws
+        assert calls == [loop] * 3, beta
+        calls.clear()
+        chain.step()
+        assert calls == ["_moves"], beta
+        assert chain._states == chain._local.local_states(chain.frame)
 
 
 def test_chain_rejects_frame_of_another_layout(layout3, layout5, rng):

@@ -166,7 +166,7 @@ def test_chain_rejects_inconsistent_seed(layout3):
         SpacetimeChain(layout3, MODEL, mm, bad, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("qubit", [-1, 13, 40, 2.5])
+@pytest.mark.parametrize("qubit", [-1, 13, 40, 2.5, True])
 def test_deformation_qubit_out_of_range_rejected(layout3, qubit):
     assert layout3.n_qubits == 13
     hyp = initial_hypothesis(layout3, MeasurementRecord(3, (0, 0, 0)))
