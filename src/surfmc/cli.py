@@ -9,12 +9,14 @@ seeds the campaign's options; explicit flags override file values.  The
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from .errors import ConfigError, InvalidParameterError
 from .harness import (
+    STANDARD,
     ExperimentConfig,
     _CampaignInterrupted,
     fatal_pattern_suite,
@@ -68,16 +70,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     camp = sub.add_parser("campaign", help="run a decoder-comparison campaign")
     camp.add_argument("--config", help="JSON file with campaign options")
-    camp.add_argument("--L", type=_int_list, help="comma-separated code distances")
-    camp.add_argument("--p", type=_float_list, help="comma-separated error rates")
-    camp.add_argument("--model", choices=("depolarizing", "independent_xz"))
+    # each campaign option's dest is the config field it sets
+    camp.add_argument("--L", dest="L_values", metavar="L", type=_int_list,
+                      help="comma-separated code distances")
+    camp.add_argument("--p", dest="p_values", metavar="P", type=_float_list,
+                      help="comma-separated error rates")
+    camp.add_argument("--model", dest="model_kind", choices=("depolarizing", "independent_xz"))
     camp.add_argument("--algorithms", help="comma-separated algorithm names")
     camp.add_argument("--n-sample", type=int, help="Metropolis steps per class (default L^4)")
     camp.add_argument("--beta-star-factor", type=float)
     camp.add_argument("--burn-in", type=int)
     camp.add_argument("--refine-steps", type=int)
-    camp.add_argument("--target-errors", type=int, help="stop after this many logical errors")
-    camp.add_argument("--trials", type=int, help="fixed trial budget")
+    camp.add_argument("--target-errors", dest="target_logical_errors", metavar="TARGET_ERRORS",
+                      type=int, help="stop after this many logical errors")
+    camp.add_argument("--trials", dest="max_trials", metavar="TRIALS", type=int,
+                      help="fixed trial budget")
     camp.add_argument("--seed", type=int)
     camp.add_argument("--workers", type=int)
     camp.add_argument("--out", default="results.csv", help="CSV output path")
@@ -110,23 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _campaign_config(args: argparse.Namespace) -> ExperimentConfig:
     values = _load_config_file(args.config)
-    overrides = {
-        "L_values": args.L,
-        "p_values": args.p,
-        "model_kind": args.model,
-        "algorithms": args.algorithms,
-        "n_sample": args.n_sample,
-        "beta_star_factor": args.beta_star_factor,
-        "burn_in": args.burn_in,
-        "refine_steps": args.refine_steps,
-        "target_logical_errors": args.target_errors,
-        "max_trials": args.trials,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    values.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     if "algorithms" in values and isinstance(values["algorithms"], str):
         values["algorithms"] = tuple(values["algorithms"].split(","))
     for key in ("L_values", "p_values", "algorithms"):
@@ -141,15 +133,15 @@ def _campaign_config(args: argparse.Namespace) -> ExperimentConfig:
     if "target_logical_errors" not in values and "max_trials" in values:
         values["target_logical_errors"] = None
     try:
-        cfg = ExperimentConfig(**values)
+        return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(f"bad config key: {exc}") from exc
-    cfg.validate()
-    return cfg
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     cfg = _campaign_config(args)
+    if args.plot_data_dir and STANDARD not in cfg.algorithms:
+        raise ConfigError(f"--plot-data-dir needs {STANDARD}: each ratio is its rate over another")
     if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ConfigError(f"--out {args.out} is not a file path in an existing directory")
     if args.plot_data_dir:

@@ -1,4 +1,16 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the two argument checks
+that raise them.
+
+``_check_count`` refuses anything but an integer >= ``low``: step, item and
+sample counts, code distances, seeds.  ``_check_number`` refuses anything but
+a real number in [low, below), or >= ``low`` with no upper bound, when
+infinity passes: rates, inverse temperatures, factors.  Neither takes a bool
+(Python counts True and False as 1 and 0, a config's JSON true must not) and
+the number check refuses NaN.  Both raise ``InvalidParameterError`` unless
+given another class; campaign configs raise ``ConfigError``.  Checks of
+another shape (open intervals, odd counts, index ranges) are written where
+they are used.
+"""
 
 import numbers
 
@@ -28,12 +40,22 @@ class DecoderInternalError(RuntimeError):
 
 
 def _is_number(value, kind: type) -> bool:
-    """``isinstance(value, kind)`` for a ``numbers`` ABC, but never for a bool:
-    Python counts True and False as 1 and 0, a config (JSON true) must not."""
+    """``isinstance(value, kind)`` for a ``numbers`` ABC, but never for a bool."""
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """Refuse a step or item count that is not an integer >= ``low``."""
+def _check_count(name: str, value, low: int, error: type = InvalidParameterError) -> None:
+    """Refuse a value that is not an integer >= ``low``."""
     if not _is_number(value, numbers.Integral) or value < low:
-        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_number(name: str, value, low: float, below: float | None = None,
+                  error: type = InvalidParameterError) -> None:
+    """Refuse a value that is not a real number in [low, below), or >= ``low``
+    when ``below`` is None; NaN fails both comparisons."""
+    # a float is tested first: chains check their beta at every restart
+    if not ((isinstance(value, float) or _is_number(value, numbers.Real))
+            and low <= value and (below is None or value < below)):
+        bound = f">= {low}" if below is None else f"in [{low}, {below})"
+        raise error(f"{name} must be {bound}, got {value!r}")

@@ -23,7 +23,7 @@ import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameterError
+from .errors import _check_count
 
 Coord = tuple[int, int]
 
@@ -257,8 +257,8 @@ def build_layout(L: int) -> CodeLayout:
     Produces L^2 + (L-1)^2 qubits and 2L(L-1) stabilizers, split equally
     between the two kinds.
     """
-    if not isinstance(L, int) or L < 2:
-        raise InvalidParameterError(f"code distance must be an integer >= 2, got {L!r}")
+    _check_count("code distance", L, 2)
+    L = int(L)  # keep a numpy integer out of the layout's sizes
 
     span = 2 * L - 2
     qubit_coords = tuple(

@@ -16,14 +16,13 @@ import contextlib
 import functools
 import itertools
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, _check_count, _is_number
+from .errors import ConfigError, InvalidParameterError, _check_count, _check_number
 from .geometry import CodeLayout, PauliFrame, build_layout
 from .matching import decode_both, decode_enhanced
 from .mcmc import (
@@ -70,15 +69,20 @@ class ExperimentConfig:
     max_trials: int | None = None
     workers: int = 1
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        if not self.L_values or any(
-            not _is_number(L, numbers.Integral) or L < 2 for L in self.L_values
-        ):
-            raise ConfigError(f"L values must all be integers >= 2, got {self.L_values}")
-        if not self.p_values or any(
-            not _is_number(p, numbers.Real) or not 0.0 <= p < 0.75 for p in self.p_values
-        ):
-            raise ConfigError(f"p values must lie in [0, 0.75), got {self.p_values}")
+        """Raise ``ConfigError`` unless the campaign can run; construction
+        calls it, so a config that exists is valid."""
+        if not self.L_values or not self.p_values:
+            raise ConfigError(
+                f"need at least one L and one p value, got {self.L_values} and {self.p_values}"
+            )
+        for L in self.L_values:
+            _check_count("L", L, 2, ConfigError)
+        for p in self.p_values:
+            _check_number("p", p, 0, 0.75, ConfigError)
         if self.model_kind not in (DEPOLARIZING, INDEPENDENT_XZ):
             raise ConfigError(f"unsupported model kind {self.model_kind!r}")
         if self.model_kind == INDEPENDENT_XZ and max(self.p_values) >= 0.5:
@@ -105,27 +109,20 @@ class ExperimentConfig:
                 "p = 0 makes no logical errors, so it never reaches the error "
                 "target; give a trial budget"
             )
-        if self.seed is None:
-            raise ConfigError("a master seed is mandatory")
-        for name, v, low in (
-            ("seed", self.seed, 0),
+        _check_count("seed", self.seed, 0, ConfigError)  # mandatory: no wall-clock seeding
+        _check_count("workers", self.workers, 1, ConfigError)
+        _check_count("n_temperatures", self.n_temperatures, 3, ConfigError)
+        _check_count("burn_in", self.burn_in, 0, ConfigError)
+        for name, v, low in (  # None: the default, or no such stop rule
             ("target_logical_errors", self.target_logical_errors, 1),
             ("max_trials", self.max_trials, 1),
-            ("workers", self.workers, 1),
             ("n_sample", self.n_sample, 1),
-            ("n_temperatures", self.n_temperatures, 3),
-            ("burn_in", self.burn_in, 0),
             ("refine_steps", self.refine_steps, 0),
-            ("beta_star_factor", self.beta_star_factor, 0),
         ):
-            if v is None:
-                continue
-            integer = name != "beta_star_factor"
-            if not _is_number(v, numbers.Integral if integer else numbers.Real):
-                kind = "an integer" if integer else "a number"
-                raise ConfigError(f"{name} must be {kind}, got {v!r}")
-            if not v >= low:  # NaN fails too
-                raise ConfigError(f"{name} must be >= {low}, got {v}")
+            if v is not None:
+                _check_count(name, v, low, ConfigError)
+        if self.beta_star_factor is not None:
+            _check_number("beta_star_factor", self.beta_star_factor, 0, error=ConfigError)
         if self.n_temperatures % 2 == 0:
             raise ConfigError("n_temperatures must be odd and >= 3")
 
@@ -243,7 +240,7 @@ def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
             else:
                 verdict = decode_free_energy(
                     layout, syndrome, model, spec.temps, spec.sampler.n_sample, chain_set,
-                    seed_seq,
+                    seed_seq, spec.sampler.burn_in,
                 )
         verdicts[alg] = verdict.cls.label
     successes = {alg: verdicts[alg] == true_cls.label for alg in cfg.algorithms}
@@ -323,7 +320,6 @@ def run_campaign(cfg: ExperimentConfig, keep_trials: bool = False) -> CampaignRe
     and merges the batches in trial-id order until the stop rule holds; the
     trials of a round past that point are discarded.
     """
-    cfg.validate()
     workers = _workers(cfg)
     cells: list[CampaignCell] = []
     with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
@@ -390,7 +386,7 @@ def format_results_csv(result: CampaignResult) -> str:
     for row in result.rows():
         L, p, model, alg, trials, failures, rate, lo, hi, seed = row
         lines.append(
-            f"{L},{p!r},{model},{alg},{trials},{failures},{rate!r},{lo!r},{hi!r},{seed}"
+            f"{L},{float(p)!r},{model},{alg},{trials},{failures},{rate!r},{lo!r},{hi!r},{seed}"
         )
     if result.truncated:
         lines.append(TRUNCATION_MARKER)
@@ -404,7 +400,8 @@ def write_results_csv(result: CampaignResult, path: str) -> None:
 
 def write_plot_data(result: CampaignResult, directory: str) -> list[str]:
     """Two-column rate-ratio files (standard MWPM rate over each algorithm's),
-    one file per (L, algorithm) pair, in the style of the ratio figures.
+    one file per (L, algorithm) pair, in the style of the ratio figures; none
+    when standard MWPM did not run (the command line refuses that request).
 
     Only cells that ran at least one trial contribute a line, so the partial
     result of an interrupted campaign writes what it has."""
@@ -425,7 +422,7 @@ def write_plot_data(result: CampaignResult, directory: str) -> list[str]:
                         continue
                     r_std, r_alg = cell.rate(STANDARD), cell.rate(alg)
                     ratio = r_std / r_alg if r_alg > 0 else math.inf
-                    fh.write(f"{p!r} {ratio!r}\n")
+                    fh.write(f"{float(p)!r} {ratio!r}\n")
             written.append(path)
     return written
 
@@ -496,6 +493,7 @@ def fatal_pattern_suite(L_values: tuple[int, ...], p: float = 0.1) -> FatalPatte
     """
     if not L_values:
         raise InvalidParameterError("fatal patterns need at least one L")
+    _check_number("p", p, 0, 0.75)
     cases = []
     model = make_model(DEPOLARIZING, p)
     for L in L_values:
@@ -565,8 +563,7 @@ def oracle_check(
     0-39 at 64 syndromes.  Keep the default of 300 syndromes or more.
     """
     _check_count("n_syndromes", n_syndromes, 1)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_count("seed", seed, 0, ConfigError)
     layout = _cached_layout(L)
     model = make_model(DEPOLARIZING, p)
     cfg = default_single_temp_config(model, layout)
@@ -661,15 +658,14 @@ def scaling_probe(
         raise ConfigError(f"a scaling probe needs p > 0, got {p}")
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"confidence must lie in (0, 1), got {confidence}")
-    if max_n_sample is not None and max_n_sample < 1:
-        raise ConfigError(f"max_n_sample must be >= 1, got {max_n_sample}")
+    if max_n_sample is not None:
+        _check_count("max_n_sample", max_n_sample, 1, ConfigError)
     alpha = 1.0 - confidence
     base = ExperimentConfig(
         L_values=tuple(L_values), p_values=(p,), seed=seed,
         algorithms=(STANDARD, ENHANCED, SINGLE_TEMP),
         target_logical_errors=target_errors, max_trials=max_trials,
     )
-    base.validate()
     points = []
     for L in L_values:
         cap = max_n_sample if max_n_sample is not None else 4 * L ** 4

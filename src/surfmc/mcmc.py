@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterable
@@ -65,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecoderInternalError, InvalidParameterError, _check_count, _is_number
+from .errors import DecoderInternalError, InvalidParameterError, _check_count, _check_number
 from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
 from .noise import INDEPENDENT_XZ, NoiseModel, _delta_table, _layout_moves, beta_bar, error_score
@@ -87,11 +86,7 @@ class SingleTempConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if not _is_number(self.beta_star, numbers.Real) or not self.beta_star >= 0:
-            # the second test also refuses NaN
-            raise InvalidParameterError(
-                f"beta_star must be a number >= 0, got {self.beta_star!r}"
-            )
+        _check_number("beta_star", self.beta_star, 0)
         _check_count("n_sample", self.n_sample, 1)
         _check_count("burn_in", self.burn_in, 0)
 
@@ -183,8 +178,7 @@ class MetropolisChain:
     def _restart(self, beta: float) -> None:
         """Return to the seed frame, its local states and count at inverse
         temperature ``beta``, with empty tallies; draws nothing from ``rng``."""
-        if not beta >= 0:  # also refuses NaN
-            raise InvalidParameterError(f"beta must be >= 0, got {beta}")
+        _check_number("beta", beta, 0)
         self._beta = beta
         self._thresholds = _thresholds(beta)
         self._x = self._seed.x
@@ -414,10 +408,9 @@ def zero_temperature_score(model: NoiseModel, layout: CodeLayout) -> float:
 
 def free_energy_temperatures(model: NoiseModel, count: int = 21) -> np.ndarray:
     """Equidistant inverse-temperature grid on [0, beta_bar], odd point count."""
-    if not isinstance(count, numbers.Integral) or count < 3 or count % 2 == 0:
-        raise InvalidParameterError(
-            f"temperature count must be an odd integer >= 3, got {count!r}"
-        )
+    _check_count("temperature count", count, 3)
+    if count % 2 == 0:
+        raise InvalidParameterError(f"temperature count must be odd, got {count!r}")
     return np.linspace(0.0, beta_bar(model), count)
 
 
@@ -439,17 +432,19 @@ def decode_free_energy(
     n_sample: int,
     seeds: ClassChainSet,
     seed_seq: np.random.SeedSequence,
+    burn_in: int = 0,
 ) -> DecoderVerdict:
     """Thermodynamic-integration decoder.
 
-    Samples <n> per class at each positive grid temperature (n_sample steps
-    each, from one chain per class restarted from the class seed at every
-    temperature), substitutes the closed form at beta = 0, integrates with
-    composite Simpson, and corrects per the class with the smallest integral,
-    i.e. the largest log Z = n_stab log 2 - integral.  Per-class estimates
-    are attached as ``detail["free_energy"]``.
+    Samples <n> per class at each positive grid temperature (``burn_in``
+    discarded steps, then n_sample steps, from one chain per class restarted
+    from the class seed at every temperature), substitutes the closed form at
+    beta = 0, integrates with composite Simpson, and corrects per the class
+    with the smallest integral, i.e. the largest log Z = n_stab log 2 -
+    integral.  Per-class estimates are attached as ``detail["free_energy"]``.
     """
     _check_count("n_sample", n_sample, 1)
+    _check_count("burn_in", burn_in, 0)
     temps = np.asarray(temps, dtype=float)
     if len(temps) < 3 or len(temps) % 2 == 0:
         raise InvalidParameterError("temperature grid must have an odd count >= 3")
@@ -465,7 +460,7 @@ def decode_free_energy(
     simpson_coef[2:-1:2] = 2.0
     simpson_coef *= h / 3.0
 
-    sampled = _class_means(layout, model, temps[1:].tolist(), seeds, seed_seq, n_sample)
+    sampled = _class_means(layout, model, temps[1:].tolist(), seeds, seed_seq, n_sample, burn_in)
     estimates: dict[EquivalenceClass, FreeEnergyEstimate] = {}
     scores: dict[EquivalenceClass, float] = {}
     for cls, (sampled_means, sampled_ses) in sampled.items():

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _check_number
 from .geometry import CodeLayout, PauliFrame, _per_layout
 
 DEPOLARIZING = "depolarizing"
@@ -46,8 +46,7 @@ class NoiseModel:
         if self.kind not in (DEPOLARIZING, INDEPENDENT_XZ):
             raise InvalidParameterError(f"unknown noise model kind {self.kind!r}")
         for name, v in (("p_x", self.p_x), ("p_y", self.p_y), ("p_z", self.p_z)):
-            if not 0.0 <= v < 1.0:
-                raise InvalidParameterError(f"{name}={v} outside [0, 1)")
+            _check_number(name, v, 0, 1)
         if self.p_i < 0.0 or self.p_i > 1.0:
             raise InvalidParameterError(
                 f"component probabilities sum to {1 - self.p_i}, must be <= 1"
@@ -63,15 +62,13 @@ class NoiseModel:
 
     @classmethod
     def depolarizing(cls, p: float) -> "NoiseModel":
-        if not 0.0 <= p < 1.0:
-            raise InvalidParameterError(f"depolarizing rate p={p} outside [0, 1)")
+        _check_number("depolarizing rate p", p, 0, 1)
         return cls(DEPOLARIZING, p / 3.0, p / 3.0, p / 3.0, p=p)
 
     @classmethod
     def independent_xz(cls, p_b: float, p_p: float) -> "NoiseModel":
-        for name, v in (("p_b", p_b), ("p_p", p_p)):
-            if not 0.0 <= v < 1.0:
-                raise InvalidParameterError(f"{name}={v} outside [0, 1)")
+        _check_number("p_b", p_b, 0, 1)
+        _check_number("p_p", p_p, 0, 1)
         return cls(
             INDEPENDENT_XZ,
             p_b * (1.0 - p_p),

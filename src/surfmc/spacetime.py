@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InconsistentHypothesisError, InvalidMoveError, InvalidParameterError, _check_count, _is_number,
+    InconsistentHypothesisError, InvalidMoveError, InvalidParameterError, _check_count,
+    _check_number, _is_number,
 )
 from .geometry import CodeLayout, EquivalenceClass, PauliFrame
 from .noise import NoiseModel, beta_bar, error_score, sample_frame, score_delta
@@ -59,8 +60,7 @@ class MeasurementRecord:
     observed: tuple[int, ...]  # bitmask over global stabilizer indices, len t_max
 
     def __post_init__(self):
-        if self.t_max < 2:
-            raise InvalidParameterError(f"need t_max >= 2, got {self.t_max}")
+        _check_count("t_max", self.t_max, 2)
         if len(self.observed) != self.t_max:
             raise InvalidParameterError("record length must equal t_max")
 
@@ -189,6 +189,7 @@ def sample_record(
     rng: np.random.Generator,
 ) -> tuple[MeasurementRecord, SpacetimeHypothesis]:
     """Simulate noisy rounds; returns the observed record and the true hypothesis."""
+    _check_count("t_max", t_max, 2)
     frames = [sample_frame(model, layout, rng) for _ in range(t_max - 1)]
     flips = [
         sum(1 << int(s) for s in np.flatnonzero(rng.random(layout.n_stab) < mm.p_m))
@@ -219,8 +220,7 @@ class SpacetimeChain:
         if not hyp.is_consistent(layout):
             raise InconsistentHypothesisError("chain seed is inconsistent")
         self.beta = beta_bar(model) if beta is None else beta
-        if not self.beta >= 0:
-            raise InvalidParameterError(f"beta must be >= 0, got {self.beta}")
+        _check_number("beta", self.beta, 0)
         self.layout = layout
         self.model = model
         self.mm = mm

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from surfmc import (
@@ -27,6 +28,16 @@ def test_counts(L, n_qubits, n_stab):
 def test_rejects_small_L():
     with pytest.raises(InvalidParameterError):
         build_layout(1)
+
+
+def test_code_distance_is_an_integer():
+    # a numpy integer from a caller's sweep builds the same layout, with the
+    # distance stored as a Python int
+    layout = build_layout(np.int64(3))
+    assert type(layout.L) is int and layout.dump_text() == build_layout(3).dump_text()
+    for L in (3.0, True):
+        with pytest.raises(InvalidParameterError, match="code distance"):
+            build_layout(L)
 
 
 def test_stabilizer_supports(layout4):

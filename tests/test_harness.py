@@ -14,6 +14,7 @@ from surfmc import ConfigError, ExperimentConfig, build_layout, harness
 from surfmc.cli import main as cli_main
 from surfmc.harness import (
     ENHANCED,
+    FREE_ENERGY,
     SINGLE_TEMP,
     STANDARD,
     TRUNCATION_MARKER,
@@ -101,6 +102,22 @@ def test_config_rejects_repeated_cells(kw):
     # a repeated value would run its cells twice, on different streams
     with pytest.raises(ConfigError, match="must not repeat"):
         tiny_config(**kw).validate()
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(L_values=(1,)),
+        dict(p_values=(math.nan,)),
+        dict(seed=True),
+        # fields that take no None: before, each failed later with a TypeError
+        dict(n_temperatures=None),
+        dict(workers=None),
+    ],
+)
+def test_config_is_valid_once_built(kw):
+    with pytest.raises(ConfigError):
+        tiny_config(**kw)
 
 
 def test_make_model():
@@ -198,6 +215,34 @@ def test_plot_data(tmp_path):
         for line in lines:
             p, ratio = line.split()
             float(p), float(ratio)
+
+
+def test_campaign_hands_burn_in_to_free_energy(monkeypatch):
+    # before, free_energy rows ignored burn_in; it is passed positionally, as
+    # every other argument of the call
+    seen = []
+    real = harness.decode_free_energy
+
+    def spy(*args):
+        seen.append(args[7])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "decode_free_energy", spy)
+    run_campaign(tiny_config(algorithms=(FREE_ENERGY,), burn_in=5, max_trials=2))
+    assert seen == [5, 5]
+
+
+def test_numpy_cell_values_write_python_number_bytes(tmp_path):
+    # numpy scalars from a caller's sweep: the CSV and plot files read as for
+    # Python numbers, not "np.float64(0.1)"
+    outputs = []
+    for L, p in ((3, 0.1), (np.int64(3), np.float64(0.1))):
+        res = run_campaign(tiny_config(L_values=(L,), p_values=(p,), max_trials=16))
+        files = write_plot_data(res, str(tmp_path / type(p).__name__))
+        outputs.append((format_results_csv(res),
+                        [(os.path.basename(f), Path(f).read_bytes()) for f in files]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].splitlines()[1].startswith("3,0.1,depolarizing,")
 
 
 def test_paired_comparison_pvalue_bookkeeping():
@@ -524,6 +569,40 @@ def test_cli_campaign_checks_plot_data_dir_before_running(monkeypatch, capsys, t
     assert captured.out == "" and not (tmp_path / "y.csv").exists()
 
 
+def test_cli_campaign_plot_data_needs_standard(monkeypatch, capsys, tmp_path):
+    # every ratio is the standard_mwpm rate over another's: without it the
+    # flag used to be dropped silently after the whole campaign had run
+    def never(cfg):
+        raise AssertionError("run_campaign ran before --plot-data-dir was checked")
+
+    monkeypatch.setattr("surfmc.cli.run_campaign", never)
+    code = cli_main(["campaign", "--L", "3", "--p", "0.1", "--seed", "1", "--trials", "4",
+                     "--algorithms", "enhanced_mwpm,single_temperature",
+                     "--out", str(tmp_path / "y.csv"),
+                     "--plot-data-dir", str(tmp_path / "plots")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--plot-data-dir" in captured.err and len(captured.err.strip().splitlines()) == 1
+    assert captured.out == "" and not (tmp_path / "y.csv").exists()
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("field", ["n_temperatures", "workers", "burn_in"])
+def test_cli_campaign_refuses_null_for_a_required_field(monkeypatch, capsys, tmp_path, field):
+    def never(cfg):
+        raise AssertionError("run_campaign ran on an invalid config")
+
+    monkeypatch.setattr("surfmc.cli.run_campaign", never)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"L_values": [3], "p_values": [0.1], "seed": 1,
+                                "max_trials": 2, field: None}))
+    code = cli_main(["campaign", "--config", str(path), "--out", str(tmp_path / "y.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert field in captured.err and len(captured.err.strip().splitlines()) == 1
+    assert captured.out == "" and not (tmp_path / "y.csv").exists()
+
+
 def test_cli_campaign_interrupt_flushes_partial_results(monkeypatch, capsys, tmp_path):
     # Ctrl-C in the first cell: the partial CSV and the plot data are written,
     # and the run exits 130 with one line on stderr
@@ -571,6 +650,24 @@ def test_cli_oracle_check_rejects_syndrome_count(capsys, count):
 def test_oracle_check_takes_an_integer_syndrome_count(count):
     with pytest.raises(surfmc.InvalidParameterError, match="n_syndromes"):
         oracle_check(3, 0.1, count)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_check(3, 0.1, 2, seed=1.5),
+        lambda: oracle_check(3, 0.1, 2, seed=True),
+        lambda: scaling_probe(0.1, (3,), seed=1, target_errors=1, max_trials=8,
+                              max_n_sample=2.5),
+        # p = 0.9 would score with negative energy weights
+        lambda: fatal_pattern_suite((3,), p=0.9),
+    ],
+    ids=["oracle_seed_1.5", "oracle_seed_true", "probe_max_n_sample_2.5", "fatal_p_0.9"],
+)
+def test_entry_points_refuse_bad_numbers(call):
+    with pytest.raises((ConfigError, surfmc.InvalidParameterError)) as err:
+        call()
+    assert "\n" not in str(err.value)
 
 
 def test_import_loads_neither_networkx_nor_scipy():

@@ -29,7 +29,7 @@ from surfmc import (
     zero_temperature_score,
 )
 from surfmc import mcmc, noise
-from surfmc.errors import _check_count
+from surfmc.errors import ConfigError, _check_count, _check_number
 from surfmc.mcmc import SweepResult, batch_means_se
 from surfmc.noise import score_delta
 from surfmc.oracle import enumerate_orbit, exact_boltzmann
@@ -77,6 +77,30 @@ def test_bools_are_not_counts(layout3):
             SingleTempConfig(*args)
     with pytest.raises(InvalidParameterError, match="burn_in"):
         SingleTempConfig(1.0, 10, burn_in=False)
+
+
+def test_check_number():
+    for value in (0, 2.5, np.float64(0.5), math.inf):
+        _check_number("beta", value, 0)
+    _check_number("p", np.float64(0.1), 0, 0.75)
+    for value, below in ((-0.5, None), (math.nan, None), (True, None), ("1", None),
+                         (None, None), (0.75, 0.75), (math.inf, 0.75)):
+        with pytest.raises(InvalidParameterError, match="p must be"):
+            _check_number("p", value, 0, below)
+    with pytest.raises(ConfigError, match=r"seed must be an integer >= 0, got 1\.5"):
+        _check_count("seed", 1.5, 0, ConfigError)
+
+
+@pytest.mark.parametrize("beta", [True, "1"])
+def test_chain_beta_must_be_a_real_number(layout3, beta):
+    # True ran at beta = 1; "1" failed with a TypeError in the comparison
+    with pytest.raises(InvalidParameterError, match="beta must be >= 0"):
+        MetropolisChain(layout3, MODEL, beta, layout3.identity_frame(),
+                        np.random.default_rng(0))
+    chain = MetropolisChain(layout3, MODEL, math.inf, layout3.identity_frame(),
+                            np.random.default_rng(0))
+    with pytest.raises(InvalidParameterError, match="beta must be >= 0"):
+        chain._restart(beta)
 
 
 def test_default_config(layout4):
@@ -339,6 +363,12 @@ def test_decoders_build_and_run_chains_through_the_traced_methods(layout3, rng, 
         np.random.SeedSequence(2),
     )
     assert counts == {"chains": 4, "steps": 4 * 20 * n_sample, "verified": 4 * 20}
+    counts.update(chains=0, steps=0, verified=0)
+    decode_free_energy(
+        layout3, syn, MODEL, free_energy_temperatures(MODEL, 21), n_sample, chain_set,
+        np.random.SeedSequence(2), burn_in=17,
+    )
+    assert counts == {"chains": 4, "steps": 4 * 20 * (17 + n_sample), "verified": 4 * 20}
     counts.update(chains=0, steps=0, verified=0)
     cfg = SingleTempConfig(BB, n_sample, burn_in=17)
     decode_single_temperature(layout3, syn, MODEL, cfg, chain_set, np.random.SeedSequence(3))

@@ -39,6 +39,21 @@ def test_invalid_probabilities():
         NoiseModel(DEPOLARIZING, 0.5, 0.4, 0.3)  # components sum above 1
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NoiseModel.depolarizing("0.1"),
+        lambda: NoiseModel.depolarizing(False),
+        lambda: NoiseModel(DEPOLARIZING, "0.1", 0.0, 0.0),
+    ],
+    ids=["str", "bool", "component_str"],
+)
+def test_rates_must_be_real_numbers(make):
+    # a string used to fail with a TypeError in the comparison
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
 def test_beta_bar_values():
     assert beta_bar(NoiseModel.depolarizing(0.75)) == pytest.approx(0.0)
     assert beta_bar(NoiseModel.depolarizing(0.1)) == pytest.approx(math.log(27.0))

@@ -50,6 +50,19 @@ def test_record_validation():
         MeasurementRecord(3, (0, 0))
 
 
+def test_round_count_must_be_an_integer(layout3):
+    # 3.0 was accepted, then failed with a TypeError in initial_hypothesis
+    # or in sample_record's range
+    with pytest.raises(InvalidParameterError, match="t_max"):
+        MeasurementRecord(3.0, (0, 0, 0))
+    mm = MeasurementModel.from_probabilities(MODEL, 0.1)
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidParameterError, match="t_max"):
+        sample_record(layout3, MODEL, mm, 3.0, rng)
+    # checked before it samples: the stream is untouched
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_trivial_energy(layout3):
     mm = MeasurementModel.from_probabilities(MODEL, 0.1)
     record = MeasurementRecord(3, (0, 0, 0))
@@ -189,6 +202,17 @@ def test_chain_rejects_negative_or_nan_beta(layout3, beta):
     hyp = initial_hypothesis(layout3, MeasurementRecord(3, (0, 0, 0)))
     with pytest.raises(InvalidParameterError, match="beta must be >= 0"):
         SpacetimeChain(layout3, MODEL, mm, hyp, np.random.default_rng(0), beta=beta)
+
+
+@pytest.mark.parametrize("beta", [True, "1"])
+def test_chain_beta_must_be_a_real_number(layout3, beta):
+    # True ran at beta = 1; "1" failed with a TypeError in the comparison
+    mm = MeasurementModel.from_probabilities(MODEL, 0.1)
+    hyp = initial_hypothesis(layout3, MeasurementRecord(3, (0, 0, 0)))
+    with pytest.raises(InvalidParameterError, match="beta must be >= 0"):
+        SpacetimeChain(layout3, MODEL, mm, hyp, np.random.default_rng(0), beta=beta)
+    assert SpacetimeChain(layout3, MODEL, mm, hyp, np.random.default_rng(0),
+                          beta=math.inf).beta == math.inf
 
 
 def test_chain_at_zero_temperature_never_raises_energy(layout3, rng):
