@@ -119,13 +119,8 @@ def _campaign_config(args: argparse.Namespace) -> ExperimentConfig:
     values = _load_config_file(args.config)
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     values.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
-    if "algorithms" in values and isinstance(values["algorithms"], str):
-        values["algorithms"] = tuple(values["algorithms"].split(","))
-    for key in ("L_values", "p_values", "algorithms"):
-        if key in values:
-            if not isinstance(values[key], (list, tuple)):
-                raise ConfigError(f"{key} must be a list, got {values[key]!r}")
-            values[key] = tuple(values[key])
+    if isinstance(values.get("algorithms"), str):
+        values["algorithms"] = values["algorithms"].split(",")
     if "L_values" not in values or "p_values" not in values:
         raise ConfigError("a campaign needs --L and --p (or a config file with them)")
     if "seed" not in values:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two argument checks
-that raise them.
+"""Exception types shared across the package, and the argument checks that
+raise them.
 
 ``_check_count`` refuses anything but an integer >= ``low``: step, item and
 sample counts, code distances, seeds.  ``_check_number`` refuses anything but
@@ -7,9 +7,11 @@ a real number in [low, below), or >= ``low`` with no upper bound, when
 infinity passes: rates, inverse temperatures, factors.  Neither takes a bool
 (Python counts True and False as 1 and 0, a config's JSON true must not) and
 the number check refuses NaN.  Both raise ``InvalidParameterError`` unless
-given another class; campaign configs raise ``ConfigError``.  Checks of
-another shape (open intervals, odd counts, index ranges) are written where
-they are used.
+given another class; campaign configs raise ``ConfigError``.
+``_check_anyons`` refuses a syndrome's anyons of one kind unless they are
+strictly increasing integer indices into that kind's stabilizers, so a
+hand-built ``Syndrome`` never indexes past them or wraps.  Checks of another
+shape (open intervals, odd counts) are written where they are used.
 """
 
 import numbers
@@ -59,3 +61,13 @@ def _check_number(name: str, value, low: float, below: float | None = None,
             and low <= value and (below is None or value < below)):
         bound = f">= {low}" if below is None else f"in [{low}, {below})"
         raise error(f"{name} must be {bound}, got {value!r}")
+
+
+def _check_anyons(name: str, anyons, count: int) -> None:
+    """Refuse anyons that are not strictly increasing integers in [0, count)."""
+    if not (all(_is_number(a, numbers.Integral) for a in anyons)
+            and all(a < b for a, b in zip(anyons, anyons[1:]))
+            and (not anyons or 0 <= anyons[0] and anyons[-1] < count)):
+        raise InvalidParameterError(
+            f"{name} must be strictly increasing integers in [0, {count}), got {anyons!r}"
+        )

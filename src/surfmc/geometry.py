@@ -19,8 +19,7 @@ Reference logicals: ``X_L`` is sigma-x on every qubit of column ``c = 0`` and
 
 from __future__ import annotations
 
-import weakref
-from collections.abc import Callable
+import functools
 from dataclasses import dataclass, field
 
 from .errors import _check_count
@@ -157,7 +156,9 @@ class Syndrome:
 
 @dataclass(frozen=True)
 class CodeLayout:
-    """Distance-L planar surface code: immutable once built, shareable read-only."""
+    """Distance-L planar surface code: immutable once built, shareable read-only.
+
+    Equal layouts have one L, and a layout hashes as its L."""
 
     L: int
     qubit_coords: tuple[Coord, ...]
@@ -230,6 +231,10 @@ class CodeLayout:
     def logical_z_frame(self) -> PauliFrame:
         return PauliFrame(self.n_qubits, 0, self.logical_z_mask)
 
+    def __hash__(self) -> int:
+        # an L fixes every field; tables derived from a layout are cached on it
+        return hash(self.L)
+
     def dump_text(self) -> str:
         """Line-oriented debug dump, stable (r, c) ordering."""
         lines = [f"layout L={self.L} qubits={self.n_qubits} stabilizers={self.n_stab}"]
@@ -241,25 +246,19 @@ class CodeLayout:
         return "\n".join(lines) + "\n"
 
 
-def _per_layout(cache: dict, layout: CodeLayout, build: Callable[[CodeLayout], object]):
-    """``build(layout)``, kept in ``cache`` under ``id(layout)`` until the
-    layout is garbage-collected, so tables derived from a layout are built once."""
-    value = cache.get(id(layout))
-    if value is None:
-        value = cache[id(layout)] = build(layout)
-        weakref.finalize(layout, cache.pop, id(layout))
-    return value
-
-
 def build_layout(L: int) -> CodeLayout:
     """Build the distance-L planar layout (L >= 2).
 
     Produces L^2 + (L-1)^2 qubits and 2L(L-1) stabilizers, split equally
-    between the two kinds.
+    between the two kinds.  Layouts are cached by L, so every caller of one
+    distance shares one layout and the tables derived from it.
     """
     _check_count("code distance", L, 2)
-    L = int(L)  # keep a numpy integer out of the layout's sizes
+    return _build_layout(int(L))  # keep a numpy integer out of the layout's sizes
 
+
+@functools.lru_cache(maxsize=16)
+def _build_layout(L: int) -> CodeLayout:
     span = 2 * L - 2
     qubit_coords = tuple(
         (r, c)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import functools
 import itertools
 import math
 import os
@@ -51,7 +50,10 @@ _BATCH_SIZE = 64
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Campaign definition; the seed is mandatory (no wall-clock seeding)."""
+    """Campaign definition; the seed is mandatory (no wall-clock seeding).
+
+    ``L_values``, ``p_values`` and ``algorithms`` take lists or tuples and
+    are stored as tuples."""
 
     L_values: tuple[int, ...]
     p_values: tuple[float, ...]
@@ -70,6 +72,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("L_values", "p_values", "algorithms"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):  # a scalar, or a string
+                raise ConfigError(f"{name} must be a list, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         self.validate()
 
     def validate(self) -> None:
@@ -187,11 +194,6 @@ class CampaignResult:
         return out
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_layout(L: int) -> CodeLayout:
-    return build_layout(L)
-
-
 @dataclass(frozen=True)
 class _CellSpec:
     """Picklable per-cell work description for the trial workers."""
@@ -208,7 +210,7 @@ class _CellSpec:
 def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
     t0 = time.perf_counter()
     cfg = spec.cfg
-    layout = _cached_layout(spec.L)
+    layout = build_layout(spec.L)
     model = spec.model
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(spec.cell_index, trial, 0)))
@@ -275,7 +277,7 @@ def _cell_spec(cfg: ExperimentConfig, cell_index: int, L: int, p: float) -> _Cel
     sampler = temps = None  # beta_bar is undefined at p = 0
     if p > 0:
         sampler = default_single_temp_config(
-            model, _cached_layout(L), cfg.n_sample, cfg.beta_star_factor, cfg.burn_in,
+            model, build_layout(L), cfg.n_sample, cfg.beta_star_factor, cfg.burn_in,
         )
         temps = free_energy_temperatures(model, cfg.n_temperatures)
     return _CellSpec(cfg, L, p, cell_index, model, sampler, temps)
@@ -499,7 +501,7 @@ def fatal_pattern_suite(L_values: tuple[int, ...], p: float = 0.1) -> FatalPatte
     for L in L_values:
         if L % 2 == 0 or L < 3:
             raise InvalidParameterError(f"fatal patterns need odd L >= 3, got {L}")
-        layout = _cached_layout(L)
+        layout = build_layout(L)
         long_len = (L + 1) // 2
         patterns = (
             ("y_marked_half_chain", build_half_chain(layout, long_len, y_at=long_len // 2),
@@ -564,7 +566,7 @@ def oracle_check(
     """
     _check_count("n_syndromes", n_syndromes, 1)
     _check_count("seed", seed, 0, ConfigError)
-    layout = _cached_layout(L)
+    layout = build_layout(L)
     model = make_model(DEPOLARIZING, p)
     cfg = default_single_temp_config(model, layout)
     cfg = replace(cfg, n_sample=n_sample_factor * cfg.n_sample)

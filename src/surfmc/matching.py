@@ -20,8 +20,8 @@ lattice, none for the logical) with K = n + 2, more than any matching's exit
 count, so among the lightest matchings the solver returns one with the
 fewest exits.
 
-Each layout builds, on first use and through ``geometry._per_layout``, one
-complete graph per species (``_SpeciesGraph``): pair weights in units of K
+Each layout builds, on first use, one complete graph per species
+(``_SpeciesGraph``, cached by ``_species_graph``): pair weights in units of K
 and exit counts for every pair of the species' stabilizers and the two
 boundaries, as numpy tables, and the chain mask of each edge, built when a
 matching first uses it.  A species' two class bits share one block of that
@@ -55,17 +55,17 @@ hypothesis before the comparison; matching alone can miss correlated minima
 when equally-short paths could have been routed through a shared qubit.
 
 Both stages draw no randomness, and small codes at low p see the same anyon
-sets again and again, so each layout keeps two memos, dropped with the layout
-(``geometry._per_layout``): ``_species_chains`` keys one species' two class
-chains, as ``(flip, mask, weight, exits)``, on ``(species, anyons)``, and
-``refine_frame`` keys the refined ``(x, z)`` on ``(x, z, model,
+sets again and again, so both are memoized.  A layout is fixed by its L, so
+every table or memo derived from one is a ``functools.lru_cache`` of its
+arguments: ``_solve_species`` keeps one species' two class chains, as
+``(flip, mask, weight, exits)``, under ``(layout, species, anyons)``, and
+``_descend`` the refined ``(x, z)`` under ``(layout, model, x, z,
 plateau_budget)``.  Each holds at most ``_MEMO_SIZE`` entries of ints and
-tuples and is cleared when full (evicting the oldest entry instead,
-``del memo[next(iter(memo))]``, costs a scan of the deleted prefix of the
-dict on every insert).  Every call builds fresh ``PauliFrame`` objects from
-the stored ints, since frames are mutable.  ``class_chain``,
-``min_weight_perfect_matching`` and the oracle are not memoized, so their
-callers always see real solves.
+tuples, over all layouts, and evicts the least recently used.  Anyons are
+checked only on a miss, so a bad set is refused and never stored.  Every
+call builds fresh ``PauliFrame`` objects from the stored ints, since frames
+are mutable.  ``class_chain``, ``min_weight_perfect_matching`` and the
+oracle are not memoized, so their callers always see real solves.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from .errors import (
     DecoderInternalError,
     InfeasibleMatchingError,
     InvalidParameterError,
+    _check_anyons,
     _check_count,
 )
 from .geometry import (
@@ -92,7 +93,6 @@ from .geometry import (
     EquivalenceClass,
     PauliFrame,
     Syndrome,
-    _per_layout,
 )
 from .noise import (
     NoiseModel,
@@ -106,22 +106,8 @@ from .noise import (
 SPECIES_P = "p"  # violated Z-stabilizers, repaired with sigma-x chains
 SPECIES_S = "s"  # violated X-stabilizers, repaired with sigma-z chains
 
-#: entries per layout in each memo (module docstring)
+#: entries in each memo (module docstring)
 _MEMO_SIZE = 2048
-_CHAIN_MEMOS: dict = {}
-_REFINE_MEMOS: dict = {}
-
-
-def _layout_memo(memos: dict, layout: CodeLayout) -> dict:
-    return _per_layout(memos, layout, lambda _: {})
-
-
-def _remember(memo: dict, key, value):
-    """Store ``value`` under ``key``, first clearing a full memo."""
-    if len(memo) >= _MEMO_SIZE:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 def default_plateau_budget(layout: CodeLayout) -> int:
@@ -293,7 +279,7 @@ def refine_frame(
     near 80 MB of Python objects, about 7x what the frames alone take; at the
     default budgets it stays under 1 MB.
 
-    The result is memoized per layout under ``(frame.x, frame.z, model,
+    The descent is memoized on ``(layout, model, frame.x, frame.z,
     plateau_budget)`` as plain ints (module docstring), so a frame seen
     before costs one lookup; every call returns a new frame.
     """
@@ -306,24 +292,18 @@ def refine_frame(
     # the start alone fills a budget of 1
     if plateau_budget <= 1 or not all(map(math.isfinite, weights)):
         return frame.copy()
-    memo = _layout_memo(_REFINE_MEMOS, layout)
-    key = (frame.x, frame.z, model, plateau_budget)
-    best = memo.get(key)
-    if best is None:
-        best = _remember(memo, key, _descend(layout, model, frame, plateau_budget, weights))
-    return PauliFrame(frame.n_qubits, *best)
+    return PauliFrame(frame.n_qubits, *_descend(layout, model, frame.x, frame.z, plateau_budget))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _descend(
-    layout: CodeLayout,
-    model: NoiseModel,
-    frame: PauliFrame,
-    plateau_budget: int,
-    weights: tuple[float, float, float],
+    layout: CodeLayout, model: NoiseModel, x: int, z: int, plateau_budget: int
 ) -> tuple[int, int]:
-    """``refine_frame``'s breadth-first descent: the best ``(x, z)`` found."""
+    """``refine_frame``'s breadth-first descent from ``(x, z)``: the best
+    ``(x, z)`` found."""
     local = _layout_moves(layout)
     delta = score_delta(model)
+    weights = qubit_energy_weights(model)
     w_x, _, w_z = weights
     tables = _energy_tables(model)
     singles = [(tables[x_plane], mask, x_plane, flips)
@@ -333,11 +313,10 @@ def _descend(
     # allow excursions one error above the start so equal-weight reroutings
     # separated by a unit barrier are still reached
     ceiling = max(weights) + _PLATEAU_TOL
-    start = (frame.x, frame.z)
-    best = start
+    best = (x, z)
     best_e = 0.0  # energies tracked relative to the start frame
-    visited = {start}
-    queue = deque([(frame.x, frame.z, 0.0, local.local_states(frame))])
+    visited = {best}
+    queue = deque([(x, z, 0.0, local.local_states(PauliFrame(layout.n_qubits, x, z)))])
 
     def enqueue(key, ne, states, flips) -> bool:
         """Queue an unseen state reached by a move with flip list ``flips``;
@@ -435,13 +414,13 @@ class _SpeciesGraph:
     2 exits when through a boundary; a stabilizer joins a boundary at its
     distance to it, with 1 exit; the boundaries join at L, with none.  The
     graph a class chain is solved on is the subgraph on the anyons and its
-    boundaries, at K units + exits per edge.  ``route(layout, a, b)`` is the
-    qubit mask of edge (a, b)'s chain; masks are built only for edges that
-    some matching used, since the full table grows as L^5 bits.  The graph
-    holds no reference to its layout, which keeps it in a per-layout cache.
+    boundaries, at K units + exits per edge.  ``route(a, b)`` is the qubit
+    mask of edge (a, b)'s chain; masks are built only for edges that some
+    matching used, since the full table grows as L^5 bits.
     """
 
     def __init__(self, layout: CodeLayout, species: str):
+        self.layout = layout
         self.species = species
         stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
         self.coords = [s.coord for s in stabs]
@@ -466,23 +445,25 @@ class _SpeciesGraph:
 
     def block(self, anyons: tuple[int, ...]) -> np.ndarray:
         """Weights, K = n + 2 units plus exits, of the graph on the n anyons
-        then boundaries 0 and 1: both class bits' graphs are subgraphs."""
+        then boundaries 0 and 1: both class bits' graphs are subgraphs.
+        Refuses anyons that are not stabilizers of the species."""
+        _check_anyons(f"{self.species}-anyons", anyons, self.m)
         verts = np.array((*anyons, self.m, self.m + 1))
         rows = verts[:, None]
         return (len(anyons) + 2) * self.units[rows, verts] + self.exits[rows, verts]
 
-    def route(self, layout: CodeLayout, a: int, b: int) -> int:
+    def route(self, a: int, b: int) -> int:
         """Qubit mask of the chain that edge (a, b) stands for."""
         if a > b:
             a, b = b, a
         key = a * (self.m + 2) + b
         mask = self._routes.get(key)
         if mask is None:
-            mask = self._routes[key] = self._build_route(layout, a, b)
+            mask = self._routes[key] = self._build_route(a, b)
         return mask
 
-    def _build_route(self, layout: CodeLayout, a: int, b: int) -> int:
-        species, coords, m = self.species, self.coords, self.m
+    def _build_route(self, a: int, b: int) -> int:
+        layout, species, coords, m = self.layout, self.species, self.coords, self.m
         if a >= m:  # boundary 0 to boundary 1: the reference logical
             return layout.logical_x_mask if species == SPECIES_P else layout.logical_z_mask
         if b >= m:
@@ -494,17 +475,11 @@ class _SpeciesGraph:
                 ^ _exit_mask(layout, species, coords[b], via))
 
 
-_SPECIES_GRAPHS: dict = {}  # by id(layout), dropped with it
-
-
+@functools.lru_cache(maxsize=32)
 def _species_graph(layout: CodeLayout, species: str) -> _SpeciesGraph:
-    graphs = _per_layout(
-        _SPECIES_GRAPHS, layout,
-        lambda lay: {sp: _SpeciesGraph(lay, sp) for sp in (SPECIES_P, SPECIES_S)},
-    )
-    if species not in graphs:
+    if species not in (SPECIES_P, SPECIES_S):
         raise InvalidParameterError(f"unknown species {species!r}")
-    return graphs[species]
+    return _SpeciesGraph(layout, species)
 
 
 def _class_matrix(block: np.ndarray, bit: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -520,11 +495,7 @@ def _class_matrix(block: np.ndarray, bit: int) -> tuple[np.ndarray, tuple[int, .
 
 
 def _solve_class(
-    layout: CodeLayout,
-    graph: _SpeciesGraph,
-    anyons: tuple[int, ...],
-    block: np.ndarray,
-    bit: int,
+    graph: _SpeciesGraph, anyons: tuple[int, ...], block: np.ndarray, bit: int
 ) -> tuple[int, int, int]:
     """(chain mask, weight, exits) of ``class_chain``, from the anyons' block."""
     matrix, keep = _class_matrix(block, bit)
@@ -532,7 +503,7 @@ def _solve_class(
     verts = (*anyons, graph.m, graph.m + 1)
     mask = 0
     for u, v in m.pairs:
-        mask ^= graph.route(layout, verts[keep[u]], verts[keep[v]])
+        mask ^= graph.route(verts[keep[u]], verts[keep[v]])
     weight, exits = divmod(m.total_weight, len(anyons) + 2)
     return mask, weight, exits
 
@@ -545,8 +516,20 @@ def class_chain(
     ``(frame, weight, exits)``: a minimum T-join solved as a perfect matching
     (module docstring)."""
     graph = _species_graph(layout, species)
-    mask, weight, exits = _solve_class(layout, graph, anyons, graph.block(anyons), bit)
+    mask, weight, exits = _solve_class(graph, anyons, graph.block(anyons), bit)
     return _species_frame(layout, species, mask), weight, exits
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _solve_species(
+    layout: CodeLayout, species: str, anyons: tuple[int, ...]
+) -> tuple[tuple[bool, int, int, int], ...]:
+    """One species' two class-pure matchings, as ``(flip, mask, weight,
+    exits)`` per class bit: one block of weights serves both bits."""
+    graph = _species_graph(layout, species)
+    block = graph.block(anyons)
+    home0 = sum(graph.home0[a] for a in anyons) % 2
+    return tuple((bool(bit ^ home0), *_solve_class(graph, anyons, block, bit)) for bit in (0, 1))
 
 
 def _species_chains(
@@ -555,23 +538,11 @@ def _species_chains(
     """The four class-pure matchings, keyed by (species, flip).  ``flip`` is
     set when the chain's class bit differs from that of every anyon exiting
     at its home (closer, ties toward 0) boundary, which is the parity of the
-    anyons whose home is boundary 0.  Memoized per layout on (species,
-    anyons); the frames are built anew on every call.  On a miss, one block
-    of weights serves both class bits."""
-    memo = _layout_memo(_CHAIN_MEMOS, layout)
+    anyons whose home is boundary 0.  The solves are memoized on (layout,
+    species, anyons); the frames are built anew on every call."""
     chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
-        key = (species, anyons)
-        solved = memo.get(key)
-        if solved is None:
-            graph = _species_graph(layout, species)
-            block = graph.block(anyons)
-            home0 = sum(graph.home0[a] for a in anyons) % 2
-            solved = _remember(memo, key, tuple(
-                (bool(bit ^ home0), *_solve_class(layout, graph, anyons, block, bit))
-                for bit in (0, 1)
-            ))
-        for flip, mask, weight, exits in solved:
+        for flip, mask, weight, exits in _solve_species(layout, species, anyons):
             chains[(species, flip)] = (_species_frame(layout, species, mask), weight, exits)
     return chains
 

@@ -18,6 +18,7 @@ the Metropolis chains of ``mcmc`` and the refinement descent of ``matching``.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, _check_number
-from .geometry import CodeLayout, PauliFrame, _per_layout
+from .geometry import CodeLayout, PauliFrame
 
 DEPOLARIZING = "depolarizing"
 INDEPENDENT_XZ = "independent_xz"
@@ -254,12 +255,12 @@ class _LayoutMoves:
         return (self.offsets | bits[self.gather] @ _BIT_WEIGHTS).tolist()
 
 
-_LAYOUT_MOVES: dict[int, _LayoutMoves] = {}  # by id(layout), dropped with it
-_DELTA_TABLES: dict[str, list[int]] = {}     # by model kind
+_DELTA_TABLES: dict[str, list[int]] = {}  # by model kind
 
 
+@functools.lru_cache(maxsize=16)
 def _layout_moves(layout: CodeLayout) -> _LayoutMoves:
-    return _per_layout(_LAYOUT_MOVES, layout, _LayoutMoves)
+    return _LayoutMoves(layout)
 
 
 def _delta_table(model: NoiseModel) -> list[int]:

@@ -11,19 +11,19 @@ code (2^12 = 4096 deformations per class) is the main use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _check_anyons
 from .geometry import (
     EQUIV_CLASSES,
     CodeLayout,
     EquivalenceClass,
     PauliFrame,
     Syndrome,
-    _per_layout,
 )
 from .noise import DEPOLARIZING, NoiseModel, beta_bar
 from .stats import logsumexp
@@ -64,18 +64,14 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return table
 
 
-class _OrbitTables:
+@functools.lru_cache(maxsize=16)
+def _orbit_tables(layout: CodeLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A layout's side of the enumeration, built once per layout: the
     subset-XOR tables of the X- and Z-stabilizer masks and the popcounts of
     every n_qubits-bit word."""
-
-    def __init__(self, layout: CodeLayout):
-        self.x_flips = _subset_xor([s.mask for s in layout.x_stabilizers])
-        self.z_flips = _subset_xor([s.mask for s in layout.z_stabilizers])
-        self.popcounts = _popcounts(layout.n_qubits)
-
-
-_ORBIT_TABLES: dict[int, _OrbitTables] = {}  # by id(layout), dropped with it
+    return (_subset_xor([s.mask for s in layout.x_stabilizers]),
+            _subset_xor([s.mask for s in layout.z_stabilizers]),
+            _popcounts(layout.n_qubits))
 
 
 def enumerate_orbit(layout: CodeLayout, representative: PauliFrame) -> ClassOrbit:
@@ -90,10 +86,10 @@ def enumerate_orbit(layout: CodeLayout, representative: PauliFrame) -> ClassOrbi
             f"representative has {representative.n_qubits} qubits, "
             f"the layout {layout.n_qubits}"
         )
-    tables = _per_layout(_ORBIT_TABLES, layout, _OrbitTables)
-    xs = representative.x ^ tables.x_flips
-    zs = representative.z ^ tables.z_flips
-    weights = tables.popcounts[xs[:, None] | zs[None, :]]
+    x_flips, z_flips, popcounts = _orbit_tables(layout)
+    xs = representative.x ^ x_flips
+    zs = representative.z ^ z_flips
+    weights = popcounts[xs[:, None] | zs[None, :]]
     counts = np.bincount(weights.ravel(), minlength=layout.n_qubits + 1).tolist()
     histogram = {w: c for w, c in enumerate(counts) if c}
     return ClassOrbit(layout.class_of(representative), representative.copy(), histogram)
@@ -122,6 +118,8 @@ def class_orbits(layout: CodeLayout, syndrome: Syndrome) -> dict[EquivalenceClas
     sigma-z from each s-anyon straight left to column -1) times each of I,
     X_L, Z_L and X_L Z_L.
     """
+    _check_anyons("p-anyons", syndrome.p_anyons, len(layout.z_stabilizers))
+    _check_anyons("s-anyons", syndrome.s_anyons, len(layout.x_stabilizers))
     index = layout.qubit_index
     x = z = 0
     for a in syndrome.p_anyons:

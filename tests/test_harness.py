@@ -120,6 +120,21 @@ def test_config_is_valid_once_built(kw):
         tiny_config(**kw)
 
 
+@pytest.mark.parametrize(
+    "kw", [dict(L_values=3), dict(p_values=0.1), dict(algorithms=STANDARD)]
+)
+def test_config_refuses_a_scalar_or_string_for_a_list(kw):
+    # before, a scalar raised TypeError and a string was read letter by letter
+    (name, value), = kw.items()
+    with pytest.raises(ConfigError, match=f"^{name} must be a list, got {value!r}$"):
+        tiny_config(**kw)
+
+
+def test_config_stores_lists_as_tuples():
+    cfg = tiny_config(L_values=[3, 5], p_values=[0.1], algorithms=[STANDARD, ENHANCED])
+    assert (cfg.L_values, cfg.p_values, cfg.algorithms) == ((3, 5), (0.1,), (STANDARD, ENHANCED))
+
+
 def test_make_model():
     assert make_model("depolarizing", 0.1).kind == "depolarizing"
     m = make_model("independent_xz", 0.1)
@@ -342,15 +357,15 @@ ORACLE_LINE = (
 
 
 def test_oracle_check_output_pinned_cold_and_warm():
-    # the first call runs on a fresh layout, whose matcher memos are empty;
-    # the second reads the memos the first filled
+    # the first call runs with the matcher memos cleared; the second reads
+    # the memos the first filled
     from surfmc import matching
 
-    harness._cached_layout.cache_clear()
-    key = id(harness._cached_layout(3))
-    assert key not in matching._CHAIN_MEMOS and key not in matching._REFINE_MEMOS
+    memos = (matching._solve_species, matching._descend)
+    for memo in memos:
+        memo.cache_clear()
     assert oracle_check(3, 0.1, 300, seed=2024).summary() == ORACLE_LINE
-    assert matching._CHAIN_MEMOS[key] and matching._REFINE_MEMOS[key]
+    assert all(memo.cache_info().currsize for memo in memos)
     assert oracle_check(3, 0.1, 300, seed=2024).summary() == ORACLE_LINE
 
 

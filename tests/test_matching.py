@@ -1,4 +1,3 @@
-import gc
 import itertools
 import math
 
@@ -41,7 +40,7 @@ from surfmc.matching import (
 )
 from surfmc import blossom, matching, sample_frame
 from surfmc.noise import _layout_moves
-from surfmc.oracle import enumerate_orbit
+from surfmc.oracle import enumerate_orbit, exact_decoder
 
 MODEL = NoiseModel.depolarizing(0.1)
 
@@ -375,15 +374,22 @@ def test_solver_input_told_apart_by_type():
     assert min_weight_perfect_matching(4, matrix) == Matching(((0, 1), (2, 3)), 3)
 
 
-def test_species_graph_built_on_first_use_and_released_with_layout():
+def test_species_graph_built_on_first_use_and_shared_by_equal_layouts():
+    # a layout is fixed by its L: a numpy distance builds the same one, and
+    # both share one graph per species; the distance is checked before the
+    # layout cache is read
+    matching._species_graph.cache_clear()
     layout = build_layout(4)
-    key = id(layout)
-    assert key not in matching._SPECIES_GRAPHS
+    assert build_layout(np.int64(4)) is layout
+    with pytest.raises(InvalidParameterError, match="code distance"):
+        build_layout(4.0)
     class_chain(layout, (1, 2), SPECIES_S, 1)
-    assert set(matching._SPECIES_GRAPHS[key]) == {SPECIES_P, SPECIES_S}
-    del layout
-    gc.collect()
-    assert key not in matching._SPECIES_GRAPHS
+    assert matching._species_graph.cache_info().misses == 1
+    graph = matching._species_graph(build_layout(np.int64(4)), SPECIES_S)
+    assert graph is matching._species_graph(layout, SPECIES_S) and graph.layout is layout
+    assert matching._species_graph.cache_info().misses == 1
+    with pytest.raises(InvalidParameterError, match="species"):
+        matching._species_graph(layout, "q")
 
 
 def test_certificate_rejects_non_optimal_matching():
@@ -419,8 +425,8 @@ def test_decoders_solve_through_module_hook(rng, monkeypatch, decode):
     # solves, so every decode must reach the solver through that name; per
     # species one solve for class bit 0 (the anyons, plus boundary 1 when
     # their count is odd) and one for class bit 1 (plus boundary 0, and
-    # boundary 1 when their count is even).  A fresh layout starts with an
-    # empty chain memo; decoding the syndrome again solves nothing
+    # boundary 1 when their count is even).  With the chain memo cleared
+    # every species solves; decoding the syndrome again solves nothing
     calls = []
     solve = matching.min_weight_perfect_matching
     monkeypatch.setattr(
@@ -429,6 +435,7 @@ def test_decoders_solve_through_module_hook(rng, monkeypatch, decode):
     for _ in range(10):
         layout = build_layout(5)
         syn, _ = random_syndrome(layout, rng)
+        matching._solve_species.cache_clear()
         calls.clear()
         first = decode(layout, syn, MODEL)
         assert len(calls) == 4
@@ -859,37 +866,64 @@ def test_memo_results_are_fresh_frames():
             frame.set_pauli(0, "I" if frame.pauli_at(0) == "Y" else "Y")
 
 
+MATCHER_MEMOS = (matching._solve_species, matching._descend)
+
+
 def test_memos_hold_at_most_their_bound():
     layout = build_layout(7)
-    chain_memo = matching._layout_memo(matching._CHAIN_MEMOS, layout)
-    refine_memo = matching._layout_memo(matching._REFINE_MEMOS, layout)
+    for memo in MATCHER_MEMOS:
+        memo.cache_clear()
     # distinct anyon sets of one to three anyons, cheap to match; each
     # syndrome adds one entry per species
     sets = itertools.chain.from_iterable(
         itertools.combinations(range(len(layout.z_stabilizers)), k) for k in (1, 2, 3)
     )
-    largest = 0
     for anyons in itertools.islice(sets, matching._MEMO_SIZE // 2 + 10):
         _species_chains(layout, Syndrome(anyons, anyons))
-        assert len(chain_memo) <= matching._MEMO_SIZE
-        largest = max(largest, len(chain_memo))
-    assert largest == matching._MEMO_SIZE and 0 < len(chain_memo) < largest
     # distinct frames, each a budget-2 descent
     rng = np.random.default_rng(12)
-    largest = 0
     for _ in range(matching._MEMO_SIZE + 10):
         refine_frame(layout, MODEL, sample_frame(MODEL, layout, rng), 2)
-        assert len(refine_memo) <= matching._MEMO_SIZE
-        largest = max(largest, len(refine_memo))
-    assert largest == matching._MEMO_SIZE and 0 < len(refine_memo) < largest
+    for memo in MATCHER_MEMOS:
+        info = memo.cache_info()
+        assert info.misses >= matching._MEMO_SIZE + 10
+        assert info.currsize <= info.maxsize == matching._MEMO_SIZE
 
 
-def test_matcher_memos_released_with_layout():
-    layout = build_layout(3)
-    syn = layout.syndrome_of(sample_frame(MODEL, layout, np.random.default_rng(1)))
-    decode_enhanced(layout, syn, MODEL)
-    key = id(layout)
-    assert matching._CHAIN_MEMOS[key] and matching._REFINE_MEMOS[key]
-    del layout
-    gc.collect()
-    assert key not in matching._CHAIN_MEMOS and key not in matching._REFINE_MEMOS
+@pytest.mark.parametrize("model", MEMO_MODELS)
+def test_matcher_memos_shared_by_equal_layouts(model):
+    # the first decode runs with the memos cleared; a layout built from a
+    # numpy distance is the same layout, and reads what the first filled
+    layout = build_layout(5)
+    syn = layout.syndrome_of(sample_frame(model, layout, np.random.default_rng(1)))
+    for memo in MATCHER_MEMOS:
+        memo.cache_clear()
+    cold = decode_both(layout, syn, model, refine_steps=256)
+    misses = [memo.cache_info().misses for memo in MATCHER_MEMOS]
+    assert all(misses)
+    assert decode_both(build_layout(np.int64(5)), syn, model, refine_steps=256) == cold
+    assert [memo.cache_info().misses for memo in MATCHER_MEMOS] == misses
+
+
+BAD_ANYONS = [(-1,), (2, 1), (1, 1), (99,), (1.0, 2), (True,)]
+
+
+def _both_class_chains(layout, syn, model):
+    return [class_chain(layout, anyons, species, 0) for species, anyons, _ in species_anyons(syn)]
+
+
+@pytest.mark.parametrize("anyons", BAD_ANYONS, ids=repr)
+@pytest.mark.parametrize(
+    "decode", [decode_standard, decode_enhanced, decode_both, _both_class_chains, exact_decoder]
+)
+def test_decoders_refuse_bad_anyon_indices(layout3, decode, anyons):
+    # a hand-built syndrome at L = 3 (6 stabilizers of each kind) whose
+    # anyons are not strictly increasing integers in [0, 6) is refused in
+    # one line, not wrapped, indexed past or passed to the solver, and never
+    # stored, so a second try is refused too.  A float or bool equal to a
+    # stored set's indices would read its memo entry, so the chain memo
+    # starts empty
+    matching._solve_species.cache_clear()
+    for syn in (Syndrome(anyons, ()), Syndrome((), anyons), Syndrome((), anyons)):
+        with pytest.raises(InvalidParameterError, match="anyons must be strictly increasing"):
+            decode(layout3, syn, MODEL)

@@ -1,4 +1,3 @@
-import gc
 import math
 
 import numpy as np
@@ -631,15 +630,16 @@ def test_chain_local_states_follow_frame(L, model):
             assert chain._states == chain._local.local_states(chain.frame)
 
 
-def test_layout_move_cache_released_with_layout():
+def test_layout_move_cache_shared_by_equal_layouts():
+    # built on the first chain's use; a layout built from a numpy distance is
+    # the same layout, so its chains share the table
+    noise._layout_moves.cache_clear()
     layout = build_layout(3)
     frame = sample_frame(MODEL, layout, np.random.default_rng(1))
     chain = MetropolisChain(layout, MODEL, BB, frame, np.random.default_rng(2))
-    key = id(layout)
-    assert noise._LAYOUT_MOVES[key] is chain._local
-    del chain, layout
-    gc.collect()
-    assert key not in noise._LAYOUT_MOVES
+    other = MetropolisChain(build_layout(np.int64(3)), MODEL, BB, frame, np.random.default_rng(3))
+    assert other._local is chain._local is noise._layout_moves(layout)
+    assert noise._layout_moves.cache_info().misses == 1
 
 
 # L = 12 has 264 stabilizers, one more byte than an index container of
