@@ -62,7 +62,9 @@ arguments: ``_solve_species`` keeps one species' two class chains, as
 ``_descend`` the refined ``(x, z)`` under ``(layout, model, x, z,
 plateau_budget)``.  Each holds at most ``_MEMO_SIZE`` entries of ints and
 tuples, over all layouts, and evicts the least recently used.  Anyons are
-checked only on a miss, so a bad set is refused and never stored.  Every
+checked in full on a miss, so a bad set is refused and never stored; a set
+holding anything but plain ints is checked before the lookup too, since a
+float or bool equal to a stored set's indices would read its entry.  Every
 call builds fresh ``PauliFrame`` objects from the stored ints, since frames
 are mutable.  ``class_chain``, ``min_weight_perfect_matching`` and the
 oracle are not memoized, so their callers always see real solves.
@@ -542,6 +544,10 @@ def _species_chains(
     species, anyons); the frames are built anew on every call."""
     chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
+        # a float or bool equal to a stored set's indices would read its
+        # entry, so anything but plain ints is checked before the lookup
+        if not all(type(a) is int for a in anyons):
+            _check_anyons(f"{species}-anyons", anyons, _species_graph(layout, species).m)
         for flip, mask, weight, exits in _solve_species(layout, species, anyons):
             chains[(species, flip)] = (_species_frame(layout, species, mask), weight, exits)
     return chains

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -812,23 +813,25 @@ def test_refine_steps_checked_before_matching(layout3, monkeypatch, budget):
 
 
 MEMO_MODELS = (NoiseModel.depolarizing(0.13), NoiseModel.independent_xz(0.12, 0.07))
+MATCHER_MEMOS = (matching._solve_species, matching._descend)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
 def test_memoized_decode_equals_cold_decode(L):
-    # the warm layout sees every syndrome under both models and all budgets
-    # before it is read; each cold decode runs on a fresh layout, whose
-    # memos are empty
+    # the memos see every syndrome under both models and all budgets before
+    # they are read; each cold decode runs with both memos cleared
     budgets = (0, 256, 4096)
-    warm = build_layout(L)
+    layout = build_layout(L)
     rng = np.random.default_rng(300 + L)
-    syndromes = [warm.syndrome_of(sample_frame(model, warm, rng)) for model in MEMO_MODELS]
+    syndromes = [layout.syndrome_of(sample_frame(model, layout, rng)) for model in MEMO_MODELS]
     runs = list(itertools.product(syndromes, MEMO_MODELS, budgets))
     for syn, model, budget in runs:
-        decode_both(warm, syn, model, refine_steps=budget)
-    for syn, model, budget in runs:
-        cold = decode_both(build_layout(L), syn, model, refine_steps=budget)
-        assert decode_both(warm, syn, model, refine_steps=budget) == cold
+        decode_both(layout, syn, model, refine_steps=budget)
+    warm = [decode_both(layout, syn, model, refine_steps=budget) for syn, model, budget in runs]
+    for (syn, model, budget), expect in zip(runs, warm):
+        for memo in MATCHER_MEMOS:
+            memo.cache_clear()
+        assert decode_both(layout, syn, model, refine_steps=budget) == expect
 
 
 def test_refine_memo_keys_on_model_and_budget():
@@ -846,13 +849,21 @@ def test_refine_memo_keys_on_model_and_budget():
 
 def test_memo_results_are_fresh_frames():
     # frames are mutable: editing what a decode returned must not reach the
-    # memos that the next decode reads
-    layout, cold_layout = build_layout(5), build_layout(5)
+    # memos that the next decode reads.  The cold results are computed with
+    # the memos cleared and kept as deep copies, so the loop's edits cannot
+    # reach them; the loop's first pass fills the memos, the second reads them
+    layout = build_layout(5)
     syn, _ = random_syndrome(layout, np.random.default_rng(8))
-    _, bare = decode_enhanced(cold_layout, syn, MODEL, refine_steps=0)
-    cold = decode_both(cold_layout, syn, MODEL)
-    cold_chains = _species_chains(cold_layout, syn)
-    cold_refined = [refine_frame(cold_layout, MODEL, f, 256) for f in bare.frames]
+    for memo in MATCHER_MEMOS:
+        memo.cache_clear()
+    _, bare = decode_enhanced(layout, syn, MODEL, refine_steps=0)
+    cold, cold_chains, cold_refined = copy.deepcopy((
+        decode_both(layout, syn, MODEL),
+        _species_chains(layout, syn),
+        [refine_frame(layout, MODEL, f, 256) for f in bare.frames],
+    ))
+    for memo in MATCHER_MEMOS:
+        memo.cache_clear()
     for _ in range(2):
         std, enh, chain_set = decode_both(layout, syn, MODEL)
         assert (std, enh, chain_set) == cold
@@ -864,9 +875,6 @@ def test_memo_results_are_fresh_frames():
                     *(c[0] for c in chains.values()), *refined)
         for frame in {id(f): f for f in returned}.values():
             frame.set_pauli(0, "I" if frame.pauli_at(0) == "Y" else "Y")
-
-
-MATCHER_MEMOS = (matching._solve_species, matching._descend)
 
 
 def test_memos_hold_at_most_their_bound():
@@ -920,10 +928,18 @@ def test_decoders_refuse_bad_anyon_indices(layout3, decode, anyons):
     # a hand-built syndrome at L = 3 (6 stabilizers of each kind) whose
     # anyons are not strictly increasing integers in [0, 6) is refused in
     # one line, not wrapped, indexed past or passed to the solver, and never
-    # stored, so a second try is refused too.  A float or bool equal to a
-    # stored set's indices would read its memo entry, so the chain memo
-    # starts empty
-    matching._solve_species.cache_clear()
-    for syn in (Syndrome(anyons, ()), Syndrome((), anyons), Syndrome((), anyons)):
+    # stored, so a second try is refused too
+    for syn in (Syndrome(anyons, ()), Syndrome((), anyons)) * 2:
+        with pytest.raises(InvalidParameterError, match="anyons must be strictly increasing"):
+            decode(layout3, syn, MODEL)
+
+
+@pytest.mark.parametrize("anyons", [(1.0, 2), (True, 2)], ids=repr)
+@pytest.mark.parametrize("decode", [decode_standard, decode_enhanced, decode_both])
+def test_float_or_bool_anyons_refused_after_equal_set_is_stored(layout3, decode, anyons):
+    # (1.0, 2) and (True, 2) equal (1, 2) and hash as it does: they are
+    # refused even once that set's chains are in the memo
+    decode(layout3, Syndrome((1, 2), (1, 2)), MODEL)
+    for syn in (Syndrome(anyons, ()), Syndrome((), anyons)):
         with pytest.raises(InvalidParameterError, match="anyons must be strictly increasing"):
             decode(layout3, syn, MODEL)
