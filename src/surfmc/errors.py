@@ -1,13 +1,14 @@
 """Exception types shared across the package, and the argument checks that
 raise them.
 
-``_check_count`` refuses anything but an integer >= ``low``: step, item and
-sample counts, code distances, seeds.  ``_check_number`` refuses anything but
-a real number in [low, below), or >= ``low`` with no upper bound, when
-infinity passes: rates, inverse temperatures, factors.  Neither takes a bool
-(Python counts True and False as 1 and 0, a config's JSON true must not) and
-the number check refuses NaN.  Both raise ``InvalidParameterError`` unless
-given another class; campaign configs raise ``ConfigError``.
+``_check_count`` refuses anything but an integer >= ``low``, and <= ``high``
+when given: step, item and sample counts, code distances, seeds, indices.
+``_check_number`` refuses anything but a real number in [low, below), or
+>= ``low`` with no upper bound, when infinity passes: rates, inverse
+temperatures, factors.  Neither takes a bool (Python counts True and False
+as 1 and 0, a config's JSON true must not) and the number check refuses NaN.
+Both raise ``InvalidParameterError`` unless given another class; campaign
+configs raise ``ConfigError``.
 ``_check_anyons`` refuses a syndrome's anyons of one kind unless they are
 strictly increasing integer indices into that kind's stabilizers, so a
 hand-built ``Syndrome`` never indexes past them or wraps.  Checks of another
@@ -46,10 +47,14 @@ def _is_number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _check_count(name: str, value, low: int, error: type = InvalidParameterError) -> None:
-    """Refuse a value that is not an integer >= ``low``."""
-    if not _is_number(value, numbers.Integral) or value < low:
-        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_count(name: str, value, low: int, error: type = InvalidParameterError,
+                 high: int | None = None) -> None:
+    """Refuse a value that is not an integer >= ``low``, or in [low, high]
+    when ``high`` is given."""
+    if (not _is_number(value, numbers.Integral) or value < low
+            or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _check_number(name: str, value, low: float, below: float | None = None,

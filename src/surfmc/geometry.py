@@ -66,64 +66,39 @@ EQUIV_CLASSES: tuple[EquivalenceClass, ...] = (
 CLASS_I, CLASS_X, CLASS_Z, CLASS_Y = EQUIV_CLASSES
 
 
+@dataclass(frozen=True, slots=True)
 class PauliFrame:
     """Per-qubit Pauli assignment, bit-packed as two integer bit-planes.
 
     Bit ``q`` of ``x`` is set iff qubit ``q`` carries an X-component, bit ``q``
     of ``z`` iff it carries a Z-component (both set = sigma-y).  Integers act
     as arbitrarily wide bit vectors, so stabilizer application is a single XOR
-    and weights are single popcounts.
+    and weights are single popcounts.  A frame is an immutable value: every
+    operation returns a new one, so frames are shared freely and never copied.
     """
 
-    __slots__ = ("x", "z", "n_qubits")
-
-    def __init__(self, n_qubits: int, x: int = 0, z: int = 0):
-        self.n_qubits = n_qubits
-        self.x = x
-        self.z = z
+    n_qubits: int
+    x: int = 0
+    z: int = 0
 
     def weight(self) -> int:
         """Number of qubits carrying a non-identity Pauli (sigma-y counts once)."""
         return (self.x | self.z).bit_count()
 
-    def copy(self) -> "PauliFrame":
-        return PauliFrame(self.n_qubits, self.x, self.z)
-
     def __mul__(self, other: "PauliFrame") -> "PauliFrame":
         """Pauli product, phases dropped (XOR of the bit-planes)."""
         return PauliFrame(self.n_qubits, self.x ^ other.x, self.z ^ other.z)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliFrame)
-            and self.x == other.x
-            and self.z == other.z
-            and self.n_qubits == other.n_qubits
-        )
-
-    def __hash__(self):
-        return hash((self.n_qubits, self.x, self.z))
 
     def pauli_at(self, q: int) -> str:
         xb = (self.x >> q) & 1
         zb = (self.z >> q) & 1
         return ("I", "X", "Z", "Y")[xb | (zb << 1)]
 
-    def set_pauli(self, q: int, pauli: str) -> None:
-        bit = 1 << q
-        self.x &= ~bit
-        self.z &= ~bit
-        if pauli in ("X", "Y"):
-            self.x |= bit
-        if pauli in ("Z", "Y"):
-            self.z |= bit
-
     @classmethod
     def from_paulis(cls, n_qubits: int, paulis: dict[int, str]) -> "PauliFrame":
-        frame = cls(n_qubits)
-        for q, p in paulis.items():
-            frame.set_pauli(q, p)
-        return frame
+        x = sum(1 << q for q, p in paulis.items() if p in ("X", "Y"))
+        z = sum(1 << q for q, p in paulis.items() if p in ("Z", "Y"))
+        return cls(n_qubits, x, z)
 
     def __repr__(self) -> str:
         support = {q: self.pauli_at(q) for q in range(self.n_qubits) if self.pauli_at(q) != "I"}

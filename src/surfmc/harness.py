@@ -472,17 +472,17 @@ class FatalPatternReport:
 def build_half_chain(layout: CodeLayout, length: int, y_at: int | None = None) -> PauliFrame:
     """Bit-flip chain growing inward from the high boundary in the center column.
 
-    ``y_at`` marks one chain qubit (index counted from the boundary) as a
-    sigma-y instead of a sigma-x.
+    ``length`` counts the chain's qubits, 1 to L; ``y_at`` marks one of them
+    (index counted from the boundary, below ``length``) as a sigma-y instead
+    of a sigma-x.
     """
     L = layout.L
+    _check_count("length", length, 1, high=L)
+    if y_at is not None:
+        _check_count("y_at", y_at, 0, high=length - 1)
     col = L - 1 if (L - 1) % 2 == 0 else L - 2
-    rows = [layout.span - 2 * k for k in range(length)]
-    frame = layout.identity_frame()
-    for k, r in enumerate(rows):
-        q = layout.qubit_index[(r, col)]
-        frame.set_pauli(q, "Y" if k == y_at else "X")
-    return frame
+    bits = [1 << layout.qubit_index[(layout.span - 2 * k, col)] for k in range(length)]
+    return PauliFrame(layout.n_qubits, sum(bits), 0 if y_at is None else bits[y_at])
 
 
 def fatal_pattern_suite(L_values: tuple[int, ...], p: float = 0.1) -> FatalPatternReport:

@@ -58,16 +58,16 @@ Both stages draw no randomness, and small codes at low p see the same anyon
 sets again and again, so both are memoized.  A layout is fixed by its L, so
 every table or memo derived from one is a ``functools.lru_cache`` of its
 arguments: ``_solve_species`` keeps one species' two class chains, as
-``(flip, mask, weight, exits)``, under ``(layout, species, anyons)``, and
-``_descend`` the refined ``(x, z)`` under ``(layout, model, x, z,
-plateau_budget)``.  Each holds at most ``_MEMO_SIZE`` entries of ints and
-tuples, over all layouts, and evicts the least recently used.  Anyons are
-checked in full on a miss, so a bad set is refused and never stored; a set
-holding anything but plain ints is checked before the lookup too, since a
-float or bool equal to a stored set's indices would read its entry.  Every
-call builds fresh ``PauliFrame`` objects from the stored ints, since frames
-are mutable.  ``class_chain``, ``min_weight_perfect_matching`` and the
-oracle are not memoized, so their callers always see real solves.
+``(flip, frame, weight, exits)``, under ``(layout, species, anyons)``, and
+``_descend`` the refined frame under ``(layout, model, x, z,
+plateau_budget)``.  Each holds at most ``_MEMO_SIZE`` entries, over all
+layouts, and evicts the least recently used.  Anyons are checked in full on
+a miss, so a bad set is refused and never stored; a set holding anything but
+plain ints is checked before the lookup too, since a float or bool equal to
+a stored set's indices would read its entry.  A ``PauliFrame`` is an
+immutable value, so every call hands out the stored frames themselves.
+``class_chain``, ``min_weight_perfect_matching`` and the oracle are not
+memoized, so their callers always see real solves.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def _energy_tables(model: NoiseModel) -> tuple[tuple[float, ...], tuple[float, .
     stabilizer's local state: (z-plane table, x-plane table), built from the
     model's Delta n table once per model."""
     w_x, _, w_z = qubit_energy_weights(model)
-    table = _delta_table(model)
+    table = _delta_table(model.kind)
     return tuple(w_z * d for d in table), tuple(w_x * d for d in table)
 
 
@@ -282,8 +282,8 @@ def refine_frame(
     default budgets it stays under 1 MB.
 
     The descent is memoized on ``(layout, model, frame.x, frame.z,
-    plateau_budget)`` as plain ints (module docstring), so a frame seen
-    before costs one lookup; every call returns a new frame.
+    plateau_budget)`` (module docstring), so a frame seen before costs one
+    lookup and gets the stored frame.
     """
     if frame.n_qubits != layout.n_qubits:
         raise InvalidParameterError(
@@ -293,16 +293,16 @@ def refine_frame(
     weights = qubit_energy_weights(model)
     # the start alone fills a budget of 1
     if plateau_budget <= 1 or not all(map(math.isfinite, weights)):
-        return frame.copy()
-    return PauliFrame(frame.n_qubits, *_descend(layout, model, frame.x, frame.z, plateau_budget))
+        return frame
+    return _descend(layout, model, frame.x, frame.z, plateau_budget)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _descend(
     layout: CodeLayout, model: NoiseModel, x: int, z: int, plateau_budget: int
-) -> tuple[int, int]:
+) -> PauliFrame:
     """``refine_frame``'s breadth-first descent from ``(x, z)``: the best
-    ``(x, z)`` found."""
+    frame found."""
     local = _layout_moves(layout)
     delta = score_delta(model)
     weights = qubit_energy_weights(model)
@@ -342,15 +342,15 @@ def _descend(
                 continue
             key = (x ^ mask, z) if x_plane else (x, z ^ mask)
             if key not in visited and enqueue(key, ne, states, flips):
-                return best
+                return PauliFrame(layout.n_qubits, *best)
         for mask, x_plane, w, flips in compounds:
             ne = e + w * delta(x, z, mask, x_plane)
             if ne > ceiling:
                 continue
             key = (x ^ mask, z) if x_plane else (x, z ^ mask)
             if key not in visited and enqueue(key, ne, states, flips):
-                return best
-    return best
+                return PauliFrame(layout.n_qubits, *best)
+    return PauliFrame(layout.n_qubits, *best)
 
 
 #: (chain, matching weight, boundary exits) of one class-pure matching
@@ -498,8 +498,8 @@ def _class_matrix(block: np.ndarray, bit: int) -> tuple[np.ndarray, tuple[int, .
 
 def _solve_class(
     graph: _SpeciesGraph, anyons: tuple[int, ...], block: np.ndarray, bit: int
-) -> tuple[int, int, int]:
-    """(chain mask, weight, exits) of ``class_chain``, from the anyons' block."""
+) -> SpeciesChain:
+    """``class_chain``'s ``(frame, weight, exits)``, from the anyons' block."""
     matrix, keep = _class_matrix(block, bit)
     m = min_weight_perfect_matching(len(keep), matrix)
     verts = (*anyons, graph.m, graph.m + 1)
@@ -507,7 +507,7 @@ def _solve_class(
     for u, v in m.pairs:
         mask ^= graph.route(verts[keep[u]], verts[keep[v]])
     weight, exits = divmod(m.total_weight, len(anyons) + 2)
-    return mask, weight, exits
+    return _species_frame(graph.layout, graph.species, mask), weight, exits
 
 
 def class_chain(
@@ -518,15 +518,14 @@ def class_chain(
     ``(frame, weight, exits)``: a minimum T-join solved as a perfect matching
     (module docstring)."""
     graph = _species_graph(layout, species)
-    mask, weight, exits = _solve_class(graph, anyons, graph.block(anyons), bit)
-    return _species_frame(layout, species, mask), weight, exits
+    return _solve_class(graph, anyons, graph.block(anyons), bit)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _solve_species(
     layout: CodeLayout, species: str, anyons: tuple[int, ...]
-) -> tuple[tuple[bool, int, int, int], ...]:
-    """One species' two class-pure matchings, as ``(flip, mask, weight,
+) -> tuple[tuple[bool, PauliFrame, int, int], ...]:
+    """One species' two class-pure matchings, as ``(flip, frame, weight,
     exits)`` per class bit: one block of weights serves both bits."""
     graph = _species_graph(layout, species)
     block = graph.block(anyons)
@@ -541,15 +540,15 @@ def _species_chains(
     set when the chain's class bit differs from that of every anyon exiting
     at its home (closer, ties toward 0) boundary, which is the parity of the
     anyons whose home is boundary 0.  The solves are memoized on (layout,
-    species, anyons); the frames are built anew on every call."""
+    species, anyons), and every call gets the stored frames."""
     chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
         # a float or bool equal to a stored set's indices would read its
         # entry, so anything but plain ints is checked before the lookup
         if not all(type(a) is int for a in anyons):
             _check_anyons(f"{species}-anyons", anyons, _species_graph(layout, species).m)
-        for flip, mask, weight, exits in _solve_species(layout, species, anyons):
-            chains[(species, flip)] = (_species_frame(layout, species, mask), weight, exits)
+        for flip, frame, weight, exits in _solve_species(layout, species, anyons):
+            chains[(species, flip)] = (frame, weight, exits)
     return chains
 
 

@@ -135,10 +135,11 @@ class MetropolisChain:
 
     The chain owns its frame, error count and the local states of its
     stabilizers (single writer) and keeps them across calls; a frame of
-    another layout is rejected.  The seed's copy, local states and count are
-    computed once; ``_restart``, which the constructor ends in and the
-    decoders call at each temperature, returns to them at a new beta with
-    empty tallies.  ``_moves`` is the Metropolis loop: it reads
+    another layout is rejected.  The seed frame is kept as given (frames are
+    immutable values), and its local states and count are computed once;
+    ``_restart``, which the constructor ends in and the decoders call at each
+    temperature, returns to them at a new beta with empty tallies.
+    ``_moves`` is the Metropolis loop: it reads
     Delta n from the model's table (``noise.score_delta`` on every local
     state, built once per model kind) and accepts a move iff Delta n is at
     most the acceptance level of its uniform draw (``_levels``: the number of
@@ -168,9 +169,9 @@ class MetropolisChain:
         self.layout = layout
         self.rng = rng
         self._local = _layout_moves(layout)
-        self._table = _delta_table(model)
+        self._table = _delta_table(model.kind)
         self._independent = model.kind == INDEPENDENT_XZ
-        self._seed = frame.copy()
+        self._seed = frame
         self._seed_states = self._local.local_states(frame)
         self._seed_n = error_score(model, frame)
         self._restart(beta)
@@ -326,7 +327,7 @@ class MetropolisChain:
         Syndrome and class are XOR-linear, so the frame stays in the orbit
         iff its product with the seed frame has an empty syndrome and class I.
         """
-        moved = self.frame * self._seed
+        moved = PauliFrame(self.layout.n_qubits, self._x ^ self._seed.x, self._z ^ self._seed.z)
         if not self.layout.syndrome_of(moved).is_empty:
             raise DecoderInternalError("chain escaped its syndrome orbit")
         if self.layout.class_of(moved) != CLASS_I:

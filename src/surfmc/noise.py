@@ -174,11 +174,14 @@ def _delta_independent(x: int, z: int, mask: int, x_plane: bool) -> int:
     return ((flipped ^ mask) & mask).bit_count() - (flipped & mask).bit_count()
 
 
+_DELTAS = {DEPOLARIZING: _delta_depolarizing, INDEPENDENT_XZ: _delta_independent}
+
+
 def score_delta(model: NoiseModel) -> Callable[[int, int, int, bool], int]:
     """The model's count change Delta n: ``delta(x, z, mask, x_plane)`` is how
     much ``error_score`` of the frame (x, z) changes when ``mask`` is flipped
     in its x plane (else its z plane)."""
-    return _delta_independent if model.kind == INDEPENDENT_XZ else _delta_depolarizing
+    return _DELTAS[model.kind]
 
 
 # A stabilizer's local state: bit i is its own plane's bit (x for an X
@@ -255,26 +258,19 @@ class _LayoutMoves:
         return (self.offsets | bits[self.gather] @ _BIT_WEIGHTS).tolist()
 
 
-_DELTA_TABLES: dict[str, list[int]] = {}  # by model kind
-
-
 @functools.lru_cache(maxsize=16)
 def _layout_moves(layout: CodeLayout) -> _LayoutMoves:
     return _LayoutMoves(layout)
 
 
-def _delta_table(model: NoiseModel) -> list[int]:
-    """Delta n indexed by local state: ``score_delta`` evaluated once per
-    model kind on every local state of a 4- and then a 3-qubit support."""
-    table = _DELTA_TABLES.get(model.kind)
-    if table is None:
-        delta = score_delta(model)
-        table = _DELTA_TABLES[model.kind] = [
-            delta(state & 15, state >> 4, mask, True)
+@functools.lru_cache(maxsize=len(_DELTAS))
+def _delta_table(kind: str) -> list[int]:
+    """Delta n indexed by local state: the ``score_delta`` of a model of
+    ``kind`` on every local state of a 4- and then a 3-qubit support."""
+    delta = _DELTAS[kind]
+    return [delta(state & 15, state >> 4, mask, True)
             for mask in (0b1111, 0b111)
-            for state in range(256)
-        ]
-    return table
+            for state in range(256)]
 
 
 def sample_frame(model: NoiseModel, layout: CodeLayout, rng: np.random.Generator) -> PauliFrame:

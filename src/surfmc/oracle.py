@@ -92,7 +92,7 @@ def enumerate_orbit(layout: CodeLayout, representative: PauliFrame) -> ClassOrbi
     weights = popcounts[xs[:, None] | zs[None, :]]
     counts = np.bincount(weights.ravel(), minlength=layout.n_qubits + 1).tolist()
     histogram = {w: c for w, c in enumerate(counts) if c}
-    return ClassOrbit(layout.class_of(representative), representative.copy(), histogram)
+    return ClassOrbit(layout.class_of(representative), representative, histogram)
 
 
 def exact_boltzmann(orbit: ClassOrbit, beta: float) -> tuple[float, float]:

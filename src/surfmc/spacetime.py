@@ -46,8 +46,8 @@ class MeasurementModel:
 
     @classmethod
     def from_probabilities(cls, model: NoiseModel, p_m: float) -> "MeasurementModel":
-        if not 0.0 < p_m < 1.0:
-            raise InvalidParameterError(f"p_M={p_m} outside (0, 1)")
+        if not (_is_number(p_m, numbers.Real) and 0.0 < p_m < 1.0):
+            raise InvalidParameterError(f"p_M must be a real number in (0, 1), got {p_m!r}")
         xi = math.log((1.0 - p_m) / p_m) / beta_bar(model)
         return cls(p_m, xi)
 
@@ -80,7 +80,7 @@ class SpacetimeHypothesis:
 
     def copy(self) -> "SpacetimeHypothesis":
         return SpacetimeHypothesis(
-            self.record, [f.copy() for f in self.frames], list(self.flips)
+            self.record, list(self.frames), list(self.flips)
         )
 
     def is_consistent(self, layout: CodeLayout) -> bool:
@@ -144,12 +144,11 @@ def _deformation(layout: CodeLayout, qubit: int, t: int, pauli: str) -> Move:
 
 def _apply(hyp: SpacetimeHypothesis, move: Move) -> None:
     toggles, slot, flip_mask = move
+    frames = hyp.frames
     for k, mask, x_plane in toggles:
-        frame = hyp.frames[k]
-        if x_plane:
-            frame.x ^= mask
-        else:
-            frame.z ^= mask
+        f = frames[k]
+        frames[k] = (PauliFrame(f.n_qubits, f.x ^ mask, f.z) if x_plane
+                     else PauliFrame(f.n_qubits, f.x, f.z ^ mask))
     hyp.flips[slot] ^= flip_mask
 
 
@@ -166,16 +165,10 @@ def deformation_move(
     Only interior times 1 < t < t_max are valid; the move is an involution and
     preserves consistency and the aggregated class.
     """
-    if not _is_number(t, numbers.Integral) or not 1 < t < hyp.record.t_max:
-        raise InvalidMoveError(
-            f"deformation time must be an integer with 1 < t < t_max, got {t!r}"
-        )
+    _check_count("deformation time", t, 2, InvalidMoveError, high=hyp.record.t_max - 1)
     if pauli not in ("X", "Z"):
         raise InvalidParameterError(f"deformation pauli must be X or Z, got {pauli!r}")
-    if not _is_number(qubit, numbers.Integral) or not 0 <= qubit < layout.n_qubits:
-        raise InvalidParameterError(
-            f"deformation qubit must be an integer in [0, {layout.n_qubits}), got {qubit!r}"
-        )
+    _check_count("deformation qubit", qubit, 0, high=layout.n_qubits - 1)
     out = hyp.copy()
     _apply(out, _deformation(layout, int(qubit), t, pauli))  # a numpy int would overflow
     return out

@@ -225,7 +225,7 @@ def reference_refine_frame(layout, model, frame, plateau_budget):
     delta = score_delta(model)
     weights = qubit_energy_weights(model)
     if plateau_budget <= 0 or not all(map(math.isfinite, weights)):
-        return frame.copy()
+        return frame
     w_x, _, w_z = weights
     moves = [(mask, x_plane, w_x if x_plane else w_z)
              for mask, x_plane in reference_refinement_moves(layout)]

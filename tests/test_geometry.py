@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -193,3 +196,26 @@ def test_frame_helpers(layout3):
     assert frame.pauli_at(3) == "I"
     assert frame.weight() == 3
     assert (frame * frame).weight() == 0
+
+
+def test_frame_is_immutable(layout3):
+    frame = PauliFrame.from_paulis(layout3.n_qubits, {0: "X", 1: "Z"})
+    for name in ("n_qubits", "x", "z"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, name, 0)
+    assert frame == PauliFrame(layout3.n_qubits, 1, 2)
+    assert not hasattr(frame, "set_pauli") and not hasattr(frame, "copy")
+
+
+def test_equal_frames_hash_equal_and_serve_as_keys(layout3):
+    n = layout3.n_qubits
+    frame, twin = PauliFrame(n, 5, 3), PauliFrame.from_paulis(n, {0: "Y", 1: "Z", 2: "X"})
+    assert frame == twin and frame is not twin and hash(frame) == hash(twin)
+    assert frame != PauliFrame(n + 1, 5, 3) and frame != PauliFrame(n, 3, 5)
+    assert len({frame, twin, PauliFrame(n, 3, 5)}) == 2
+    assert {frame: "a"}[twin] == "a"
+
+
+def test_frame_pickles_to_an_equal_frame(layout3):
+    frame = PauliFrame(layout3.n_qubits, layout3.logical_x_mask, 6)
+    assert pickle.loads(pickle.dumps(frame)) == frame

@@ -324,6 +324,23 @@ def test_build_half_chain(layout5):
     assert sorted(paulis) == ["X", "X", "Y"]
 
 
+def test_build_half_chain_reaches_the_far_boundary(layout3):
+    # length L runs from boundary to boundary, and y_at may mark its last qubit
+    frame = build_half_chain(layout3, 3, y_at=2)
+    assert layout3.syndrome_of(frame).p_anyons == ()
+    assert [frame.pauli_at(layout3.qubit_index[(r, 2)]) for r in (4, 2, 0)] == ["X", "X", "Y"]
+
+
+@pytest.mark.parametrize("length, y_at, name", [
+    (4, None, "length"), (0, None, "length"), (-1, None, "length"),
+    (2.0, None, "length"), (True, None, "length"),
+    (2, 5, "y_at"), (2, 2, "y_at"), (2, -1, "y_at"), (2, 1.0, "y_at"), (2, True, "y_at"),
+])
+def test_build_half_chain_refuses_bad_length_or_y_at(layout3, length, y_at, name):
+    with pytest.raises(surfmc.InvalidParameterError, match=f"^{name} must be an integer in"):
+        build_half_chain(layout3, length, y_at)
+
+
 def test_fatal_pattern_suite_passes():
     report = fatal_pattern_suite((3, 5))
     assert report.all_passed

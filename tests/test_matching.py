@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import itertools
 import math
 
@@ -847,34 +847,33 @@ def test_refine_memo_keys_on_model_and_budget():
                 assert refine_frame(layout, model, frame, budget) == expect
 
 
-def test_memo_results_are_fresh_frames():
-    # frames are mutable: editing what a decode returned must not reach the
-    # memos that the next decode reads.  The cold results are computed with
-    # the memos cleared and kept as deep copies, so the loop's edits cannot
-    # reach them; the loop's first pass fills the memos, the second reads them
+def test_memo_frames_are_immutable_and_equal_cold_decode():
+    # the memos hand out the frames they store, which is safe only because
+    # no caller can edit one.  Each cold result is computed with both memos
+    # cleared; the first warm pass fills both memos and the second reads them
     layout = build_layout(5)
     syn, _ = random_syndrome(layout, np.random.default_rng(8))
-    for memo in MATCHER_MEMOS:
-        memo.cache_clear()
     _, bare = decode_enhanced(layout, syn, MODEL, refine_steps=0)
-    cold, cold_chains, cold_refined = copy.deepcopy((
-        decode_both(layout, syn, MODEL),
-        _species_chains(layout, syn),
-        [refine_frame(layout, MODEL, f, 256) for f in bare.frames],
-    ))
-    for memo in MATCHER_MEMOS:
-        memo.cache_clear()
-    for _ in range(2):
-        std, enh, chain_set = decode_both(layout, syn, MODEL)
-        assert (std, enh, chain_set) == cold
-        chains = _species_chains(layout, syn)
-        assert chains == cold_chains
-        refined = [refine_frame(layout, MODEL, f, 256) for f in bare.frames]
-        assert refined == cold_refined
-        returned = (std.correction, enh.correction, *chain_set.frames,
-                    *(c[0] for c in chains.values()), *refined)
-        for frame in {id(f): f for f in returned}.values():
-            frame.set_pauli(0, "I" if frame.pauli_at(0) == "Y" else "Y")
+    calls = (
+        lambda: decode_both(layout, syn, MODEL),
+        lambda: tuple(_species_chains(layout, syn).values()),
+        lambda: tuple(refine_frame(layout, MODEL, f, 256) for f in bare.frames),
+    )
+    cold = []
+    for call in calls:
+        for memo in MATCHER_MEMOS:
+            memo.cache_clear()
+        cold.append(call())
+    first = [call() for call in calls]
+    (std, enh, chain_set), chains, refined = warm = [call() for call in calls]
+    assert first == warm == cold
+    assert all(a[0] is b[0] for a, b in zip(first[1], chains))
+    assert all(a is b for a, b in zip(first[2], refined))
+    returned = (std.correction, enh.correction, *chain_set.frames,
+                *(c[0] for c in chains), *refined)
+    for frame, name in itertools.product(returned, ("n_qubits", "x", "z")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, name, 0)
 
 
 def test_memos_hold_at_most_their_bound():

@@ -566,7 +566,7 @@ MODELS = [MODEL, NoiseModel.independent_xz(0.1, 0.1)]
 
 @pytest.mark.parametrize("model", MODELS)
 def test_batch_loop_matches_delta(rng, model):
-    table = mcmc._delta_table(model)
+    table = mcmc._delta_table(model.kind)
     delta = score_delta(model)
     for L in (2, 3, 5, 7):
         layout = build_layout(L)

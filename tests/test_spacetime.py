@@ -43,6 +43,12 @@ def test_xi_monotone_and_sign():
         MeasurementModel.from_probabilities(MODEL, 0.0)
 
 
+@pytest.mark.parametrize("p_m", ["0.1", None, True, False, 0.1j, [0.1], math.nan, 1.0, -0.1])
+def test_measurement_model_refuses_anything_but_a_rate(p_m):
+    with pytest.raises(InvalidParameterError, match="p_M must be a real number in"):
+        MeasurementModel.from_probabilities(MODEL, p_m)
+
+
 def test_record_validation():
     with pytest.raises(InvalidParameterError):
         MeasurementRecord(1, (0,))

@@ -1,14 +1,14 @@
 """Identity evidence for a refactor: the hashes of seeded surfmc outputs.
 
-Runs four seeded campaigns, each at ``--workers 1`` and ``--workers 2``, and
-one ``oracle-check``, all in a temporary directory, then prints one
-``name sha256`` line per output (the oracle's summary line follows its
-hash).  Run it at two commits and compare the printed lines: equal hashes
-mean byte-identical outputs.  Exits 1 if a command fails or if any campaign
-CSV differs between the two worker counts.  The children import ``surfmc``
-from this checkout's ``src``, and ``SURFMC_WORKERS`` is dropped from their
-environment, since it would override ``--workers``.  About 20 s on a
-2-CPU host:
+Runs four seeded campaigns, each at ``--workers 1`` and ``--workers 2``, one
+``oracle-check`` and the deterministic ``fatal-patterns`` suite, all in a
+temporary directory, then prints one ``name sha256`` line per output (the
+oracle's summary line follows its hash).  Run it at two commits and compare the
+printed lines: equal hashes mean byte-identical outputs.  Exits 1 if a command
+fails or if any campaign CSV differs between the two worker counts.  The
+children import ``surfmc`` from this checkout's ``src``, and
+``SURFMC_WORKERS`` is dropped from their environment, since it would override
+``--workers``.  About 20 s on a 2-CPU host:
 
     python3 tools/identity.py
 """
@@ -34,6 +34,7 @@ CAMPAIGNS = {
         "--refine-steps 256 --trials 200 --seed 606",
 }
 ORACLE = "oracle-check --L 3 --p 0.1 --syndromes 300 --seed 2024"
+FATAL_PATTERNS = "fatal-patterns --L 3,5,7"
 
 
 def run(args: str, cwd: str) -> subprocess.CompletedProcess:
@@ -69,6 +70,9 @@ def main() -> int:
         proc = run(ORACLE, tmp)
         print(f"oracle-check {sha256(proc.stdout.encode())}")
         print(proc.stdout.strip() or proc.stderr.strip())
+        ok = ok and proc.returncode == 0
+        proc = run(FATAL_PATTERNS, tmp)
+        print(f"fatal-patterns {sha256(proc.stdout.encode())}")
         ok = ok and proc.returncode == 0
     return 0 if ok else 1
 
