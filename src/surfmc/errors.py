@@ -11,8 +11,10 @@ Both raise ``InvalidParameterError`` unless given another class; campaign
 configs raise ``ConfigError``.
 ``_check_anyons`` refuses a syndrome's anyons of one kind unless they are
 strictly increasing integer indices into that kind's stabilizers, so a
-hand-built ``Syndrome`` never indexes past them or wraps.  Checks of another
-shape (open intervals, odd counts) are written where they are used.
+hand-built ``Syndrome`` never indexes past them or wraps.  The matcher runs
+it on every decode, so it tests for plain ints first and falls back to the
+``numbers.Integral`` test only when that fails.  Checks of another shape
+(open intervals, odd counts) are written where they are used.
 """
 
 import numbers
@@ -70,7 +72,8 @@ def _check_number(name: str, value, low: float, below: float | None = None,
 
 def _check_anyons(name: str, anyons, count: int) -> None:
     """Refuse anyons that are not strictly increasing integers in [0, count)."""
-    if not (all(_is_number(a, numbers.Integral) for a in anyons)
+    if not ((all(type(a) is int for a in anyons)
+             or all(_is_number(a, numbers.Integral) for a in anyons))
             and all(a < b for a, b in zip(anyons, anyons[1:]))
             and (not anyons or 0 <= anyons[0] and anyons[-1] < count)):
         raise InvalidParameterError(

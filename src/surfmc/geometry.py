@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import _check_count
+from .errors import InvalidParameterError, _check_count
 
 Coord = tuple[int, int]
 
@@ -96,8 +96,14 @@ class PauliFrame:
 
     @classmethod
     def from_paulis(cls, n_qubits: int, paulis: dict[int, str]) -> "PauliFrame":
-        x = sum(1 << q for q, p in paulis.items() if p in ("X", "Y"))
-        z = sum(1 << q for q, p in paulis.items() if p in ("Z", "Y"))
+        """The frame with Pauli ``paulis[q]`` (one of I, X, Y, Z) on each qubit q."""
+        x = z = 0
+        for q, p in paulis.items():
+            _check_count("qubit", q, 0, high=n_qubits - 1)
+            if p not in ("I", "X", "Y", "Z"):
+                raise InvalidParameterError(f"a Pauli must be I, X, Y or Z, got {p!r}")
+            x |= (p in ("X", "Y")) << int(q)
+            z |= (p in ("Z", "Y")) << int(q)
         return cls(n_qubits, x, z)
 
     def __repr__(self) -> str:
@@ -176,16 +182,12 @@ class CodeLayout:
         return Syndrome(p, s)
 
     def syndrome_bits(self, frame: PauliFrame) -> int:
-        """Syndrome as a bitmask over global stabilizer indices (spacetime use)."""
-        bits = 0
-        fx, fz = frame.x, frame.z
-        for s in self.z_stabilizers:
-            if (fx & s.mask).bit_count() & 1:
-                bits |= 1 << s.index
-        for s in self.x_stabilizers:
-            if (fz & s.mask).bit_count() & 1:
-                bits |= 1 << s.index
-        return bits
+        """``syndrome_of`` packed as a bitmask over global stabilizer indices
+        (spacetime use): Z anyons at their own index, X anyons after the Z
+        block."""
+        syndrome, offset = self.syndrome_of(frame), len(self.z_stabilizers)
+        return (sum(1 << a for a in syndrome.p_anyons)
+                + sum(1 << offset + a for a in syndrome.s_anyons))
 
     def apply_stabilizer(self, frame: PauliFrame, stab: Stabilizer) -> PauliFrame:
         """Frame multiplied by the stabilizer; syndrome and class are unchanged."""

@@ -61,10 +61,10 @@ arguments: ``_solve_species`` keeps one species' two class chains, as
 ``(flip, frame, weight, exits)``, under ``(layout, species, anyons)``, and
 ``_descend`` the refined frame under ``(layout, model, x, z,
 plateau_budget)``.  Each holds at most ``_MEMO_SIZE`` entries, over all
-layouts, and evicts the least recently used.  Anyons are checked in full on
-a miss, so a bad set is refused and never stored; a set holding anything but
-plain ints is checked before the lookup too, since a float or bool equal to
-a stored set's indices would read its entry.  A ``PauliFrame`` is an
+layouts, and evicts the least recently used.  Every decode checks each
+species' anyons before the lookup, so a bad set is refused whatever was
+decoded before (a float or bool equal to a stored set's indices would
+otherwise read its entry) and is never stored.  A ``PauliFrame`` is an
 immutable value, so every call hands out the stored frames themselves.
 ``class_chain``, ``min_weight_perfect_matching`` and the oracle are not
 memoized, so their callers always see real solves.
@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -87,6 +88,7 @@ from .errors import (
     InvalidParameterError,
     _check_anyons,
     _check_count,
+    _is_number,
 )
 from .geometry import (
     EQUIV_CLASSES,
@@ -156,10 +158,13 @@ def min_weight_perfect_matching(
     ``edges`` is either a sequence of weighted edges ``(u, v, w)`` or, as a
     numpy array, the n x n symmetric weight matrix of the complete graph
     (diagonal ignored).  The two are told apart by type alone, so a 3 x 3
-    matrix never reads as three edges.  Raises ``InfeasibleMatchingError``
-    when the graph has no perfect matching, and ``DecoderInternalError`` if
-    the solver's optimality certificate fails.
+    matrix never reads as three edges.  Refuses a vertex count that is not
+    an integer >= 0, and an edge whose ends are not vertices or whose weight
+    is not an integer.  Raises ``InfeasibleMatchingError`` when the graph has
+    no perfect matching, and ``DecoderInternalError`` if the solver's
+    optimality certificate fails.
     """
+    _check_count("vertex count", n, 0)
     if isinstance(edges, np.ndarray):
         if edges.shape != (n, n) or edges.dtype.kind not in "iu":
             raise InvalidParameterError(
@@ -170,6 +175,11 @@ def min_weight_perfect_matching(
             raise InvalidParameterError("the weight matrix must be symmetric")
         pairs, weight = dense_min_weight_matching(edges)
     else:
+        for u, v, w in edges:
+            _check_count("edge end", u, 0, high=n - 1)
+            _check_count("edge end", v, 0, high=n - 1)
+            if not _is_number(w, numbers.Integral):
+                raise InvalidParameterError(f"edge weight must be an integer, got {w!r}")
         pairs, weight = min_weight_matching(n, edges)
     if 2 * len(pairs) != n:
         raise InfeasibleMatchingError("no perfect matching exists")
@@ -361,12 +371,9 @@ def _anyon_sites(
     layout: CodeLayout, anyons: tuple[int, ...], species: str
 ) -> tuple[tuple[Coord, ...], list[tuple[int, int]]]:
     """Sites of one species' anyons and their distances to both absorbing
-    boundaries."""
-    if species not in (SPECIES_P, SPECIES_S):
-        raise InvalidParameterError(f"unknown species {species!r}")
-    stabs = layout.z_stabilizers if species == SPECIES_P else layout.x_stabilizers
-    coords = tuple(stabs[a].coord for a in anyons)
-    return coords, [boundary_distances(layout, species, c) for c in coords]
+    boundaries, read off the species graph."""
+    graph = _species_graph(layout, species)
+    return tuple(graph.coords[a] for a in anyons), [graph.dists[a] for a in anyons]
 
 
 def _pair_via(d: int, di: tuple[int, int], dj: tuple[int, int]) -> int | None:
@@ -448,8 +455,7 @@ class _SpeciesGraph:
     def block(self, anyons: tuple[int, ...]) -> np.ndarray:
         """Weights, K = n + 2 units plus exits, of the graph on the n anyons
         then boundaries 0 and 1: both class bits' graphs are subgraphs.
-        Refuses anyons that are not stabilizers of the species."""
-        _check_anyons(f"{self.species}-anyons", anyons, self.m)
+        A pure table read: callers check the anyons first."""
         verts = np.array((*anyons, self.m, self.m + 1))
         rows = verts[:, None]
         return (len(anyons) + 2) * self.units[rows, verts] + self.exits[rows, verts]
@@ -518,6 +524,8 @@ def class_chain(
     ``(frame, weight, exits)``: a minimum T-join solved as a perfect matching
     (module docstring)."""
     graph = _species_graph(layout, species)
+    _check_anyons(f"{species}-anyons", anyons, graph.m)
+    _check_count("class bit", bit, 0, high=1)
     return _solve_class(graph, anyons, graph.block(anyons), bit)
 
 
@@ -540,13 +548,11 @@ def _species_chains(
     set when the chain's class bit differs from that of every anyon exiting
     at its home (closer, ties toward 0) boundary, which is the parity of the
     anyons whose home is boundary 0.  The solves are memoized on (layout,
-    species, anyons), and every call gets the stored frames."""
+    species, anyons), and every call checks the anyons before the lookup and
+    gets the stored frames."""
     chains: dict[tuple[str, bool], SpeciesChain] = {}
     for species, anyons in ((SPECIES_P, syndrome.p_anyons), (SPECIES_S, syndrome.s_anyons)):
-        # a float or bool equal to a stored set's indices would read its
-        # entry, so anything but plain ints is checked before the lookup
-        if not all(type(a) is int for a in anyons):
-            _check_anyons(f"{species}-anyons", anyons, _species_graph(layout, species).m)
+        _check_anyons(f"{species}-anyons", anyons, _species_graph(layout, species).m)
         for flip, frame, weight, exits in _solve_species(layout, species, anyons):
             chains[(species, flip)] = (frame, weight, exits)
     return chains

@@ -54,15 +54,22 @@ class MeasurementModel:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Observed syndrome bits per measurement round, t = 1..t_max."""
+    """Observed syndrome bits per measurement round, t = 1..t_max.
+
+    Each entry must be an integer >= 0, and a list is stored as a tuple.  The
+    upper bound, 2^n_stab, needs a layout, so it is not checked here.
+    """
 
     t_max: int
     observed: tuple[int, ...]  # bitmask over global stabilizer indices, len t_max
 
     def __post_init__(self):
         _check_count("t_max", self.t_max, 2)
+        object.__setattr__(self, "observed", tuple(self.observed))
         if len(self.observed) != self.t_max:
             raise InvalidParameterError("record length must equal t_max")
+        for t, bits in enumerate(self.observed, 1):
+            _check_count(f"observed round {t}", bits, 0)
 
 
 @dataclass

@@ -219,3 +219,58 @@ def test_equal_frames_hash_equal_and_serve_as_keys(layout3):
 def test_frame_pickles_to_an_equal_frame(layout3):
     frame = PauliFrame(layout3.n_qubits, layout3.logical_x_mask, 6)
     assert pickle.loads(pickle.dumps(frame)) == frame
+
+
+def _packed(layout, syndrome):
+    """A syndrome as a bitmask over global stabilizer indices, written out
+    from the stabilizers' own global indices."""
+    return sum(1 << layout.z_stabilizers[a].index for a in syndrome.p_anyons) + sum(
+        1 << layout.x_stabilizers[a].index for a in syndrome.s_anyons
+    )
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_syndrome_bits_pack_syndrome_of(L):
+    # random frames, dense and sparse, then every one-qubit frame
+    layout = build_layout(L)
+    n = layout.n_qubits
+    rng = np.random.default_rng(L)
+
+    def plane(sparse):
+        bits = (1 << n) - 1
+        for _ in range(3 if sparse else 1):
+            bits &= int.from_bytes(rng.bytes(n), "big")
+        return bits
+
+    frames = [PauliFrame(n, plane(k % 2), plane(k % 3 == 0)) for k in range(60)]
+    frames += [PauliFrame.from_paulis(n, {q: p}) for q in range(n) for p in "XYZ"]
+    for frame in frames:
+        assert layout.syndrome_bits(frame) == _packed(layout, layout.syndrome_of(frame))
+
+
+BAD_PAULIS = [
+    ({13: "X"}, "qubit must be an integer in \\[0, 12\\], got 13"),
+    ({-1: "Z"}, "qubit must be an integer in \\[0, 12\\], got -1"),
+    ({500: "X"}, "qubit must be an integer in \\[0, 12\\], got 500"),
+    ({1.0: "X"}, "qubit must be an integer"),
+    ({True: "Y"}, "qubit must be an integer"),
+    ({"1": "X"}, "qubit must be an integer"),
+    ({1: "W"}, "a Pauli must be I, X, Y or Z, got 'W'"),
+    ({1: "x"}, "a Pauli must be I, X, Y or Z, got 'x'"),
+    ({1: "XY"}, "a Pauli must be I, X, Y or Z, got 'XY'"),
+    ({1: None}, "a Pauli must be I, X, Y or Z, got None"),
+]
+
+
+@pytest.mark.parametrize("paulis, match", BAD_PAULIS, ids=[repr(c[0]) for c in BAD_PAULIS])
+def test_from_paulis_refuses_bad_qubits_and_letters(layout3, paulis, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        PauliFrame.from_paulis(layout3.n_qubits, paulis)
+
+
+def test_from_paulis_takes_numpy_qubits_as_python_ints():
+    # at 85 qubits (L = 7) a numpy index past bit 63 used to lose its bit
+    frame = PauliFrame.from_paulis(85, {np.int64(70): "X", np.int64(84): "Y", 3: "I"})
+    assert frame == PauliFrame(85, (1 << 70) | (1 << 84), 1 << 84)
+    assert type(frame.x) is int and type(frame.z) is int
+    assert repr(frame) == "PauliFrame({70: 'X', 84: 'Y'})"

@@ -375,6 +375,50 @@ def test_solver_input_told_apart_by_type():
     assert min_weight_perfect_matching(4, matrix) == Matching(((0, 1), (2, 3)), 3)
 
 
+BAD_SOLVER_INPUT = [
+    (2, [(0, -1, 3)], "edge end must be an integer in \\[0, 1\\], got -1"),
+    (2, [(0, 5, 3)], "edge end must be an integer in \\[0, 1\\], got 5"),
+    (2, [(1.0, 0, 3)], "edge end must be an integer in \\[0, 1\\], got 1.0"),
+    (2, [(0, True, 3)], "edge end must be an integer in \\[0, 1\\], got True"),
+    (0, [(0, 0, 3)], "edge end must be an integer in \\[0, -1\\], got 0"),
+    (2, [(0, 1, 2.5)], "edge weight must be an integer, got 2.5"),
+    (2, [(0, 1, True)], "edge weight must be an integer, got True"),
+    (2, [(0, 1, "3")], "edge weight must be an integer, got '3'"),
+    (3.0, [(0, 1, 1)], "vertex count must be an integer >= 0, got 3.0"),
+    (-2, [], "vertex count must be an integer >= 0, got -2"),
+    (True, [], "vertex count must be an integer >= 0, got True"),
+    (2.0, np.array([[0, 1], [1, 0]]), "vertex count must be an integer >= 0, got 2.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, edges, match",
+    BAD_SOLVER_INPUT,
+    ids=[f"{n!r}-{'matrix' if isinstance(e, np.ndarray) else repr(e)}"
+         for n, e, _ in BAD_SOLVER_INPUT],
+)
+def test_solver_refuses_bad_vertex_counts_ends_and_weights(n, edges, match):
+    # the bad end -1 ended in min() of an empty sequence, 5 in an IndexError,
+    # weight 2.5 was solved, and n = 3.0 ended in a TypeError
+    with pytest.raises(InvalidParameterError, match=match):
+        min_weight_perfect_matching(n, edges)
+
+
+def test_solver_takes_numpy_integer_counts_ends_and_weights():
+    edges = [(np.int64(0), np.int64(1), np.int64(4)), (2, 3, -1)]
+    assert min_weight_perfect_matching(np.int64(4), edges) == Matching(((0, 1), (2, 3)), 3)
+    dense = np.array([[0, 4], [4, 0]])
+    assert min_weight_perfect_matching(np.int64(2), dense) == Matching(((0, 1),), 4)
+
+
+@pytest.mark.parametrize("bit", [-1, 2, True, 1.0, None], ids=repr)
+def test_class_chain_refuses_bad_class_bits(layout3, bit):
+    # at L = 3 with p-anyons (1, 2), bit -1 returned a 3-flip chain with 2
+    # exits and bit 2 raised InfeasibleMatchingError
+    with pytest.raises(InvalidParameterError, match="class bit must be an integer in \\[0, 1\\]"):
+        class_chain(layout3, (1, 2), SPECIES_P, bit)
+
+
 def test_species_graph_built_on_first_use_and_shared_by_equal_layouts():
     # a layout is fixed by its L: a numpy distance builds the same one, and
     # both share one graph per species; the distance is checked before the

@@ -56,6 +56,21 @@ def test_record_validation():
         MeasurementRecord(3, (0, 0))
 
 
+@pytest.mark.parametrize("observed", [(1.5, 0, 0), (True, 0, 0), (0, -1, 0), (0, 0, "1")], ids=repr)
+def test_record_refuses_entries_that_are_not_counts(observed):
+    # (1.5, 0, 0) and (True, 0, 0) were accepted, and spacetime_energy of
+    # the initial hypothesis then ended in a bare TypeError
+    with pytest.raises(InvalidParameterError, match="observed round [1-3] must be an integer >= 0"):
+        MeasurementRecord(3, observed)
+
+
+def test_record_stores_a_list_as_a_tuple(layout3):
+    record = MeasurementRecord(3, [0, 1, 0])
+    assert record.observed == (0, 1, 0) and record == MeasurementRecord(3, (0, 1, 0))
+    assert hash(record) == hash(MeasurementRecord(3, (0, 1, 0)))
+    assert initial_hypothesis(layout3, record).is_consistent(layout3)
+
+
 def test_round_count_must_be_an_integer(layout3):
     # 3.0 was accepted, then failed with a TypeError in initial_hypothesis
     # or in sample_record's range
