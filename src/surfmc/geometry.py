@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, _check_count
 
@@ -135,6 +136,30 @@ class Syndrome:
         return not self.p_anyons and not self.s_anyons
 
 
+class _ShiftRule(NamedTuple):
+    """The layout's constants of the shift-and-XOR check parities: bit masks
+    over qubit indices, and each site bit's species index."""
+
+    qubits: int        # every qubit of the layout
+    z_sites: int       # each Z check's top qubit (r - 1, c)
+    z_left: int        # the Z sites with a qubit at (r, c - 1)
+    z_right: int       # the Z sites with a qubit at (r, c + 1)
+    x_sites: int       # each X check's left qubit (r, c - 1), plus L - 1
+    z_index: list[int | None]  # site bit -> species index
+    x_index: list[int | None]
+
+
+def _set_bits(bits: int, index: list[int | None]) -> tuple[int, ...]:
+    """``index`` of every set bit of ``bits``, lowest bit first."""
+    out = []
+    while bits:
+        top = bits.bit_length() - 1
+        out.append(index[top])
+        bits ^= 1 << top
+    out.reverse()
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class CodeLayout:
     """Distance-L planar surface code: immutable once built, shareable read-only.
@@ -149,6 +174,7 @@ class CodeLayout:
     stabilizers: tuple[Stabilizer, ...] = field(repr=False)  # Z block then X block
     logical_x_mask: int = field(repr=False)  # sigma-x on column c=0 (reference X_L)
     logical_z_mask: int = field(repr=False)  # sigma-z on row r=0 (reference Z_L)
+    _shift_rule: _ShiftRule = field(repr=False, compare=False)
 
     @property
     def n_qubits(self) -> int:
@@ -166,20 +192,41 @@ class CodeLayout:
     def identity_frame(self) -> PauliFrame:
         return PauliFrame(self.n_qubits)
 
+    def check_parities(self, frame: PauliFrame) -> tuple[int, int]:
+        """The parity of every Z check over the frame's x plane and of every X
+        check over its z plane, each at its site bit (``syndrome_of``).
+
+        Qubits are numbered row by row, 2L - 1 to a pair of rows, so a check's
+        support lies at fixed index offsets from its site bit, and one shift
+        per offset XORs every check's support bits onto its site at once.  A
+        Z check's site is its top qubit q; its others are q + L - 1 (left,
+        absent in column c = 0), q + L (right, absent in the last column) and
+        q + 2L - 1 (bottom), so the two side shifts are masked to the checks
+        that have that qubit.  An X check's site is its left qubit's index
+        plus L - 1: its left and right qubits are L - 1 and L - 2 indices
+        lower, the qubit under it one index higher and the qubit over it
+        2L - 2 lower.  The missing qubits of the top and bottom rows fall
+        outside the frame's bits, so the X rule needs no mask.
+        """
+        L = self.L
+        qubits, z_sites, z_left, z_right, x_sites, _, _ = self._shift_rule
+        x = frame.x & qubits
+        z = frame.z & qubits
+        z_checks = (x ^ (x >> (L - 1) & z_left) ^ (x >> L & z_right) ^ x >> (2 * L - 1)) & z_sites
+        x_checks = (z << (L - 1) ^ z << (L - 2) ^ z >> 1 ^ z << (2 * L - 2)) & x_sites
+        return z_checks, x_checks
+
     def syndrome_of(self, frame: PauliFrame) -> Syndrome:
         """Stabilizers that anticommute with the frame.
 
         A Z-stabilizer is flagged iff the frame's X-component overlaps its
-        support an odd number of times, and vice versa.
+        support an odd number of times, and vice versa.  The parities come
+        from ``check_parities``, a few shifts and XORs over the whole frame,
+        and only the flagged checks are looked up.
         """
-        fx, fz = frame.x, frame.z
-        p = tuple(
-            s.species_index for s in self.z_stabilizers if (fx & s.mask).bit_count() & 1
-        )
-        s = tuple(
-            s.species_index for s in self.x_stabilizers if (fz & s.mask).bit_count() & 1
-        )
-        return Syndrome(p, s)
+        z_checks, x_checks = self.check_parities(frame)
+        rule = self._shift_rule
+        return Syndrome(_set_bits(z_checks, rule.z_index), _set_bits(x_checks, rule.x_index))
 
     def syndrome_bits(self, frame: PauliFrame) -> int:
         """``syndrome_of`` packed as a bitmask over global stabilizer indices
@@ -274,6 +321,30 @@ def _build_layout(L: int) -> CodeLayout:
     for c in range(0, span + 1, 2):
         logical_z_mask |= 1 << qubit_index[(0, c)]
 
+    # the sites of the shift rule (``CodeLayout.check_parities``): a Z check's
+    # top qubit, an X check's left qubit plus L - 1
+    z_site = [qubit_index[(s.coord[0] - 1, s.coord[1])] for s in z_stabs]
+    x_site = [qubit_index[(s.coord[0], s.coord[1] - 1)] + L - 1 for s in x_stabs]
+
+    def mask(bits) -> int:
+        return sum(1 << b for b in bits)
+
+    def species(sites: list[int]) -> list[int | None]:
+        index: list[int | None] = [None] * (max(sites) + 1)
+        for i, b in enumerate(sites):
+            index[b] = i
+        return index
+
+    shift_rule = _ShiftRule(
+        qubits=(1 << len(qubit_coords)) - 1,
+        z_sites=mask(z_site),
+        z_left=mask(b for b, s in zip(z_site, z_stabs) if s.coord[1] > 0),
+        z_right=mask(b for b, s in zip(z_site, z_stabs) if s.coord[1] < span),
+        x_sites=mask(x_site),
+        z_index=species(z_site),
+        x_index=species(x_site),
+    )
+
     return CodeLayout(
         L=L,
         qubit_coords=qubit_coords,
@@ -283,4 +354,5 @@ def _build_layout(L: int) -> CodeLayout:
         stabilizers=tuple(z_stabs) + tuple(x_stabs),
         logical_x_mask=logical_x_mask,
         logical_z_mask=logical_z_mask,
+        _shift_rule=shift_rule,
     )

@@ -76,7 +76,7 @@ import functools
 import math
 import numbers
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,10 +159,10 @@ def min_weight_perfect_matching(
     numpy array, the n x n symmetric weight matrix of the complete graph
     (diagonal ignored).  The two are told apart by type alone, so a 3 x 3
     matrix never reads as three edges.  Refuses a vertex count that is not
-    an integer >= 0, and an edge whose ends are not vertices or whose weight
-    is not an integer.  Raises ``InfeasibleMatchingError`` when the graph has
-    no perfect matching, and ``DecoderInternalError`` if the solver's
-    optimality certificate fails.
+    an integer >= 0, an edge that is not a triple, and an edge whose ends
+    are not vertices or whose weight is not an integer.  Raises
+    ``InfeasibleMatchingError`` when the graph has no perfect matching, and
+    ``DecoderInternalError`` if the solver's optimality certificate fails.
     """
     _check_count("vertex count", n, 0)
     if isinstance(edges, np.ndarray):
@@ -175,7 +175,10 @@ def min_weight_perfect_matching(
             raise InvalidParameterError("the weight matrix must be symmetric")
         pairs, weight = dense_min_weight_matching(edges)
     else:
-        for u, v, w in edges:
+        for edge in edges:
+            if not isinstance(edge, Sized) or len(edge) != 3:
+                raise InvalidParameterError(f"an edge must be a triple (u, v, w), got {edge!r}")
+            u, v, w = edge
             _check_count("edge end", u, 0, high=n - 1)
             _check_count("edge end", v, 0, high=n - 1)
             if not _is_number(w, numbers.Integral):

@@ -23,10 +23,13 @@ the count of the whole proposed frame (one XOR, one OR and one
 moved plane for independent noise) costs the same at any beta.  So ``run``
 takes this frame loop below ``_FRAME_LOOP_BELOW`` = 1.25, where it was
 measured faster (at L = 5-11, 120-140 ns per step against about 340 for the
-table loop at beta = 0.15), and rebuilds the local states once afterwards; at
-and above it, where most moves are rejected, the table loop stays: about
-twice as fast at beta_bar.  Both loops make the same decisions on the same
-draws, so the choice moves no output.
+table loop at beta = 0.15), and leaves the local states stale; at and above
+it, where most moves are rejected, the table loop stays: about twice as fast
+at beta_bar.  A chain's beta changes only at a restart, which restores the
+seed's states, so the table loop of ``run`` never meets stale states; only
+``step``, which takes the table loop at any beta, rebuilds them, and a hot
+run that a restart follows rebuilds nothing.  Both loops make the same
+decisions on the same draws, so the choice moves no output.
 
 The accept test works on integer acceptance levels.  A uniform draw u in
 [0, 1) has level k, the number of the four thresholds exp(-beta * d),
@@ -44,13 +47,23 @@ reference loop (``tests/helpers.py``).
 
 Both sampling decoders run one chain per equivalence class, on that class's
 random stream, and restart it from the class's minimum-weight hypothesis at
-each inverse temperature they sample.  The single-temperature decoder samples
-beta* alone and picks the class with the smallest average count; the
-free-energy variant instead integrates the average count over an equidistant
-temperature grid with Simpson's rule.  A rectangle partition of the code
-allows many non-overlapping stabilizers to be probed per step for parallel
-operation; that sweep drives a ``MetropolisChain`` with the partition's
-proposals, drawn per block in numpy and fed to the loop one step at a time.
+each inverse temperature they sample.  Their fixed costs are paid once per
+class, not once per temperature: before the chain's first run,
+``_class_means`` draws the blocks of every run the class will make (a feed of
+at most ``_FEED_DRAWS`` draws at a time), with the calls ``run`` would make,
+in the same order, and turns all their uniforms into levels in one pass over a
+matrix with one row per temperature.  ``run`` is still called once per
+temperature and burn-in, and takes its blocks from the feed; the draws, and so
+every output, are those of runs that draw their own.  A class sampled at a
+single temperature (the single-temperature decoder) has no feed: there is
+nothing to share, and its runs draw as they go.  The single-temperature
+decoder samples beta* alone and picks the class with the smallest average
+count; the free-energy variant instead integrates the average count over an
+equidistant temperature grid with Simpson's rule.  A rectangle partition of
+the code allows many non-overlapping stabilizers to be probed per step for
+parallel operation; that sweep drives a ``MetropolisChain`` with the
+partition's proposals, drawn per block in numpy and fed to the loop one step
+at a time.
 """
 
 from __future__ import annotations
@@ -59,7 +72,8 @@ import functools
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +82,13 @@ from .errors import DecoderInternalError, InvalidParameterError, _check_count, _
 from .geometry import CLASS_I, EQUIV_CLASSES, CodeLayout, EquivalenceClass, PauliFrame, Syndrome
 from .matching import ClassChainSet, DecoderVerdict, _pick_class
 from .noise import INDEPENDENT_XZ, NoiseModel, _delta_table, _layout_moves, beta_bar, error_score
-from .stats import simpson
+from .stats import simpson_sum, simpson_terms
 
 _CHUNK_BATCHES = 32
+# the most draws a chain's pending feed holds (``MetropolisChain._prefetch``):
+# one class's whole free-energy grid at L = 5 (20 x 625), six temperatures of
+# it at L = 7; when fewer than two temperatures fit, ``run`` draws its own
+_FEED_DRAWS = 1 << 14
 # ``run`` takes the frame loop below this inverse temperature and the table
 # loop at or above it: the measured crossover of their per-step costs, 1.12 to
 # 1.31 at L = 5-11 for both noise kinds (README, Notes)
@@ -110,6 +128,13 @@ def default_single_temp_config(
     return SingleTempConfig(beta_star_factor * beta_bar(model), n_sample, burn_in)
 
 
+def _chunk_sizes(n_steps: int) -> list[int]:
+    """The sizes of the blocks in which ``run`` draws ``n_steps`` proposals."""
+    chunk = max(1024, n_steps // _CHUNK_BATCHES)
+    full, rest = divmod(n_steps, chunk)
+    return [chunk] * full + ([rest] if rest else [])
+
+
 def batch_means_se(batch_sums: list[tuple[int, int]]) -> float:
     """Batch-means standard error of a mean count from (steps, summed count)
     batches; only batches as long as the first count, NaN with fewer than two."""
@@ -130,6 +155,28 @@ def _thresholds(beta: float) -> np.ndarray:
     return thresholds
 
 
+@functools.lru_cache(maxsize=16)
+def _threshold_columns(betas: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """``_thresholds`` of every beta of ``betas`` as four read-only columns,
+    one per Delta n, to compare against a matrix with one row per beta."""
+    rows = np.array([_thresholds(beta) for beta in betas])
+    columns = tuple(np.ascontiguousarray(rows[:, [d]]) for d in range(4))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+def _feed_levels(betas: list[float], us: np.ndarray) -> bytes:
+    """The acceptance levels of uniform draws, one byte per draw: ``us`` holds
+    as many equal rows as ``betas`` (one after the other, in C order), and
+    row i is drawn at ``betas[i]``.  One comparison per threshold column over
+    the whole matrix, each the same IEEE comparison as testing u against a
+    threshold, so the levels equal those of ``_levels`` row by row."""
+    us = us.reshape(len(betas), -1)
+    above = [(us < column).view(np.uint8) for column in _threshold_columns(tuple(betas))]
+    return (above[0] + above[1] + above[2] + above[3]).tobytes()
+
+
 class MetropolisChain:
     """One Markov chain over the stabilizer orbit of its seed frame.
 
@@ -148,14 +195,22 @@ class MetropolisChain:
     share a qubit with it (built once per layout).  ``run`` is the bulk
     sampler.  Below beta = ``_FRAME_LOOP_BELOW`` it runs ``_frame_moves``
     instead, which accepts on the count of the whole proposed frame against
-    the same level and keeps no local states, then rebuilds the states once;
-    each loop is the faster one on its side of that beta, and the two decide
-    alike.  ``step`` is the table loop on a single proposal, and records no
-    batch for ``standard_error``.  The rectangle sweep makes its own
-    proposals through the table loop.  ``estimate`` is the running average of
-    the error count over all proposals since the end of burn-in; by default
-    nothing is discarded, since heating up from a minimum-weight seed is
-    faster than cooling from a random one.
+    the same level and keeps no local states; it marks them stale.  Its
+    beta changes only at a restart, which restores the seed's states, so
+    ``run``'s table loop never meets stale states, and only ``step`` (the
+    table loop at any beta) rebuilds them, through ``_local_states``.
+    ``_moves`` does not check: the sweep calls it once per step, on a chain
+    that never runs hot.  Each loop is the faster one on its side of that
+    beta, and the two decide alike.  ``run`` draws its blocks itself, or
+    takes them from the chain's feed, which ``_prefetch`` fills with the same
+    draws for the coming calls, their levels computed in one pass; a call at
+    another beta or size than the feed was drawn for raises
+    ``DecoderInternalError``.  ``step`` is the table loop on a single
+    proposal, and records no batch for ``standard_error``.  The rectangle
+    sweep makes its own proposals through the table loop.  ``estimate`` is
+    the running average of the error count over all proposals since the end
+    of burn-in; by default nothing is discarded, since heating up from a
+    minimum-weight seed is faster than cooling from a random one.
     """
 
     def __init__(
@@ -174,6 +229,8 @@ class MetropolisChain:
         self._seed = frame
         self._seed_states = self._local.local_states(frame)
         self._seed_n = error_score(model, frame)
+        # (beta, n_steps, blocks) of the coming run calls (``_prefetch``)
+        self._feed: deque[tuple[float, int, list[tuple[array, bytes]]]] = deque()
         self._restart(beta)
 
     def _restart(self, beta: float) -> None:
@@ -218,8 +275,17 @@ class MetropolisChain:
         # run(1) without the batch record
         s = int(self.rng.integers(0, len(self._local.masks)))
         levels = self._levels(self.rng.random(size=1))
+        self._local_states()
         self.cumulative_n += self._moves([s], levels)
         self.step_count += 1
+
+    def _local_states(self) -> list[int]:
+        """The local states of the current frame.  A hot ``run`` leaves them
+        stale (None), and they are rebuilt here when ``step`` needs them; a
+        restart or another hot run may come first."""
+        if self._states is None:
+            self._states = self._local.local_states(self.frame)
+        return self._states
 
     def _levels(self, us: np.ndarray) -> bytes:
         """Acceptance levels of the uniform draws ``us``, one byte (0-4) per
@@ -257,7 +323,7 @@ class MetropolisChain:
     def _frame_moves(self, idx: Iterable[int], levels: Iterable[int]) -> int:
         """``_moves`` without local states: each proposal's count is that of
         the whole proposed frame, compared with the current count plus the
-        acceptance level.  Leaves ``_states`` stale."""
+        acceptance level.  Leaves ``_states`` stale; ``run`` marks them so."""
         local = self._local
         masks = local.masks
         x_kind = local.x_kind
@@ -298,22 +364,65 @@ class MetropolisChain:
         return cum
 
     def run(self, n_steps: int, accumulate: bool = True) -> None:
-        """Advance by ``n_steps`` proposals (tight loop, block-drawn randomness)."""
+        """Advance by ``n_steps`` proposals (tight loop, block-drawn randomness).
+
+        The blocks come from the feed when ``_prefetch`` queued this call,
+        which must then be at the beta and size it was drawn for; otherwise
+        they are drawn here, one block at a time."""
         _check_count("n_steps", n_steps, 0)
-        n_stab = len(self._local.masks)
-        chunk_size = max(1024, n_steps // _CHUNK_BATCHES)
-        hot = self._beta < _FRAME_LOOP_BELOW
-        moves = self._frame_moves if hot else self._moves
-        done = 0
-        while done < n_steps:
-            todo = min(chunk_size, n_steps - done)
-            idx = array("q", self.rng.integers(0, n_stab, size=todo).tobytes())
-            cum = moves(idx, self._levels(self.rng.random(size=todo)))
-            done += todo
+        if self._feed:
+            beta, size, blocks = self._feed.popleft()
+            if beta != self._beta or size != n_steps:
+                raise DecoderInternalError(
+                    f"the feed holds {size} steps at beta = {beta}, "
+                    f"run asks for {n_steps} at beta = {self._beta}"
+                )
+        else:
+            blocks = self._draw(n_steps)
+        if self._beta < _FRAME_LOOP_BELOW:
+            moves = self._frame_moves
+            self._states = None
+        else:
+            moves = self._moves
+        for idx, levels in blocks:
+            cum = moves(idx, levels)
             if accumulate:
-                self._accumulate(todo, cum)
-        if hot:
-            self._states = self._local.local_states(self.frame)
+                self._accumulate(len(idx), cum)
+
+    def _draw(self, n_steps: int) -> Iterator[tuple[array, bytes]]:
+        """The blocks of ``n_steps`` proposals, each drawn when it is needed:
+        the stabilizer indices, then the uniforms turned into levels."""
+        n_stab = len(self._local.masks)
+        for todo in _chunk_sizes(n_steps):
+            idx = array("q", self.rng.integers(0, n_stab, size=todo).tobytes())
+            yield idx, self._levels(self.rng.random(size=todo))
+
+    def _prefetch(self, betas: list[float], sizes: list[int]) -> None:
+        """Queue the blocks of the coming ``run`` calls: one call per entry of
+        ``sizes`` at each of ``betas`` in turn.
+
+        The draws are those the calls would make, in the same order; the
+        uniforms of each beta fill one row of a matrix, and all rows become
+        acceptance levels in one pass (``_feed_levels``).  Each call then
+        finds its blocks in the feed."""
+        n_stab = len(self._local.masks)
+        integers, random = self.rng.integers, self.rng.random
+        us = np.empty(len(betas) * sum(sizes))
+        calls = []
+        start = 0
+        for beta in betas:
+            for size in sizes:
+                blocks = []
+                for todo in _chunk_sizes(size):
+                    end = start + todo
+                    idx = array("q", integers(0, n_stab, size=todo).tobytes())
+                    blocks.append((idx, start, end))
+                    random(out=us[start:end])
+                    start = end
+                calls.append((beta, size, blocks))
+        levels = _feed_levels(betas, us)
+        for beta, size, blocks in calls:
+            self._feed.append((beta, size, [(idx, levels[a:b]) for idx, a, b in blocks]))
 
     def _accumulate(self, steps: int, cum: int) -> None:
         """Record one batch of ``steps`` steps whose post-move counts sum to ``cum``."""
@@ -325,10 +434,10 @@ class MetropolisChain:
         """Assert the chain never left its seed's syndrome/class orbit.
 
         Syndrome and class are XOR-linear, so the frame stays in the orbit
-        iff its product with the seed frame has an empty syndrome and class I.
+        iff its product with the seed frame violates no check and has class I.
         """
         moved = PauliFrame(self.layout.n_qubits, self._x ^ self._seed.x, self._z ^ self._seed.z)
-        if not self.layout.syndrome_of(moved).is_empty:
+        if self.layout.check_parities(moved) != (0, 0):
             raise DecoderInternalError("chain escaped its syndrome orbit")
         if self.layout.class_of(moved) != CLASS_I:
             raise DecoderInternalError("chain escaped its equivalence class")
@@ -353,14 +462,22 @@ def _class_means(
     One chain per class, on the class's stream, is restarted from the class
     seed at every beta and run for ``burn_in`` then ``n_sample`` steps; its
     confinement is checked after every beta, since the next restart would
-    hide an escape.
+    hide an escape.  With several betas, the draws of as many of them as
+    ``_FEED_DRAWS`` holds are made before the first of them runs
+    (``MetropolisChain._prefetch``).
     """
     rngs = _class_chain_rngs(seed_seq)
+    sizes = [burn_in, n_sample] if burn_in else [n_sample]
+    per_feed = _FEED_DRAWS // (burn_in + n_sample)  # temperatures drawn at once
+    if len(betas) < 2 or per_feed < 2:
+        per_feed = 0  # a feed of one temperature saves nothing: run draws its own
     sampled = {}
     for cls in EQUIV_CLASSES:
         chain = MetropolisChain(layout, model, betas[0], seeds.frame_for(cls), rngs[cls.index])
         means, ses = [], []
-        for beta in betas:
+        for k, beta in enumerate(betas):
+            if per_feed and k % per_feed == 0:
+                chain._prefetch(betas[k:k + per_feed], sizes)
             chain._restart(beta)
             if burn_in:
                 chain.run(burn_in, accumulate=False)
@@ -425,6 +542,30 @@ class FreeEnergyEstimate:
     log_z: float = field(default=math.nan)
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_weights(temps: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Check a free-energy temperature grid, and compute once per grid what
+    depends on it alone: its Simpson terms and the Simpson weights of the
+    integral's standard error (all read-only)."""
+    grid = np.array(temps)
+    if len(grid) < 3 or len(grid) % 2 == 0:
+        raise InvalidParameterError("temperature grid must have an odd count >= 3")
+    if grid[0] != 0.0:
+        raise InvalidParameterError("temperature grid must start at beta = 0")
+    steps = np.diff(grid)
+    if not np.allclose(steps, steps[0]):
+        raise InvalidParameterError("temperature grid must be equidistant")
+    h = float(steps[0])
+    simpson_coef = np.ones(len(grid))
+    simpson_coef[1:-1:2] = 4.0
+    simpson_coef[2:-1:2] = 2.0
+    simpson_coef *= h / 3.0
+    terms = simpson_terms(grid)
+    for weights in (*terms, simpson_coef):
+        weights.setflags(write=False)
+    return terms, simpson_coef
+
+
 def decode_free_energy(
     layout: CodeLayout,
     syndrome: Syndrome,
@@ -447,27 +588,20 @@ def decode_free_energy(
     _check_count("n_sample", n_sample, 1)
     _check_count("burn_in", burn_in, 0)
     temps = np.asarray(temps, dtype=float)
-    if len(temps) < 3 or len(temps) % 2 == 0:
-        raise InvalidParameterError("temperature grid must have an odd count >= 3")
-    if temps[0] != 0.0:
-        raise InvalidParameterError("temperature grid must start at beta = 0")
-    steps = np.diff(temps)
-    if not np.allclose(steps, steps[0]):
-        raise InvalidParameterError("temperature grid must be equidistant")
+    if temps.ndim != 1:
+        raise InvalidParameterError(
+            f"temperature grid must be one-dimensional, got shape {temps.shape}"
+        )
+    betas = temps.tolist()
+    terms, simpson_coef = _grid_weights(tuple(betas))
 
-    h = float(steps[0])
-    simpson_coef = np.ones(len(temps))
-    simpson_coef[1:-1:2] = 4.0
-    simpson_coef[2:-1:2] = 2.0
-    simpson_coef *= h / 3.0
-
-    sampled = _class_means(layout, model, temps[1:].tolist(), seeds, seed_seq, n_sample, burn_in)
+    sampled = _class_means(layout, model, betas[1:], seeds, seed_seq, n_sample, burn_in)
     estimates: dict[EquivalenceClass, FreeEnergyEstimate] = {}
     scores: dict[EquivalenceClass, float] = {}
     for cls, (sampled_means, sampled_ses) in sampled.items():
         means = np.array([zero_temperature_score(model, layout), *sampled_means])
         ses = np.array([0.0, *sampled_ses])
-        integral = simpson(means, temps)
+        integral = simpson_sum(means, terms)
         # NaN as soon as one positive-temperature chain has no standard error
         integral_se = float(np.sqrt(np.sum((simpson_coef * ses) ** 2)))
         log_z = layout.n_stab * math.log(2.0) - integral

@@ -57,7 +57,7 @@ class MeasurementRecord:
     """Observed syndrome bits per measurement round, t = 1..t_max.
 
     Each entry must be an integer >= 0, and a list is stored as a tuple.  The
-    upper bound, 2^n_stab, needs a layout, so it is not checked here.
+    upper bound, 2^n_stab, needs a layout; ``initial_hypothesis`` checks it.
     """
 
     t_max: int
@@ -122,7 +122,12 @@ def _predicted_record(layout: CodeLayout, frames, flips: list[int]) -> tuple[int
 
 
 def initial_hypothesis(layout: CodeLayout, record: MeasurementRecord) -> SpacetimeHypothesis:
-    """The always-consistent seed: every discrepancy is a measurement flip."""
+    """The always-consistent seed: every discrepancy is a measurement flip.
+
+    Refuses a record with a bit at or above 2^n_stab, a stabilizer that the
+    layout does not have."""
+    for t, bits in enumerate(record.observed, 1):
+        _check_count(f"observed round {t}", bits, 0, high=(1 << layout.n_stab) - 1)
     frames = [layout.identity_frame() for _ in range(record.t_max - 1)]
     return SpacetimeHypothesis(record, frames, list(record.observed))
 

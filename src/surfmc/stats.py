@@ -5,6 +5,9 @@ scipy is no runtime dependency.  ``simpson`` and ``logsumexp`` transcribe
 scipy 1.17.1's ``integrate.simpson`` (odd point counts) and
 ``special.logsumexp`` (real input, no weights) op for op, so their results are
 bit-equal to scipy's; the tests check that against scipy when it is installed.
+``simpson`` is split in two, the grid's factors (``simpson_terms``) and the
+sum over the samples (``simpson_sum``), with the same operations in the same
+order.
 """
 
 from __future__ import annotations
@@ -55,22 +58,42 @@ def simpson(y, x) -> float:
     """Composite Simpson integral of samples y at points x (odd count >= 3)."""
     y = np.asarray(y)
     x = np.asarray(x)
-    n = len(y)
-    if n < 3 or n % 2 == 0 or x.shape != y.shape:
+    if x.shape != y.shape:
         raise ValueError("simpson needs an odd count >= 3 of samples, one per point")
-    y0, y1, y2 = y[0 : n - 2 : 2], y[1 : n - 1 : 2], y[2:n:2]
+    return simpson_sum(y, simpson_terms(x))
+
+
+def simpson_terms(x) -> tuple[np.ndarray, ...]:
+    """The factors of ``simpson`` that depend on the points x alone, computed
+    as scipy computes them; a caller that integrates many samples on one grid
+    computes them once, and ``simpson_sum`` adds the samples."""
+    x = np.asarray(x)
+    n = len(x)
+    if n < 3 or n % 2 == 0:
+        raise ValueError("simpson needs an odd count >= 3 of samples, one per point")
     h = np.diff(x)
     h0 = h[0 : n - 2 : 2].astype(float, copy=False)
     h1 = h[1 : n - 1 : 2].astype(float, copy=False)
     hsum = h0 + h1
     hprod = h0 * h1
     h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    tmp = hsum / 6.0 * (
-        y0 * (2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0))
-        + y1 * (hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0))
-        + y2 * (2.0 - h0divh1)
+    return (
+        hsum / 6.0,
+        2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0),
+        hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0),
+        2.0 - h0divh1,
     )
-    return float(np.sum(tmp))
+
+
+def simpson_sum(y, terms: tuple[np.ndarray, ...]) -> float:
+    """``simpson`` of the samples y on the grid of ``terms`` (``simpson_terms``)."""
+    y = np.asarray(y)
+    scale, c0, c1, c2 = terms
+    n = len(y)
+    if n != 2 * len(scale) + 1:
+        raise ValueError("simpson needs an odd count >= 3 of samples, one per point")
+    y0, y1, y2 = y[0 : n - 2 : 2], y[1 : n - 1 : 2], y[2:n:2]
+    return float(np.sum(scale * (y0 * c0 + y1 * c1 + y2 * c2)))
 
 
 def logsumexp(a) -> float:

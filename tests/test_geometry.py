@@ -229,12 +229,9 @@ def _packed(layout, syndrome):
     )
 
 
-@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
-def test_syndrome_bits_pack_syndrome_of(L):
-    # random frames, dense and sparse, then every one-qubit frame
-    layout = build_layout(L)
+def _test_frames(layout, rng):
+    """60 seeded random frames, dense and sparse, then every one-qubit frame."""
     n = layout.n_qubits
-    rng = np.random.default_rng(L)
 
     def plane(sparse):
         bits = (1 << n) - 1
@@ -243,9 +240,33 @@ def test_syndrome_bits_pack_syndrome_of(L):
         return bits
 
     frames = [PauliFrame(n, plane(k % 2), plane(k % 3 == 0)) for k in range(60)]
-    frames += [PauliFrame.from_paulis(n, {q: p}) for q in range(n) for p in "XYZ"]
-    for frame in frames:
+    return frames + [PauliFrame.from_paulis(n, {q: p}) for q in range(n) for p in "XYZ"]
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_syndrome_bits_pack_syndrome_of(L):
+    layout = build_layout(L)
+    for frame in _test_frames(layout, np.random.default_rng(L)):
         assert layout.syndrome_bits(frame) == _packed(layout, layout.syndrome_of(frame))
+
+
+@pytest.mark.parametrize("L", range(2, 12))
+def test_shift_parities_equal_per_stabilizer_parities(L):
+    # the shift-and-XOR rule against each stabilizer's own popcount parity
+    layout = build_layout(L)
+    for frame in _test_frames(layout, np.random.default_rng(100 + L)):
+        odd_z = [s for s in layout.z_stabilizers if (frame.x & s.mask).bit_count() & 1]
+        odd_x = [s for s in layout.x_stabilizers if (frame.z & s.mask).bit_count() & 1]
+        syndrome = layout.syndrome_of(frame)
+        assert syndrome.p_anyons == tuple(s.species_index for s in odd_z)
+        assert syndrome.s_anyons == tuple(s.species_index for s in odd_x)
+        z_checks, x_checks = layout.check_parities(frame)
+        assert (z_checks.bit_count(), x_checks.bit_count()) == (len(odd_z), len(odd_x))
+        # the constructor checks nothing: bits past the last qubit are ignored,
+        # as the per-stabilizer masks ignore them
+        high = (frame.x | frame.z) << layout.n_qubits
+        padded = PauliFrame(layout.n_qubits, frame.x | high, frame.z | high)
+        assert layout.syndrome_of(padded) == syndrome
 
 
 BAD_PAULIS = [

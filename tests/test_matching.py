@@ -384,6 +384,10 @@ BAD_SOLVER_INPUT = [
     (2, [(0, 1, 2.5)], "edge weight must be an integer, got 2.5"),
     (2, [(0, 1, True)], "edge weight must be an integer, got True"),
     (2, [(0, 1, "3")], "edge weight must be an integer, got '3'"),
+    # a pair ended in a bare ValueError from unpacking it
+    (2, [(0, 1)], "an edge must be a triple \\(u, v, w\\), got \\(0, 1\\)"),
+    (2, [(0, 1, 2, 3)], "an edge must be a triple \\(u, v, w\\), got \\(0, 1, 2, 3\\)"),
+    (2, [7], "an edge must be a triple \\(u, v, w\\), got 7"),
     (3.0, [(0, 1, 1)], "vertex count must be an integer >= 0, got 3.0"),
     (-2, [], "vertex count must be an integer >= 0, got -2"),
     (True, [], "vertex count must be an integer >= 0, got True"),

@@ -32,6 +32,7 @@ from surfmc.errors import ConfigError, _check_count, _check_number
 from surfmc.mcmc import SweepResult, batch_means_se
 from surfmc.noise import score_delta
 from surfmc.oracle import enumerate_orbit, exact_boltzmann
+from surfmc.stats import simpson
 
 MODEL = NoiseModel.depolarizing(0.1)
 BB = beta_bar(MODEL)
@@ -296,6 +297,12 @@ def test_free_energy_rejects_bad_grids(layout3, rng):
             layout3, syn, MODEL, np.array([0.1, 0.2, 0.3]), 100, chain_set,
             np.random.SeedSequence(0),
         )
+    # a column of temperatures ended in a bare TypeError
+    with pytest.raises(InvalidParameterError, match="one-dimensional"):
+        decode_free_energy(
+            layout3, syn, MODEL, free_energy_temperatures(MODEL, 3).reshape(3, 1), 100,
+            chain_set, np.random.SeedSequence(0),
+        )
 
 
 @pytest.mark.parametrize("n_sample", [0, -5, 2.5])
@@ -372,6 +379,126 @@ def test_decoders_build_and_run_chains_through_the_traced_methods(layout3, rng, 
     cfg = SingleTempConfig(BB, n_sample, burn_in=17)
     decode_single_temperature(layout3, syn, MODEL, cfg, chain_set, np.random.SeedSequence(3))
     assert counts == {"chains": 4, "steps": 4 * (17 + n_sample), "verified": 4}
+
+
+def _per_temperature_means(layout, model, betas, chain_set, seed_seq, n_sample, burn_in):
+    """Per class, the means and SEs of one chain restarted at each beta and
+    run there with an empty feed, so that ``run`` draws its own blocks."""
+    rngs = mcmc._class_chain_rngs(seed_seq)
+    sampled = {}
+    for cls in EQUIV_CLASSES:
+        chain = MetropolisChain(layout, model, betas[0], chain_set.frame_for(cls), rngs[cls.index])
+        means, ses = [], []
+        for beta in betas:
+            chain._restart(beta)
+            if burn_in:
+                chain.run(burn_in, accumulate=False)
+            chain.run(n_sample)
+            assert not chain._feed
+            means.append(chain.estimate)
+            ses.append(batch_means_se(chain._batch_sums))
+        sampled[cls] = means, ses
+    return sampled
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("L", [3, 5])
+@pytest.mark.parametrize("model", [MODEL, NoiseModel.independent_xz(0.1, 0.1)], ids=["dep", "ind"])
+@pytest.mark.parametrize("burn_in", [0, 17])
+def test_sampler_decodes_equal_chains_run_per_temperature(L, model, burn_in):
+    # the prefetched feed and its one level pass move no bit: 2100 steps are
+    # two full batches and a short one, and 20 temperatures of them need
+    # more than one feed per class
+    layout = build_layout(L)
+    rng = np.random.default_rng(L)
+    n_sample = 2100
+    assert 20 * (burn_in + n_sample) > mcmc._FEED_DRAWS
+    temps = free_energy_temperatures(model, 21)
+    for k in range(2):
+        syn, _, chain_set = seeded_chain_set(layout, rng, model)
+        cfg = SingleTempConfig(beta_bar(model), n_sample, burn_in)
+        single = decode_single_temperature(
+            layout, syn, model, cfg, chain_set, np.random.SeedSequence([L, k, 1])
+        )
+        ref = _per_temperature_means(
+            layout, model, [cfg.beta_star], chain_set, np.random.SeedSequence([L, k, 1]),
+            n_sample, burn_in,
+        )
+        for cls in EQUIV_CLASSES:
+            single_cls = [single.scores[cls], single.detail["se"][cls]]
+            assert _bits(single_cls) == _bits(ref[cls][0] + ref[cls][1])
+
+        free = decode_free_energy(
+            layout, syn, model, temps, n_sample, chain_set, np.random.SeedSequence([L, k, 2]),
+            burn_in,
+        )
+        ref = _per_temperature_means(
+            layout, model, temps[1:].tolist(), chain_set, np.random.SeedSequence([L, k, 2]),
+            n_sample, burn_in,
+        )
+        coef = np.full(21, 2.0)
+        coef[1::2] = 4.0
+        coef[0] = coef[-1] = 1.0
+        coef *= (temps[1] - temps[0]) / 3.0
+        for cls in EQUIV_CLASSES:
+            est = free.detail["free_energy"][cls]
+            means = [zero_temperature_score(model, layout), *ref[cls][0]]
+            ses = [0.0, *ref[cls][1]]
+            integral = simpson(means, temps)
+            integral_se = float(np.sqrt(np.sum((coef * np.array(ses)) ** 2)))
+            log_z = layout.n_stab * math.log(2.0) - integral
+            assert _bits(est.means) == _bits(means) and _bits(est.ses) == _bits(ses)
+            assert _bits([est.integral, est.integral_se, est.log_z]) == _bits(
+                [integral, integral_se, log_z]
+            )
+
+
+def test_feed_holds_at_most_its_bound(layout3, rng, monkeypatch):
+    # the draws of one prefetch stay under the bound, whatever the grid size
+    fed = []
+    prefetch = MetropolisChain._prefetch
+
+    def counted(self, betas, sizes):
+        fed.append(len(betas) * sum(sizes))
+        prefetch(self, betas, sizes)
+
+    monkeypatch.setattr(MetropolisChain, "_prefetch", counted)
+    syn, _, chain_set = seeded_chain_set(layout3, rng)
+    decode_free_energy(
+        layout3, syn, MODEL, free_energy_temperatures(MODEL, 21), 1500, chain_set,
+        np.random.SeedSequence(1), burn_in=100,
+    )
+    per_feed = mcmc._FEED_DRAWS // 1600  # temperatures per feed
+    assert len(fed) == 4 * -(-20 // per_feed) > 4 and max(fed) <= mcmc._FEED_DRAWS
+    # too long for the bound, or a single temperature: run draws its own blocks
+    fed.clear()
+    decode_free_energy(
+        layout3, syn, MODEL, free_energy_temperatures(MODEL, 3), mcmc._FEED_DRAWS // 2 + 1,
+        chain_set, np.random.SeedSequence(1),
+    )
+    for n_sample in (81, mcmc._FEED_DRAWS + 1):
+        cfg = SingleTempConfig(BB, n_sample, burn_in=10)
+        decode_single_temperature(layout3, syn, MODEL, cfg, chain_set, np.random.SeedSequence(2))
+    assert fed == []
+
+
+def test_run_refuses_a_feed_of_another_beta_or_size(layout3):
+    frame = layout3.identity_frame()
+    chain = MetropolisChain(layout3, MODEL, BB, frame, np.random.default_rng(0))
+    chain._prefetch([BB], [100])
+    chain._restart(0.5)
+    with pytest.raises(DecoderInternalError, match="feed holds 100 steps at beta"):
+        chain.run(100)
+    chain._prefetch([0.5, BB], [100, 50])
+    with pytest.raises(DecoderInternalError, match="run asks for 99"):
+        chain.run(99)
+    # the next call finds the feed's next entry: 50 steps at 0.5
+    chain.run(50)
+    with pytest.raises(DecoderInternalError, match="feed holds 100 steps at beta"):
+        chain.run(100)
 
 
 def test_free_energy_log_z_matches_oracle(layout3, rng):
@@ -615,6 +742,31 @@ def test_levels_decide_as_the_threshold_test(layout3, model):
                 assert (d <= k) == (d <= 0 or u < math.exp(-beta * d)), (beta, u, d)
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_feed_levels_equal_levels_row_by_row(layout3, model):
+    # the one-pass levels of a prefetched feed decide as each beta's own
+    # searchsorted, also on the thresholds of every grid beta and their
+    # neighbours
+    betas = [0.0, *map(float, free_energy_temperatures(model, 21)[1:]), math.inf]
+    us = {0.0, float(np.nextafter(1.0, 0.0))}
+    for beta in betas:
+        for d in (1, 2, 3, 4):
+            t = math.exp(-beta * d)
+            us |= {t, float(np.nextafter(t, 0.0)), float(np.nextafter(t, 1.0))}
+    us = np.array(sorted(u for u in us if 0.0 <= u < 1.0))
+    matrix = np.tile(us, (len(betas), 1))
+    expect = b"".join(
+        MetropolisChain(layout3, model, beta, layout3.identity_frame(),
+                        np.random.default_rng(0))._levels(us)
+        for beta in betas
+    )
+    assert mcmc._feed_levels(betas, matrix) == expect
+    for k, beta in enumerate(betas):
+        row = expect[k * len(us):(k + 1) * len(us)]
+        assert mcmc._feed_levels([beta], matrix[k:k + 1]) == row
+        assert mcmc._feed_levels([beta, beta], matrix[:2]) == row * 2
+
+
 @pytest.mark.parametrize("L", [3, 4, 7])
 @pytest.mark.parametrize("model", MODELS)
 def test_chain_local_states_follow_frame(L, model):
@@ -622,10 +774,12 @@ def test_chain_local_states_follow_frame(L, model):
     for beta in (0.0, beta_bar(model), math.inf):
         frame = sample_frame(model, layout, np.random.default_rng(L))
         chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(7))
-        # checked often: a missed flip undoes itself on the next accepted move
+        # checked often: a missed flip undoes itself on the next accepted move.
+        # A hot run leaves the states stale, so they are read as the table
+        # loop reads them, rebuilt when stale
         for _ in range(30):
             chain.run(100)
-            assert chain._states == chain._local.local_states(chain.frame)
+            assert chain._local_states() == chain._local.local_states(chain.frame)
             chain.step()
             assert chain._states == chain._local.local_states(chain.frame)
 

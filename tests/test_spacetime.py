@@ -71,6 +71,16 @@ def test_record_stores_a_list_as_a_tuple(layout3):
     assert initial_hypothesis(layout3, record).is_consistent(layout3)
 
 
+@pytest.mark.parametrize("observed", [(0, 1 << 40, 0), (0, 0, 1 << 12), ((1 << 13) - 1, 0, 0)])
+def test_initial_hypothesis_refuses_bits_of_missing_stabilizers(layout3, observed):
+    # L = 3 has 12 stabilizers; (0, 1 << 40, 0) was reported consistent
+    with pytest.raises(InvalidParameterError, match=r"observed round [1-3] must be an integer "
+                                                    r"in \[0, 4095\]"):
+        initial_hypothesis(layout3, MeasurementRecord(3, observed))
+    top = MeasurementRecord(3, (0, (1 << 12) - 1, 0))
+    assert initial_hypothesis(layout3, top).is_consistent(layout3)
+
+
 def test_round_count_must_be_an_integer(layout3):
     # 3.0 was accepted, then failed with a TypeError in initial_hypothesis
     # or in sample_record's range

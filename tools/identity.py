@@ -1,14 +1,16 @@
 """Identity evidence for a refactor: the hashes of seeded surfmc outputs.
 
 Runs four seeded campaigns, each at ``--workers 1`` and ``--workers 2``, one
-``oracle-check`` and the deterministic ``fatal-patterns`` suite, all in a
-temporary directory, then prints one ``name sha256`` line per output (the
+``oracle-check``, the deterministic ``fatal-patterns`` suite and
+``tools/sampler_detail.py`` (the sampling decoders' per-class means, standard
+errors, integrals and log Z, which the CSVs' verdict counts do not show), all
+in a temporary directory, then prints one ``name sha256`` line per output (the
 oracle's summary line follows its hash).  Run it at two commits and compare the
 printed lines: equal hashes mean byte-identical outputs.  Exits 1 if a command
 fails or if any campaign CSV differs between the two worker counts.  The
 children import ``surfmc`` from this checkout's ``src``, and
 ``SURFMC_WORKERS`` is dropped from their environment, since it would override
-``--workers``.  About 20 s on a 2-CPU host:
+``--workers``.  About 25 s on a 2-CPU host:
 
     python3 tools/identity.py
 """
@@ -21,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SAMPLER_DETAIL = Path(__file__).resolve().with_name("sampler_detail.py")
 
 CAMPAIGNS = {
     "L5-p0.13-enhanced-free-energy":
@@ -38,10 +41,12 @@ FATAL_PATTERNS = "fatal-patterns --L 3,5,7"
 
 
 def run(args: str, cwd: str) -> subprocess.CompletedProcess:
+    """``python -m surfmc`` with ``args``, or the script ``args`` if it is one."""
     env = dict(os.environ)
     env.pop("SURFMC_WORKERS", None)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run([sys.executable, "-m", "surfmc", *args.split()],
+    command = [args] if args.endswith(".py") else ["-m", "surfmc", *args.split()]
+    return subprocess.run([sys.executable, *command],
                           cwd=cwd, env=env, capture_output=True, text=True)
 
 
@@ -71,9 +76,13 @@ def main() -> int:
         print(f"oracle-check {sha256(proc.stdout.encode())}")
         print(proc.stdout.strip() or proc.stderr.strip())
         ok = ok and proc.returncode == 0
-        proc = run(FATAL_PATTERNS, tmp)
-        print(f"fatal-patterns {sha256(proc.stdout.encode())}")
-        ok = ok and proc.returncode == 0
+        for name, args in (("fatal-patterns", FATAL_PATTERNS),
+                           ("sampler-detail", str(SAMPLER_DETAIL))):
+            proc = run(args, tmp)
+            print(f"{name} {sha256(proc.stdout.encode())}")
+            if proc.returncode:
+                print(f"{name} FAILED (exit {proc.returncode}): {proc.stderr.strip()}")
+                ok = False
     return 0 if ok else 1
 
 
