@@ -563,6 +563,12 @@ def oracle_check(
     ``oracle_check(3, 0.1, 64, seed=12)`` agrees on 0.8594 of its syndromes
     against a bar of 0.9013 and fails; it is the one failure among seeds
     0-39 at 64 syndromes.  Keep the default of 300 syndromes or more.
+
+    The class-forced chain set and the exact verdict are pure functions of
+    the syndrome, so a table local to the call keeps both per distinct
+    syndrome (at most 2^n_stab entries): ``decode_enhanced`` and
+    ``exact_decoder`` run once per distinct syndrome, and the sampler runs on
+    every syndrome, on its own stream.  Nothing outlives the call.
     """
     _check_count("n_syndromes", n_syndromes, 1)
     _check_count("seed", seed, 0, ConfigError)
@@ -570,6 +576,7 @@ def oracle_check(
     model = make_model(DEPOLARIZING, p)
     cfg = default_single_temp_config(model, layout)
     cfg = replace(cfg, n_sample=n_sample_factor * cfg.n_sample)
+    decided = {}  # syndrome -> (class-forced chain set, exact verdict)
     agree = oracle_ok = sampler_ok = 0
     for i in range(n_syndromes):
         rng = np.random.Generator(
@@ -578,12 +585,14 @@ def oracle_check(
         frame = sample_frame(model, layout, rng)
         true_cls = layout.class_of(frame)
         syndrome = layout.syndrome_of(frame)
-        _, chain_set = decode_enhanced(layout, syndrome, model)
+        if syndrome not in decided:
+            decided[syndrome] = (decode_enhanced(layout, syndrome, model)[1],
+                                 exact_decoder(layout, syndrome, model))
+        chain_set, oracle_cls = decided[syndrome]
         verdict = decode_single_temperature(
             layout, syndrome, model, cfg, chain_set,
             np.random.SeedSequence(seed, spawn_key=(i, 1)),
         )
-        oracle_cls = exact_decoder(layout, syndrome, model)
         agree += verdict.cls == oracle_cls
         oracle_ok += oracle_cls == true_cls
         sampler_ok += verdict.cls == true_cls

@@ -60,14 +60,18 @@ every table or memo derived from one is a ``functools.lru_cache`` of its
 arguments: ``_solve_species`` keeps one species' two class chains, as
 ``(flip, frame, weight, exits)``, under ``(layout, species, anyons)``, and
 ``_descend`` the refined frame under ``(layout, model, x, z,
-plateau_budget)``.  Each holds at most ``_MEMO_SIZE`` entries, over all
-layouts, and evicts the least recently used.  Every decode checks each
-species' anyons before the lookup, so a bad set is refused whatever was
-decoded before (a float or bool equal to a stored set's indices would
-otherwise read its entry) and is never stored.  A ``PauliFrame`` is an
-immutable value, so every call hands out the stored frames themselves.
-``class_chain``, ``min_weight_perfect_matching`` and the oracle are not
-memoized, so their callers always see real solves.
+plateau_budget)``.  Over all layouts, ``_solve_species`` holds at most
+``_MEMO_SIZE`` entries and ``_descend``, which sees a syndrome's four class
+hypotheses, ``4 * _MEMO_SIZE``; each evicts the least recently used.  Every
+decode checks each species' anyons before the lookup, so a bad set is
+refused whatever was decoded before (a float or bool equal to a stored
+set's indices would otherwise read its entry) and is never stored.  A
+``PauliFrame`` is an immutable value, so every call hands out the stored
+frames themselves.
+``class_chain``, ``min_weight_perfect_matching`` and ``oracle.exact_decoder``
+are not memoized, so their callers always see real solves;
+``harness.oracle_check`` keeps each distinct syndrome's class-forced chain
+set and exact verdict in a table that lives for one call.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ from .noise import (
 SPECIES_P = "p"  # violated Z-stabilizers, repaired with sigma-x chains
 SPECIES_S = "s"  # violated X-stabilizers, repaired with sigma-z chains
 
-#: entries in each memo (module docstring)
+#: entries in the chain memo, a quarter of the descent memo's (module docstring)
 _MEMO_SIZE = 2048
 
 
@@ -310,7 +314,7 @@ def refine_frame(
     return _descend(layout, model, frame.x, frame.z, plateau_budget)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@functools.lru_cache(maxsize=4 * _MEMO_SIZE)  # four class hypotheses per syndrome
 def _descend(
     layout: CodeLayout, model: NoiseModel, x: int, z: int, plateau_budget: int
 ) -> PauliFrame:

@@ -547,6 +547,8 @@ def _grid_weights(temps: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], np.
     """Check a free-energy temperature grid, and compute once per grid what
     depends on it alone: its Simpson terms and the Simpson weights of the
     integral's standard error (all read-only)."""
+    for beta in temps:
+        _check_number("temperature grid entries", beta, 0)
     grid = np.array(temps)
     if len(grid) < 3 or len(grid) % 2 == 0:
         raise InvalidParameterError("temperature grid must have an odd count >= 3")
@@ -587,6 +589,10 @@ def decode_free_energy(
     """
     _check_count("n_sample", n_sample, 1)
     _check_count("burn_in", burn_in, 0)
+    if not (isinstance(temps, np.ndarray) and temps.dtype.kind == "f"):
+        # a float array holds reals, which ``_grid_weights`` checks once per grid
+        for beta in np.asarray(temps, dtype=object).flat:
+            _check_number("temperature grid entries", beta, 0)
     temps = np.asarray(temps, dtype=float)
     if temps.ndim != 1:
         raise InvalidParameterError(

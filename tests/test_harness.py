@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -384,6 +385,73 @@ def test_oracle_check_output_pinned_cold_and_warm():
     assert oracle_check(3, 0.1, 300, seed=2024).summary() == ORACLE_LINE
     assert all(memo.cache_info().currsize for memo in memos)
     assert oracle_check(3, 0.1, 300, seed=2024).summary() == ORACLE_LINE
+
+
+def _oracle_check_per_syndrome(L, p, n_syndromes, seed, n_sample_factor=10):
+    """``oracle_check`` as a plain loop that decodes every syndrome afresh."""
+    from surfmc import (
+        decode_enhanced, decode_single_temperature, default_single_temp_config, sample_frame,
+    )
+    from surfmc.oracle import exact_decoder
+
+    layout = build_layout(L)
+    model = make_model("depolarizing", p)
+    cfg = default_single_temp_config(model, layout)
+    cfg = dataclasses.replace(cfg, n_sample=n_sample_factor * cfg.n_sample)
+    agree = oracle_ok = sampler_ok = 0
+    syndromes = []
+    for i in range(n_syndromes):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i, 0)))
+        )
+        frame = sample_frame(model, layout, rng)
+        syndrome = layout.syndrome_of(frame)
+        syndromes.append(syndrome)
+        _, chain_set = decode_enhanced(layout, syndrome, model)
+        verdict = decode_single_temperature(
+            layout, syndrome, model, cfg, chain_set,
+            np.random.SeedSequence(seed, spawn_key=(i, 1)),
+        )
+        oracle_cls = exact_decoder(layout, syndrome, model)
+        true_cls = layout.class_of(frame)
+        agree += verdict.cls == oracle_cls
+        oracle_ok += oracle_cls == true_cls
+        sampler_ok += verdict.cls == true_cls
+    s = oracle_ok / n_syndromes
+    bar = s - 1.96 * math.sqrt(s * (1.0 - s) / n_syndromes)
+    result = harness.OracleCheckResult(
+        n_syndromes, agree / n_syndromes, s, sampler_ok / n_syndromes, bar,
+        agree / n_syndromes >= bar,
+    )
+    return result, syndromes
+
+
+@pytest.mark.parametrize("p", [0.05, 0.10])
+def test_oracle_check_equals_a_per_syndrome_loop(p):
+    # the per-call table decodes each distinct syndrome once; every field
+    # equals the loop that decodes each syndrome afresh
+    expected, syndromes = _oracle_check_per_syndrome(3, p, 400, seed=17)
+    assert len(set(syndromes)) < len(syndromes)  # the table is reused
+    assert oracle_check(3, p, 400, seed=17) == expected
+
+
+def test_oracle_check_decides_each_distinct_syndrome_once(monkeypatch):
+    calls = {"exact_decoder": [], "decode_enhanced": []}
+    for name in calls:
+        def counting(layout, syndrome, model, _fn=getattr(harness, name), _seen=calls[name]):
+            _seen.append(syndrome)
+            return _fn(layout, syndrome, model)
+        monkeypatch.setattr(harness, name, counting)
+    layout, model = build_layout(3), make_model("depolarizing", 0.05)
+    syndromes = [
+        layout.syndrome_of(harness.sample_frame(model, layout, np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(5, spawn_key=(i, 0))))))
+        for i in range(200)
+    ]
+    oracle_check(3, 0.05, 200, n_sample_factor=1, seed=5)
+    distinct = list(dict.fromkeys(syndromes))
+    assert len(distinct) < len(syndromes)
+    assert calls["exact_decoder"] == calls["decode_enhanced"] == distinct
 
 
 def test_scaling_probe_structure():

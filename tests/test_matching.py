@@ -862,6 +862,9 @@ def test_refine_steps_checked_before_matching(layout3, monkeypatch, budget):
 
 MEMO_MODELS = (NoiseModel.depolarizing(0.13), NoiseModel.independent_xz(0.12, 0.07))
 MATCHER_MEMOS = (matching._solve_species, matching._descend)
+# the descent memo holds the four class hypotheses of _MEMO_SIZE syndromes
+MEMO_BOUNDS = {matching._solve_species: matching._MEMO_SIZE,
+               matching._descend: 4 * matching._MEMO_SIZE}
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
@@ -937,12 +940,12 @@ def test_memos_hold_at_most_their_bound():
         _species_chains(layout, Syndrome(anyons, anyons))
     # distinct frames, each a budget-2 descent
     rng = np.random.default_rng(12)
-    for _ in range(matching._MEMO_SIZE + 10):
+    for _ in range(MEMO_BOUNDS[matching._descend] + 10):
         refine_frame(layout, MODEL, sample_frame(MODEL, layout, rng), 2)
-    for memo in MATCHER_MEMOS:
+    for memo, bound in MEMO_BOUNDS.items():
         info = memo.cache_info()
-        assert info.misses >= matching._MEMO_SIZE + 10
-        assert info.currsize <= info.maxsize == matching._MEMO_SIZE
+        assert info.misses >= bound + 10
+        assert info.currsize <= info.maxsize == bound
 
 
 @pytest.mark.parametrize("model", MEMO_MODELS)

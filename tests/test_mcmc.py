@@ -305,6 +305,24 @@ def test_free_energy_rejects_bad_grids(layout3, rng):
         )
 
 
+@pytest.mark.parametrize(
+    "temps",
+    [
+        [0.0, "a", 1.0],                   # ended in numpy's bare ValueError
+        [0.0, 1 + 2j, 2.0],                # ended in a bare TypeError
+        [0.0, None, 1.0],                  # was refused as not equidistant
+        [0.0, True, 2.0],                  # ran as 1.0
+        np.array([0.0, math.nan, 1.0]),    # was refused as not equidistant
+        np.array([0.0, -0.5, -1.0]),       # ran on negative temperatures
+    ],
+    ids=repr,
+)
+def test_free_energy_refuses_bad_grid_entries(layout3, rng, temps):
+    syn, _, chain_set = seeded_chain_set(layout3, rng)
+    with pytest.raises(InvalidParameterError, match="temperature grid entries must be >= 0"):
+        decode_free_energy(layout3, syn, MODEL, temps, 100, chain_set, np.random.SeedSequence(0))
+
+
 @pytest.mark.parametrize("n_sample", [0, -5, 2.5])
 def test_free_energy_rejects_bad_sample_count(layout3, rng, n_sample):
     syn, _, chain_set = seeded_chain_set(layout3, rng)

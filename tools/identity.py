@@ -1,16 +1,18 @@
 """Identity evidence for a refactor: the hashes of seeded surfmc outputs.
 
-Runs four seeded campaigns, each at ``--workers 1`` and ``--workers 2``, one
-``oracle-check``, the deterministic ``fatal-patterns`` suite and
+Runs four seeded campaigns, each at ``--workers 1`` and ``--workers 2``, two
+``oracle-check`` lines (the second at p = 0.05, where most syndromes repeat
+one seen earlier in the call, so it covers the reuse of a syndrome's
+decoded verdicts), the deterministic ``fatal-patterns`` suite and
 ``tools/sampler_detail.py`` (the sampling decoders' per-class means, standard
 errors, integrals and log Z, which the CSVs' verdict counts do not show), all
-in a temporary directory, then prints one ``name sha256`` line per output (the
-oracle's summary line follows its hash).  Run it at two commits and compare the
+in a temporary directory, then prints one ``name sha256`` line per output (each
+oracle summary line follows its hash).  Run it at two commits and compare the
 printed lines: equal hashes mean byte-identical outputs.  Exits 1 if a command
 fails or if any campaign CSV differs between the two worker counts.  The
 children import ``surfmc`` from this checkout's ``src``, and
 ``SURFMC_WORKERS`` is dropped from their environment, since it would override
-``--workers``.  About 25 s on a 2-CPU host:
+``--workers``.  About 16 s on a 2-CPU host:
 
     python3 tools/identity.py
 """
@@ -36,7 +38,10 @@ CAMPAIGNS = {
         "--L 3,6 --p 0.10,0.13 --algorithms standard_mwpm,enhanced_mwpm,single_temperature "
         "--refine-steps 256 --trials 200 --seed 606",
 }
-ORACLE = "oracle-check --L 3 --p 0.1 --syndromes 300 --seed 2024"
+ORACLES = {
+    "oracle-check": "oracle-check --L 3 --p 0.1 --syndromes 300 --seed 2024",
+    "oracle-check-p0.05": "oracle-check --L 3 --p 0.05 --syndromes 2000 --seed 5",
+}
 FATAL_PATTERNS = "fatal-patterns --L 3,5,7"
 
 
@@ -72,10 +77,11 @@ def main() -> int:
             if len(digests) > 1:
                 print(f"{name}: the CSV differs between worker counts")
                 ok = False
-        proc = run(ORACLE, tmp)
-        print(f"oracle-check {sha256(proc.stdout.encode())}")
-        print(proc.stdout.strip() or proc.stderr.strip())
-        ok = ok and proc.returncode == 0
+        for name, args in ORACLES.items():
+            proc = run(args, tmp)
+            print(f"{name} {sha256(proc.stdout.encode())}")
+            print(proc.stdout.strip() or proc.stderr.strip())
+            ok = ok and proc.returncode == 0
         for name, args in (("fatal-patterns", FATAL_PATTERNS),
                            ("sampler-detail", str(SAMPLER_DETAIL))):
             proc = run(args, tmp)
