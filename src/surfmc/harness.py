@@ -499,7 +499,8 @@ def fatal_pattern_suite(L_values: tuple[int, ...], p: float = 0.1) -> FatalPatte
     cases = []
     model = make_model(DEPOLARIZING, p)
     for L in L_values:
-        if L % 2 == 0 or L < 3:
+        _check_count("L", L, 3)
+        if L % 2 == 0:
             raise InvalidParameterError(f"fatal patterns need odd L >= 3, got {L}")
         layout = build_layout(L)
         long_len = (L + 1) // 2
@@ -571,6 +572,7 @@ def oracle_check(
     every syndrome, on its own stream.  Nothing outlives the call.
     """
     _check_count("n_syndromes", n_syndromes, 1)
+    _check_count("n_sample_factor", n_sample_factor, 1)
     _check_count("seed", seed, 0, ConfigError)
     layout = build_layout(L)
     model = make_model(DEPOLARIZING, p)
@@ -665,9 +667,11 @@ def scaling_probe(
 ) -> ScalingProbeResult:
     """Binary-search the minimal n_sample at which the single-temperature
     decoder provably beats the better matcher, then fit the growth exponent."""
-    if not p > 0:  # no trial fails at p = 0, so no n_sample can certify
+    _check_number("p", p, 0, 0.75, ConfigError)
+    if p == 0:  # no trial fails at p = 0, so no n_sample can certify
         raise ConfigError(f"a scaling probe needs p > 0, got {p}")
-    if not 0.0 < confidence < 1.0:
+    _check_number("confidence", confidence, 0, 1, ConfigError)
+    if confidence == 0:
         raise ConfigError(f"confidence must lie in (0, 1), got {confidence}")
     if max_n_sample is not None:
         _check_count("max_n_sample", max_n_sample, 1, ConfigError)

@@ -20,43 +20,42 @@ Hot chains take a second loop.  Near beta = 0 most moves are accepted, and
 each accepted move of the table loop updates up to nine local states, while
 the count of the whole proposed frame (one XOR, one OR and one
 ``bit_count`` for depolarizing noise; one XOR and a ``bit_count`` of the
-moved plane for independent noise) costs the same at any beta.  So ``run``
+moved plane for independent noise) costs the same at any beta.  So a chain
 takes this frame loop below ``_FRAME_LOOP_BELOW`` = 1.25, where it was
 measured faster (at L = 5-11, 120-140 ns per step against about 340 for the
 table loop at beta = 0.15), and leaves the local states stale; at and above
 it, where most moves are rejected, the table loop stays: about twice as fast
-at beta_bar.  A chain's beta changes only at a restart, which restores the
-seed's states, so the table loop of ``run`` never meets stale states; only
-``step``, which takes the table loop at any beta, rebuilds them, and a hot
-run that a restart follows rebuilds nothing.  Both loops make the same
-decisions on the same draws, so the choice moves no output.
+at beta_bar.  ``run`` and ``step`` choose alike, from the chain's beta, which
+changes only at a restart; a restart restores the seed's states, so the
+table loop never meets stale states.  Both loops make the same decisions on
+the same draws, so the choice moves no output.
 
 The accept test works on integer acceptance levels.  A uniform draw u in
 [0, 1) has level k, the number of the four thresholds exp(-beta * d),
 d = 1..4, that lie above it; since the thresholds fall with d, u <
 exp(-beta * Delta n) iff Delta n <= k, and every Delta n <= 0 is accepted
-(k >= 0).  The levels of a block of draws come from one ``np.searchsorted``
-against the thresholds in ascending order, which makes the same IEEE
-comparisons as testing u against each threshold: beta = 0 gives k = 4
-(every move accepted), beta = inf gives k = 0 (only non-increasing moves).
-The loop reads its feed packed: the levels as ``bytes``, one per draw, and
-the stabilizer indices as an ``array`` of the generator's int64 draws, so no
-list of Python ints is built per block and no index is narrowed at any code
-size.  The draws themselves, their order and their sizes are those of the
-reference loop (``tests/helpers.py``).
+(k >= 0).  ``_levels`` computes the levels of a matrix of draws, one row per
+beta, with one ``u < threshold`` comparison per threshold column: beta = 0
+gives k = 4 (every move accepted), beta = inf gives k = 0 (only
+non-increasing moves).  ``step``'s single draw makes the same four IEEE
+comparisons on Python floats (``_level``).  The loop reads its feed packed:
+the levels as ``bytes``, one per draw, and the stabilizer indices as an
+``array`` of the generator's int64 draws, so no list of Python ints is built
+per block and no index is narrowed at any code size.  The draws themselves,
+their order and their sizes are those of the reference loop
+(``tests/helpers.py``).
 
-Both sampling decoders run one chain per equivalence class, on that class's
-random stream, and restart it from the class's minimum-weight hypothesis at
-each inverse temperature they sample.  Their fixed costs are paid once per
-class, not once per temperature: before the chain's first run,
-``_class_means`` draws the blocks of every run the class will make (a feed of
-at most ``_FEED_DRAWS`` draws at a time), with the calls ``run`` would make,
-in the same order, and turns all their uniforms into levels in one pass over a
-matrix with one row per temperature.  ``run`` is still called once per
-temperature and burn-in, and takes its blocks from the feed; the draws, and so
-every output, are those of runs that draw their own.  A class sampled at a
-single temperature (the single-temperature decoder) has no feed: there is
-nothing to share, and its runs draw as they go.  The single-temperature
+Every block that ``run`` consumes is drawn by ``_prefetch``, which queues
+blocks on the chain's feed and turns all their uniforms into levels in one
+pass.  Both sampling decoders run one chain per equivalence class, on that
+class's random stream, and restart it from the class's minimum-weight
+hypothesis at each inverse temperature they sample.  Their fixed costs are
+paid once per class, not once per run: before the chain's first run,
+``_class_means`` prefetches the blocks of every run the class will make (at
+most ``_FEED_DRAWS`` draws at a time), in the order the runs consume them, at
+one temperature as at many.  A run that finds the feed empty, as every run of
+a class too long for a feed does, prefetches one block at a time; the draws,
+and so every output, are the same either way.  The single-temperature
 decoder samples beta* alone and picks the class with the smallest average
 count; the free-energy variant instead integrates the average count over an
 equidistant temperature grid with Simpson's rule.  A rectangle partition of
@@ -73,7 +72,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +84,10 @@ from .noise import INDEPENDENT_XZ, NoiseModel, _delta_table, _layout_moves, beta
 from .stats import simpson_sum, simpson_terms
 
 _CHUNK_BATCHES = 32
-# the most draws a chain's pending feed holds (``MetropolisChain._prefetch``):
-# one class's whole free-energy grid at L = 5 (20 x 625), six temperatures of
-# it at L = 7; when fewer than two temperatures fit, ``run`` draws its own
+# the most draws ``_class_means`` queues on a chain's feed at once
+# (``MetropolisChain._prefetch``): one class's whole free-energy grid at L = 5
+# (20 x 625), six temperatures of it at L = 7; when not one temperature fits,
+# ``run`` prefetches one block at a time
 _FEED_DRAWS = 1 << 14
 # ``run`` takes the frame loop below this inverse temperature and the table
 # loop at or above it: the measured crossover of their per-step costs, 1.12 to
@@ -144,37 +144,34 @@ def batch_means_se(batch_sums: list[tuple[int, int]]) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(len(means)))
 
 
-@functools.lru_cache(maxsize=256)
-def _thresholds(beta: float) -> np.ndarray:
-    """The acceptance probabilities exp(-beta * d) of Delta n = d = 4, 3, 2, 1,
-    in ascending order for ``np.searchsorted``; read-only, shared by every
-    chain at ``beta``."""
-    # Delta n of a single 3-4 qubit stabilizer move is at most 4
-    thresholds = np.array([math.exp(-beta * d) for d in (4, 3, 2, 1)])
-    thresholds.setflags(write=False)
-    return thresholds
-
-
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _threshold_columns(betas: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """``_thresholds`` of every beta of ``betas`` as four read-only columns,
-    one per Delta n, to compare against a matrix with one row per beta."""
-    rows = np.array([_thresholds(beta) for beta in betas])
-    columns = tuple(np.ascontiguousarray(rows[:, [d]]) for d in range(4))
+    """The acceptance probabilities exp(-beta * d) of Delta n = d = 1..4 at
+    every beta of ``betas``, as four read-only columns, one per d, to compare
+    against a matrix with one row per beta; shared by every chain."""
+    # Delta n of a single 3-4 qubit stabilizer move is at most 4
+    columns = tuple(np.array([[math.exp(-beta * d)] for beta in betas]) for d in (1, 2, 3, 4))
     for column in columns:
         column.setflags(write=False)
     return columns
 
 
-def _feed_levels(betas: list[float], us: np.ndarray) -> bytes:
-    """The acceptance levels of uniform draws, one byte per draw: ``us`` holds
-    as many equal rows as ``betas`` (one after the other, in C order), and
-    row i is drawn at ``betas[i]``.  One comparison per threshold column over
-    the whole matrix, each the same IEEE comparison as testing u against a
-    threshold, so the levels equal those of ``_levels`` row by row."""
+def _levels(betas: list[float], us: np.ndarray) -> bytes:
+    """The acceptance levels of uniform draws, one byte (0-4) per draw: the
+    number of thresholds exp(-beta * d), d = 1..4, above each draw.  ``us``
+    holds as many equal rows as ``betas`` (one after the other, in C order),
+    and row i is drawn at ``betas[i]``.  One comparison per threshold column
+    over the whole matrix, each the same IEEE comparison as testing u against
+    a threshold."""
     us = us.reshape(len(betas), -1)
     above = [(us < column).view(np.uint8) for column in _threshold_columns(tuple(betas))]
     return (above[0] + above[1] + above[2] + above[3]).tobytes()
+
+
+def _level(beta: float, u: float) -> int:
+    """``_levels`` of the single draw ``u`` at ``beta``: the same four
+    comparisons, on the same thresholds as Python floats, without arrays."""
+    return sum([u < column.item() for column in _threshold_columns((beta,))])
 
 
 class MetropolisChain:
@@ -192,25 +189,25 @@ class MetropolisChain:
     most the acceptance level of its uniform draw (``_levels``: the number of
     thresholds exp(-beta * d), d = 1..4, above the draw).  An accepted move
     XORs its flip list into the states of the at most nine stabilizers that
-    share a qubit with it (built once per layout).  ``run`` is the bulk
-    sampler.  Below beta = ``_FRAME_LOOP_BELOW`` it runs ``_frame_moves``
-    instead, which accepts on the count of the whole proposed frame against
-    the same level and keeps no local states; it marks them stale.  Its
-    beta changes only at a restart, which restores the seed's states, so
-    ``run``'s table loop never meets stale states, and only ``step`` (the
-    table loop at any beta) rebuilds them, through ``_local_states``.
-    ``_moves`` does not check: the sweep calls it once per step, on a chain
-    that never runs hot.  Each loop is the faster one on its side of that
-    beta, and the two decide alike.  ``run`` draws its blocks itself, or
-    takes them from the chain's feed, which ``_prefetch`` fills with the same
-    draws for the coming calls, their levels computed in one pass; a call at
-    another beta or size than the feed was drawn for raises
-    ``DecoderInternalError``.  ``step`` is the table loop on a single
-    proposal, and records no batch for ``standard_error``.  The rectangle
-    sweep makes its own proposals through the table loop.  ``estimate`` is
-    the running average of the error count over all proposals since the end
-    of burn-in; by default nothing is discarded, since heating up from a
-    minimum-weight seed is faster than cooling from a random one.
+    share a qubit with it (built once per layout).  Below beta =
+    ``_FRAME_LOOP_BELOW``, ``run`` and ``step`` take ``_frame_moves`` instead
+    (``_loop``), which accepts on the count of the whole proposed frame
+    against the same level and keeps no local states: they stay None until
+    the next restart, which restores the seed's.  The beta changes only
+    there, so the table loop never meets stale states.  ``_moves`` does not
+    check: the sweep calls it once per step, on a chain that never runs hot.
+    Each loop is the faster one on its side of that beta, and the two decide
+    alike.  ``run`` is the bulk sampler: it takes its blocks one by one from
+    the chain's feed, which ``_prefetch`` fills with the draws of coming
+    blocks, their levels computed in one pass, and prefetches a block itself
+    when the feed is empty; a block of another beta or size than the one
+    ``run`` needs raises ``DecoderInternalError``.  ``step`` is ``run`` on a
+    single proposal, drawn and levelled by scalars (``_level``), and records
+    no batch for ``standard_error``.  The rectangle sweep makes its own
+    proposals through the table loop.  ``estimate`` is the running average
+    of the error count over all proposals since the end of burn-in; by
+    default nothing is discarded, since heating up from a minimum-weight
+    seed is faster than cooling from a random one.
     """
 
     def __init__(
@@ -229,8 +226,8 @@ class MetropolisChain:
         self._seed = frame
         self._seed_states = self._local.local_states(frame)
         self._seed_n = error_score(model, frame)
-        # (beta, n_steps, blocks) of the coming run calls (``_prefetch``)
-        self._feed: deque[tuple[float, int, list[tuple[array, bytes]]]] = deque()
+        # (beta, stabilizer indices, levels) of the coming blocks (``_prefetch``)
+        self._feed: deque[tuple[float, array, bytes]] = deque()
         self._restart(beta)
 
     def _restart(self, beta: float) -> None:
@@ -238,7 +235,6 @@ class MetropolisChain:
         temperature ``beta``, with empty tallies; draws nothing from ``rng``."""
         _check_number("beta", beta, 0)
         self._beta = beta
-        self._thresholds = _thresholds(beta)
         self._x = self._seed.x
         self._z = self._seed.z
         self._states = self._seed_states.copy()
@@ -271,28 +267,22 @@ class MetropolisChain:
 
     def step(self) -> None:
         """Advance by one proposal and accumulate the post-move count."""
-        # scalar and size-1 block draws continue the stream alike, so this is
-        # run(1) without the batch record
+        # scalar and size-1 block draws continue the stream alike, and
+        # ``_level`` decides as ``_levels``, so this is run(1) without the
+        # batch record
         s = int(self.rng.integers(0, len(self._local.masks)))
-        levels = self._levels(self.rng.random(size=1))
-        self._local_states()
-        self.cumulative_n += self._moves([s], levels)
+        level = _level(self._beta, self.rng.random())
+        self.cumulative_n += self._loop()([s], (level,))
         self.step_count += 1
 
-    def _local_states(self) -> list[int]:
-        """The local states of the current frame.  A hot ``run`` leaves them
-        stale (None), and they are rebuilt here when ``step`` needs them; a
-        restart or another hot run may come first."""
-        if self._states is None:
-            self._states = self._local.local_states(self.frame)
-        return self._states
-
-    def _levels(self, us: np.ndarray) -> bytes:
-        """Acceptance levels of the uniform draws ``us``, one byte (0-4) per
-        draw in C order: the number of thresholds exp(-beta * d), d = 1..4,
-        above each draw."""
-        below = self._thresholds.searchsorted(us, side="right")
-        return (4 - below).astype(np.uint8).tobytes()
+    def _loop(self) -> Callable[[Iterable[int], Iterable[int]], int]:
+        """The loop for the chain's beta: ``_frame_moves`` below
+        ``_FRAME_LOOP_BELOW``, which leaves the local states stale (None),
+        else ``_moves``."""
+        if self._beta < _FRAME_LOOP_BELOW:
+            self._states = None
+            return self._frame_moves
+        return self._moves
 
     def _moves(self, idx: Iterable[int], levels: Iterable[int]) -> int:
         """Propose the stabilizers ``idx`` in turn, accepting a move iff its
@@ -323,7 +313,7 @@ class MetropolisChain:
     def _frame_moves(self, idx: Iterable[int], levels: Iterable[int]) -> int:
         """``_moves`` without local states: each proposal's count is that of
         the whole proposed frame, compared with the current count plus the
-        acceptance level.  Leaves ``_states`` stale; ``run`` marks them so."""
+        acceptance level.  Leaves ``_states`` stale; ``_loop`` marks them so."""
         local = self._local
         masks = local.masks
         x_kind = local.x_kind
@@ -366,63 +356,45 @@ class MetropolisChain:
     def run(self, n_steps: int, accumulate: bool = True) -> None:
         """Advance by ``n_steps`` proposals (tight loop, block-drawn randomness).
 
-        The blocks come from the feed when ``_prefetch`` queued this call,
-        which must then be at the beta and size it was drawn for; otherwise
-        they are drawn here, one block at a time."""
+        Each block of ``_chunk_sizes(n_steps)`` is the feed's next one, which
+        must be of that size at the chain's beta; when the feed is empty, the
+        block is prefetched alone."""
         _check_count("n_steps", n_steps, 0)
-        if self._feed:
-            beta, size, blocks = self._feed.popleft()
-            if beta != self._beta or size != n_steps:
+        moves = self._loop()
+        for size in _chunk_sizes(n_steps):
+            if not self._feed:
+                self._prefetch([self._beta], [size])
+            beta, idx, levels = self._feed.popleft()
+            if beta != self._beta or len(idx) != size:
                 raise DecoderInternalError(
-                    f"the feed holds {size} steps at beta = {beta}, "
-                    f"run asks for {n_steps} at beta = {self._beta}"
+                    f"the feed's next block holds {len(idx)} steps at beta = {beta}, "
+                    f"run asks for {size} at beta = {self._beta}"
                 )
-        else:
-            blocks = self._draw(n_steps)
-        if self._beta < _FRAME_LOOP_BELOW:
-            moves = self._frame_moves
-            self._states = None
-        else:
-            moves = self._moves
-        for idx, levels in blocks:
             cum = moves(idx, levels)
             if accumulate:
-                self._accumulate(len(idx), cum)
+                self._accumulate(size, cum)
 
-    def _draw(self, n_steps: int) -> Iterator[tuple[array, bytes]]:
-        """The blocks of ``n_steps`` proposals, each drawn when it is needed:
-        the stabilizer indices, then the uniforms turned into levels."""
-        n_stab = len(self._local.masks)
-        for todo in _chunk_sizes(n_steps):
-            idx = array("q", self.rng.integers(0, n_stab, size=todo).tobytes())
-            yield idx, self._levels(self.rng.random(size=todo))
+    def _prefetch(self, betas: list[float], blocks: list[int]) -> None:
+        """Queue the coming blocks of ``run``: one block of each size in
+        ``blocks`` at each of ``betas`` in turn.
 
-    def _prefetch(self, betas: list[float], sizes: list[int]) -> None:
-        """Queue the blocks of the coming ``run`` calls: one call per entry of
-        ``sizes`` at each of ``betas`` in turn.
-
-        The draws are those the calls would make, in the same order; the
-        uniforms of each beta fill one row of a matrix, and all rows become
-        acceptance levels in one pass (``_feed_levels``).  Each call then
-        finds its blocks in the feed."""
+        Each block draws its stabilizer indices, then its uniforms, in the
+        order ``run`` consumes the blocks; the uniforms of each beta fill one
+        row of a matrix, and all rows become acceptance levels in one pass
+        (``_levels``)."""
         n_stab = len(self._local.masks)
         integers, random = self.rng.integers, self.rng.random
-        us = np.empty(len(betas) * sum(sizes))
-        calls = []
+        us = np.empty(len(betas) * sum(blocks))
+        drawn = []
         start = 0
         for beta in betas:
-            for size in sizes:
-                blocks = []
-                for todo in _chunk_sizes(size):
-                    end = start + todo
-                    idx = array("q", integers(0, n_stab, size=todo).tobytes())
-                    blocks.append((idx, start, end))
-                    random(out=us[start:end])
-                    start = end
-                calls.append((beta, size, blocks))
-        levels = _feed_levels(betas, us)
-        for beta, size, blocks in calls:
-            self._feed.append((beta, size, [(idx, levels[a:b]) for idx, a, b in blocks]))
+            for size in blocks:
+                idx = array("q", integers(0, n_stab, size=size).tobytes())
+                random(out=us[start:start + size])
+                drawn.append((beta, idx, start))
+                start += size
+        levels = _levels(betas, us)
+        self._feed.extend((beta, idx, levels[a:a + len(idx)]) for beta, idx, a in drawn)
 
     def _accumulate(self, steps: int, cum: int) -> None:
         """Record one batch of ``steps`` steps whose post-move counts sum to ``cum``."""
@@ -462,22 +434,20 @@ def _class_means(
     One chain per class, on the class's stream, is restarted from the class
     seed at every beta and run for ``burn_in`` then ``n_sample`` steps; its
     confinement is checked after every beta, since the next restart would
-    hide an escape.  With several betas, the draws of as many of them as
-    ``_FEED_DRAWS`` holds are made before the first of them runs
-    (``MetropolisChain._prefetch``).
+    hide an escape.  The draws of as many betas as ``_FEED_DRAWS`` holds are
+    made before the first of them runs (``MetropolisChain._prefetch``); a
+    beta whose runs do not fit draws one block at a time.
     """
     rngs = _class_chain_rngs(seed_seq)
-    sizes = [burn_in, n_sample] if burn_in else [n_sample]
+    blocks = _chunk_sizes(burn_in) + _chunk_sizes(n_sample)
     per_feed = _FEED_DRAWS // (burn_in + n_sample)  # temperatures drawn at once
-    if len(betas) < 2 or per_feed < 2:
-        per_feed = 0  # a feed of one temperature saves nothing: run draws its own
     sampled = {}
     for cls in EQUIV_CLASSES:
         chain = MetropolisChain(layout, model, betas[0], seeds.frame_for(cls), rngs[cls.index])
         means, ses = [], []
         for k, beta in enumerate(betas):
             if per_feed and k % per_feed == 0:
-                chain._prefetch(betas[k:k + per_feed], sizes)
+                chain._prefetch(betas[k:k + per_feed], blocks)
             chain._restart(beta)
             if burn_in:
                 chain.run(burn_in, accumulate=False)
@@ -791,7 +761,7 @@ def run_parallel_sweep(
         # truncating the float64 product u * count picks as int(u * count)
         picks = (rng.random(size=(todo, max_rects)) * counts[step_groups]).astype(np.intp)
         stabs = flat[starts[step_groups] + picks].ravel().tolist()
-        levels = chain._levels(rng.random(size=(todo, max_rects)))
+        levels = _levels([beta], rng.random(size=(todo, max_rects)))
         chunk_cum = 0
         for i, g in enumerate(step_groups.tolist()):
             row = i * max_rects

@@ -753,21 +753,34 @@ def test_oracle_check_takes_an_integer_syndrome_count(count):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, name",
     [
-        lambda: oracle_check(3, 0.1, 2, seed=1.5),
-        lambda: oracle_check(3, 0.1, 2, seed=True),
-        lambda: scaling_probe(0.1, (3,), seed=1, target_errors=1, max_trials=8,
-                              max_n_sample=2.5),
+        (lambda: oracle_check(3, 0.1, 2, seed=1.5), "seed"),
+        (lambda: oracle_check(3, 0.1, 2, seed=True), "seed"),
+        # True would run as factor 1
+        (lambda: oracle_check(3, 0.1, 3, n_sample_factor=True), "n_sample_factor"),
+        (lambda: oracle_check(3, 0.1, 3, n_sample_factor=0), "n_sample_factor"),
+        (lambda: scaling_probe(0.1, (3,), seed=1, target_errors=1, max_trials=8,
+                               max_n_sample=2.5), "max_n_sample"),
+        (lambda: scaling_probe("0.1", (3,), seed=1), "p"),
+        (lambda: scaling_probe(0.1, (3,), seed=1, confidence="0.9"), "confidence"),
+        (lambda: scaling_probe(0.1, (3,), seed=1, confidence=0.0), "confidence"),
+        (lambda: scaling_probe(0.1, (3,), seed=1, confidence=1.0), "confidence"),
         # p = 0.9 would score with negative energy weights
-        lambda: fatal_pattern_suite((3,), p=0.9),
+        (lambda: fatal_pattern_suite((3,), p=0.9), "p"),
+        # '3' % 2 would format a string
+        (lambda: fatal_pattern_suite(("3",)), "L"),
+        (lambda: fatal_pattern_suite((1,)), "L"),
     ],
-    ids=["oracle_seed_1.5", "oracle_seed_true", "probe_max_n_sample_2.5", "fatal_p_0.9"],
+    ids=["oracle_seed_1.5", "oracle_seed_true", "oracle_factor_true", "oracle_factor_0",
+         "probe_max_n_sample_2.5", "probe_p_str", "probe_confidence_str",
+         "probe_confidence_0", "probe_confidence_1", "fatal_p_0.9", "fatal_L_str",
+         "fatal_L_1"],
 )
-def test_entry_points_refuse_bad_numbers(call):
+def test_entry_points_refuse_bad_numbers(call, name):
     with pytest.raises((ConfigError, surfmc.InvalidParameterError)) as err:
         call()
-    assert "\n" not in str(err.value)
+    assert str(err.value).startswith(f"{name} must ") and "\n" not in str(err.value)
 
 
 def test_import_loads_neither_networkx_nor_scipy():

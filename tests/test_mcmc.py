@@ -475,13 +475,15 @@ def test_sampler_decodes_equal_chains_run_per_temperature(L, model, burn_in):
 
 
 def test_feed_holds_at_most_its_bound(layout3, rng, monkeypatch):
-    # the draws of one prefetch stay under the bound, whatever the grid size
+    # the draws of one prefetch stay under the bound, whatever the grid size,
+    # and a prefetch comes only when the feed is empty
     fed = []
     prefetch = MetropolisChain._prefetch
 
-    def counted(self, betas, sizes):
-        fed.append(len(betas) * sum(sizes))
-        prefetch(self, betas, sizes)
+    def counted(self, betas, blocks):
+        assert not self._feed
+        fed.append((len(betas), len(blocks), len(betas) * sum(blocks)))
+        prefetch(self, betas, blocks)
 
     monkeypatch.setattr(MetropolisChain, "_prefetch", counted)
     syn, _, chain_set = seeded_chain_set(layout3, rng)
@@ -490,17 +492,27 @@ def test_feed_holds_at_most_its_bound(layout3, rng, monkeypatch):
         np.random.SeedSequence(1), burn_in=100,
     )
     per_feed = mcmc._FEED_DRAWS // 1600  # temperatures per feed
-    assert len(fed) == 4 * -(-20 // per_feed) > 4 and max(fed) <= mcmc._FEED_DRAWS
-    # too long for the bound, or a single temperature: run draws its own blocks
+    assert len(fed) == 4 * -(-20 // per_feed) > 4
+    assert max(draws for *_, draws in fed) <= mcmc._FEED_DRAWS
+    # one temperature is fed too: all its blocks at once, whether the class
+    # samples a single temperature or only one fits the bound
     fed.clear()
+    cfg = SingleTempConfig(BB, 2100, burn_in=10)  # blocks of 10, then 1024, 1024, 52
+    decode_single_temperature(layout3, syn, MODEL, cfg, chain_set, np.random.SeedSequence(2))
+    assert fed == [(1, 4, 2110)] * 4
+    fed.clear()
+    n_sample = mcmc._FEED_DRAWS // 2 + 1  # nine blocks
     decode_free_energy(
-        layout3, syn, MODEL, free_energy_temperatures(MODEL, 3), mcmc._FEED_DRAWS // 2 + 1,
-        chain_set, np.random.SeedSequence(1),
+        layout3, syn, MODEL, free_energy_temperatures(MODEL, 3), n_sample, chain_set,
+        np.random.SeedSequence(1),
     )
-    for n_sample in (81, mcmc._FEED_DRAWS + 1):
-        cfg = SingleTempConfig(BB, n_sample, burn_in=10)
-        decode_single_temperature(layout3, syn, MODEL, cfg, chain_set, np.random.SeedSequence(2))
-    assert fed == []
+    assert fed == [(1, 9, n_sample)] * 4 * 2
+    # too long for the bound: run prefetches one block at a time
+    fed.clear()
+    cfg = SingleTempConfig(BB, mcmc._FEED_DRAWS + 1, burn_in=10)
+    decode_single_temperature(layout3, syn, MODEL, cfg, chain_set, np.random.SeedSequence(2))
+    blocks = [10, *mcmc._chunk_sizes(cfg.n_sample)]
+    assert fed == [(1, 1, size) for size in blocks] * 4
 
 
 def test_run_refuses_a_feed_of_another_beta_or_size(layout3):
@@ -508,15 +520,31 @@ def test_run_refuses_a_feed_of_another_beta_or_size(layout3):
     chain = MetropolisChain(layout3, MODEL, BB, frame, np.random.default_rng(0))
     chain._prefetch([BB], [100])
     chain._restart(0.5)
-    with pytest.raises(DecoderInternalError, match="feed holds 100 steps at beta"):
+    with pytest.raises(DecoderInternalError, match="next block holds 100 steps at beta"):
         chain.run(100)
     chain._prefetch([0.5, BB], [100, 50])
     with pytest.raises(DecoderInternalError, match="run asks for 99"):
         chain.run(99)
-    # the next call finds the feed's next entry: 50 steps at 0.5
+    # the next call finds the feed's next block: 50 steps at 0.5
     chain.run(50)
-    with pytest.raises(DecoderInternalError, match="feed holds 100 steps at beta"):
+    with pytest.raises(DecoderInternalError, match="next block holds 100 steps at beta"):
         chain.run(100)
+    chain._restart(BB)
+    chain.run(50)
+    # every block is checked, also the second of a call
+    chain._restart(0.5)
+    chain._prefetch([0.5], [1024, 1000])
+    with pytest.raises(DecoderInternalError, match="holds 1000 steps .* asks for 1024"):
+        chain.run(2048)
+    assert chain.step_count == 1024
+    # a feed that runs out within a call: run prefetches the rest block by
+    # block, and the draws are those of a call that finds no feed
+    fed = MetropolisChain(layout3, MODEL, BB, frame, np.random.default_rng(1))
+    unfed = MetropolisChain(layout3, MODEL, BB, frame, np.random.default_rng(1))
+    fed._prefetch([BB], [1024])
+    fed.run(3000)
+    unfed.run(3000)
+    assert (fed.frame, fed._batch_sums) == (unfed.frame, unfed._batch_sums)
 
 
 def test_free_energy_log_z_matches_oracle(layout3, rng):
@@ -732,40 +760,19 @@ def test_batch_loop_matches_delta(rng, model):
                 # beta = 0 accepts every move, beta = inf only non-increasing ones
                 for beta, accepts in ((0.0, True), (math.inf, d <= 0)):
                     chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(0))
-                    cum = chain._moves([s], chain._levels(np.array([0.5])))
+                    cum = chain._moves([s], mcmc._levels([beta], np.array([0.5])))
                     after, n_after = (moved, n + d) if accepts else (frame, n)
                     assert (chain.frame, chain.current_n, cum) == (after, n_after, n_after)
                     assert chain._states == moves.local_states(after)
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_levels_decide_as_the_threshold_test(layout3, model):
+def test_levels_decide_as_the_threshold_test(model):
     # accepting iff Delta n <= level must be u < exp(-beta Delta n) (always
-    # for Delta n <= 0), also for u on a threshold and on its neighbours
-    temps = free_energy_temperatures(model, 21)
-    for beta in (0.0, math.inf, beta_bar(model), *map(float, temps[1:])):
-        chain = MetropolisChain(
-            layout3, model, beta, layout3.identity_frame(), np.random.default_rng(0)
-        )
-        thresholds = [math.exp(-beta * d) for d in (1, 2, 3, 4)]
-        assert chain._thresholds.tolist() == sorted(thresholds)
-        us = [0.0, np.nextafter(1.0, 0.0)]
-        for t in thresholds:
-            us += [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)]
-        us = sorted({float(u) for u in us if 0.0 <= u < 1.0})
-        levels = chain._levels(np.array(us))
-        assert levels == bytes(chain._levels(np.array([[u]]))[0] for u in us)
-        for u, k in zip(us, levels):
-            for d in range(-4, 5):
-                assert (d <= k) == (d <= 0 or u < math.exp(-beta * d)), (beta, u, d)
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_feed_levels_equal_levels_row_by_row(layout3, model):
-    # the one-pass levels of a prefetched feed decide as each beta's own
-    # searchsorted, also on the thresholds of every grid beta and their
-    # neighbours
-    betas = [0.0, *map(float, free_energy_temperatures(model, 21)[1:]), math.inf]
+    # for Delta n <= 0), also for u on the thresholds of every beta and on
+    # their neighbours; a matrix with one row per beta decides as each row
+    # alone, and step's single-draw level as the block
+    betas = [0.0, math.inf, beta_bar(model), *map(float, free_energy_temperatures(model, 21)[1:])]
     us = {0.0, float(np.nextafter(1.0, 0.0))}
     for beta in betas:
         for d in (1, 2, 3, 4):
@@ -773,33 +780,43 @@ def test_feed_levels_equal_levels_row_by_row(layout3, model):
             us |= {t, float(np.nextafter(t, 0.0)), float(np.nextafter(t, 1.0))}
     us = np.array(sorted(u for u in us if 0.0 <= u < 1.0))
     matrix = np.tile(us, (len(betas), 1))
-    expect = b"".join(
-        MetropolisChain(layout3, model, beta, layout3.identity_frame(),
-                        np.random.default_rng(0))._levels(us)
-        for beta in betas
-    )
-    assert mcmc._feed_levels(betas, matrix) == expect
+    levels = mcmc._levels(betas, matrix)
+    assert len(levels) == matrix.size
     for k, beta in enumerate(betas):
-        row = expect[k * len(us):(k + 1) * len(us)]
-        assert mcmc._feed_levels([beta], matrix[k:k + 1]) == row
-        assert mcmc._feed_levels([beta, beta], matrix[:2]) == row * 2
+        columns = mcmc._threshold_columns((beta,))
+        assert [c.item() for c in columns] == [math.exp(-beta * d) for d in (1, 2, 3, 4)]
+        row = levels[k * len(us):(k + 1) * len(us)]
+        assert mcmc._levels([beta], us) == row
+        assert mcmc._levels([beta, beta], matrix[:2]) == row * 2
+        assert bytes(mcmc._level(beta, u) for u in us.tolist()) == row
+        for u, level in zip(us.tolist(), row):
+            for d in range(-4, 5):
+                assert (d <= level) == (d <= 0 or u < math.exp(-beta * d)), (beta, u, d)
 
 
 @pytest.mark.parametrize("L", [3, 4, 7])
 @pytest.mark.parametrize("model", MODELS)
 def test_chain_local_states_follow_frame(L, model):
     layout = build_layout(L)
-    for beta in (0.0, beta_bar(model), math.inf):
+    cold = beta_bar(model)
+    assert cold >= mcmc._FRAME_LOOP_BELOW > 0.0
+    for beta in (0.0, cold, math.inf):
         frame = sample_frame(model, layout, np.random.default_rng(L))
         chain = MetropolisChain(layout, model, beta, frame, np.random.default_rng(7))
+        hot = beta < mcmc._FRAME_LOOP_BELOW
         # checked often: a missed flip undoes itself on the next accepted move.
-        # A hot run leaves the states stale, so they are read as the table
-        # loop reads them, rebuilt when stale
+        # A hot chain keeps no states: they stay stale (None) until a restart
         for _ in range(30):
             chain.run(100)
-            assert chain._local_states() == chain._local.local_states(chain.frame)
+            assert chain._states == (None if hot else chain._local.local_states(chain.frame))
             chain.step()
-            assert chain._states == chain._local.local_states(chain.frame)
+            assert chain._states == (None if hot else chain._local.local_states(chain.frame))
+        # a restart restores the seed's states, after hot runs too, and the
+        # table loop goes on from them
+        chain._restart(cold)
+        assert chain._states == chain._local.local_states(frame)
+        chain.run(100)
+        assert chain._states == chain._local.local_states(chain.frame)
 
 
 def test_layout_move_cache_shared_by_equal_layouts():
@@ -865,8 +882,9 @@ def test_run_takes_the_frame_loop_below_the_switch(layout5, model, monkeypatch):
         assert calls == [loop] * 3, beta
         calls.clear()
         chain.step()
-        assert calls == ["_moves"], beta
-        assert chain._states == chain._local.local_states(chain.frame)
+        assert calls == [loop], beta
+        expect = chain._local.local_states(chain.frame) if loop == "_moves" else None
+        assert chain._states == expect
 
 
 def test_chain_rejects_frame_of_another_layout(layout3, layout5, rng):
