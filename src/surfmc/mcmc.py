@@ -35,15 +35,15 @@ The accept test works on integer acceptance levels.  A uniform draw u in
 d = 1..4, that lie above it; since the thresholds fall with d, u <
 exp(-beta * Delta n) iff Delta n <= k, and every Delta n <= 0 is accepted
 (k >= 0).  ``_levels`` computes the levels of a matrix of draws, one row per
-beta, with one ``u < threshold`` comparison per threshold column: beta = 0
-gives k = 4 (every move accepted), beta = inf gives k = 0 (only
-non-increasing moves).  ``step``'s single draw makes the same four IEEE
-comparisons on Python floats (``_level``).  The loop reads its feed packed:
-the levels as ``bytes``, one per draw, and the stabilizer indices as an
-``array`` of the generator's int64 draws, so no list of Python ints is built
-per block and no index is narrowed at any code size.  The draws themselves,
-their order and their sizes are those of the reference loop
-(``tests/helpers.py``).
+beta, in one ``u < threshold`` comparison against the four threshold
+columns of every row: beta = 0 gives k = 4 (every move accepted), beta = inf
+gives k = 0 (only non-increasing moves).  ``step``'s single draw makes the
+same four IEEE comparisons on Python floats (``_level``).  The loop reads its
+feed packed: the levels as ``bytes``, one per draw, and the stabilizer
+indices as an ``array`` of the generator's int64 draws, so no list of Python
+ints is built per block and no index is narrowed at any code size.  The
+draws themselves, their order and their sizes are those of the reference
+loop (``tests/helpers.py``).
 
 Every block that ``run`` consumes is drawn by ``_prefetch``, which queues
 blocks on the chain's feed and turns all their uniforms into levels in one
@@ -145,14 +145,14 @@ def batch_means_se(batch_sums: list[tuple[int, int]]) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _threshold_columns(betas: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+def _threshold_columns(betas: tuple[float, ...]) -> np.ndarray:
     """The acceptance probabilities exp(-beta * d) of Delta n = d = 1..4 at
-    every beta of ``betas``, as four read-only columns, one per d, to compare
-    against a matrix with one row per beta; shared by every chain."""
+    every beta of ``betas``: four stacked columns, one per d, of shape
+    (4, len(betas), 1), to compare against a matrix with one row per beta;
+    read-only, shared by every chain."""
     # Delta n of a single 3-4 qubit stabilizer move is at most 4
-    columns = tuple(np.array([[math.exp(-beta * d)] for beta in betas]) for d in (1, 2, 3, 4))
-    for column in columns:
-        column.setflags(write=False)
+    columns = np.array([[[math.exp(-beta * d)] for beta in betas] for d in (1, 2, 3, 4)])
+    columns.setflags(write=False)
     return columns
 
 
@@ -160,18 +160,17 @@ def _levels(betas: list[float], us: np.ndarray) -> bytes:
     """The acceptance levels of uniform draws, one byte (0-4) per draw: the
     number of thresholds exp(-beta * d), d = 1..4, above each draw.  ``us``
     holds as many equal rows as ``betas`` (one after the other, in C order),
-    and row i is drawn at ``betas[i]``.  One comparison per threshold column
-    over the whole matrix, each the same IEEE comparison as testing u against
-    a threshold."""
-    us = us.reshape(len(betas), -1)
-    above = [(us < column).view(np.uint8) for column in _threshold_columns(tuple(betas))]
-    return (above[0] + above[1] + above[2] + above[3]).tobytes()
+    and row i is drawn at ``betas[i]``.  One comparison of the whole matrix
+    against the four threshold columns, each the same IEEE comparison as
+    testing u against a threshold, summed over the columns."""
+    above = us.reshape(len(betas), -1) < _threshold_columns(tuple(betas))
+    return above.view(np.uint8).sum(axis=0, dtype=np.uint8).tobytes()
 
 
 def _level(beta: float, u: float) -> int:
     """``_levels`` of the single draw ``u`` at ``beta``: the same four
     comparisons, on the same thresholds as Python floats, without arrays."""
-    return sum([u < column.item() for column in _threshold_columns((beta,))])
+    return sum([u < t for t in _threshold_columns((beta,)).ravel().tolist()])
 
 
 class MetropolisChain:

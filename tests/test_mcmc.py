@@ -783,8 +783,8 @@ def test_levels_decide_as_the_threshold_test(model):
     levels = mcmc._levels(betas, matrix)
     assert len(levels) == matrix.size
     for k, beta in enumerate(betas):
-        columns = mcmc._threshold_columns((beta,))
-        assert [c.item() for c in columns] == [math.exp(-beta * d) for d in (1, 2, 3, 4)]
+        thresholds = mcmc._threshold_columns((beta,)).ravel().tolist()
+        assert thresholds == [math.exp(-beta * d) for d in (1, 2, 3, 4)]
         row = levels[k * len(us):(k + 1) * len(us)]
         assert mcmc._levels([beta], us) == row
         assert mcmc._levels([beta, beta], matrix[:2]) == row * 2
