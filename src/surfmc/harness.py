@@ -667,7 +667,7 @@ def scaling_probe(
 ) -> ScalingProbeResult:
     """Binary-search the minimal n_sample at which the single-temperature
     decoder provably beats the better matcher, then fit the growth exponent."""
-    _check_number("p", p, 0, 0.75, ConfigError)
+    _check_number("p", p, 0, error=ConfigError)  # ExperimentConfig bounds it above
     if p == 0:  # no trial fails at p = 0, so no n_sample can certify
         raise ConfigError(f"a scaling probe needs p > 0, got {p}")
     _check_number("confidence", confidence, 0, 1, ConfigError)
