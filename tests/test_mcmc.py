@@ -770,28 +770,50 @@ def test_batch_loop_matches_delta(rng, model):
 def test_levels_decide_as_the_threshold_test(model):
     # accepting iff Delta n <= level must be u < exp(-beta Delta n) (always
     # for Delta n <= 0), also for u on the thresholds of every beta and on
-    # their neighbours; a matrix with one row per beta decides as each row
-    # alone, and step's single-draw level as the block
-    betas = [0.0, math.inf, beta_bar(model), *map(float, free_energy_temperatures(model, 21)[1:])]
+    # their neighbours, and step's single-draw level decides as the block
+    betas = _grid_betas(model)
+    us = _threshold_draws(betas)
+    for beta in betas:
+        thresholds = mcmc._threshold_columns((beta,)).ravel().tolist()
+        assert thresholds == [math.exp(-beta * d) for d in (1, 2, 3, 4)]
+        levels = mcmc._levels([beta], us)
+        assert len(levels) == len(us)
+        assert bytes(mcmc._level(beta, u) for u in us.tolist()) == levels
+        for u, level in zip(us.tolist(), levels):
+            for d in range(-4, 5):
+                assert (d <= level) == (d <= 0 or u < math.exp(-beta * d)), (beta, u, d)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_feed_levels_equal_levels_row_by_row(model):
+    # the one-pass levels of a prefetched feed, one row per beta, decide as
+    # each row alone, also on the thresholds of every grid beta and their
+    # neighbours
+    betas = _grid_betas(model)
+    us = _threshold_draws(betas)
+    matrix = np.tile(us, (len(betas), 1))
+    levels = mcmc._levels(betas, matrix)
+    assert len(levels) == matrix.size
+    for k, beta in enumerate(betas):
+        row = levels[k * len(us):(k + 1) * len(us)]
+        assert mcmc._levels([beta], us) == row
+        assert mcmc._levels([beta], matrix[k:k + 1]) == row
+        assert mcmc._levels([beta, beta], matrix[:2]) == row * 2
+
+
+def _grid_betas(model):
+    return [0.0, math.inf, beta_bar(model), *map(float, free_energy_temperatures(model, 21)[1:])]
+
+
+def _threshold_draws(betas):
+    """Draws on every threshold exp(-beta * d) of ``betas`` and on its
+    neighbours, with 0 and the largest draw below 1."""
     us = {0.0, float(np.nextafter(1.0, 0.0))}
     for beta in betas:
         for d in (1, 2, 3, 4):
             t = math.exp(-beta * d)
             us |= {t, float(np.nextafter(t, 0.0)), float(np.nextafter(t, 1.0))}
-    us = np.array(sorted(u for u in us if 0.0 <= u < 1.0))
-    matrix = np.tile(us, (len(betas), 1))
-    levels = mcmc._levels(betas, matrix)
-    assert len(levels) == matrix.size
-    for k, beta in enumerate(betas):
-        thresholds = mcmc._threshold_columns((beta,)).ravel().tolist()
-        assert thresholds == [math.exp(-beta * d) for d in (1, 2, 3, 4)]
-        row = levels[k * len(us):(k + 1) * len(us)]
-        assert mcmc._levels([beta], us) == row
-        assert mcmc._levels([beta, beta], matrix[:2]) == row * 2
-        assert bytes(mcmc._level(beta, u) for u in us.tolist()) == row
-        for u, level in zip(us.tolist(), row):
-            for d in range(-4, 5):
-                assert (d <= level) == (d <= 0 or u < math.exp(-beta * d)), (beta, u, d)
+    return np.array(sorted(u for u in us if 0.0 <= u < 1.0))
 
 
 @pytest.mark.parametrize("L", [3, 4, 7])
