@@ -14,7 +14,9 @@ strictly increasing integer indices into that kind's stabilizers, so a
 hand-built ``Syndrome`` never indexes past them or wraps.  The matcher runs
 it on every decode, so it tests for plain ints first and falls back to the
 ``numbers.Integral`` test only when that fails.  Checks of another shape
-(open intervals, odd counts) are written where they are used.
+(open intervals, odd counts) are written where they are used.  A refusal is
+one line: an argument whose repr spans several (a numpy array) is shown
+with its runs of white space joined.
 """
 
 import numbers
@@ -49,6 +51,13 @@ def _is_number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` on one line: numpy wraps an array's repr over several,
+    where no scalar's repr holds a newline."""
+    text = repr(value)
+    return " ".join(text.split()) if "\n" in text else text
+
+
 def _check_count(name: str, value, low: int, error: type = InvalidParameterError,
                  high: int | None = None) -> None:
     """Refuse a value that is not an integer >= ``low``, or in [low, high]
@@ -56,7 +65,7 @@ def _check_count(name: str, value, low: int, error: type = InvalidParameterError
     if (not _is_number(value, numbers.Integral) or value < low
             or high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise error(f"{name} must be an integer {bound}, got {value!r}")
+        raise error(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
 def _check_number(name: str, value, low: float, below: float | None = None,
@@ -67,7 +76,7 @@ def _check_number(name: str, value, low: float, below: float | None = None,
     if not ((isinstance(value, float) or _is_number(value, numbers.Real))
             and low <= value and (below is None or value < below)):
         bound = f">= {low}" if below is None else f"in [{low}, {below})"
-        raise error(f"{name} must be {bound}, got {value!r}")
+        raise error(f"{name} must be {bound}, got {_shown(value)}")
 
 
 def _check_anyons(name: str, anyons, count: int) -> None:
@@ -77,5 +86,5 @@ def _check_anyons(name: str, anyons, count: int) -> None:
             and all(a < b for a, b in zip(anyons, anyons[1:]))
             and (not anyons or 0 <= anyons[0] and anyons[-1] < count)):
         raise InvalidParameterError(
-            f"{name} must be strictly increasing integers in [0, {count}), got {anyons!r}"
+            f"{name} must be strictly increasing integers in [0, {count}), got {_shown(anyons)}"
         )

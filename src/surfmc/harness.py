@@ -17,6 +17,7 @@ import itertools
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +30,6 @@ from .mcmc import (
     decode_free_energy,
     decode_single_temperature,
     default_single_temp_config,
-    free_energy_temperatures,
 )
 from .noise import DEPOLARIZING, INDEPENDENT_XZ, NoiseModel, sample_frame
 from .oracle import exact_decoder
@@ -154,13 +154,38 @@ class TrialRecord:
 
 @dataclass
 class CampaignCell:
+    """One (L, p) cell of a campaign.  ``outcomes`` is its one tally: how many
+    trials had each success pattern, one bool per algorithm in ``algorithms``
+    order; trial, failure and discordant counts are read from it."""
+
     L: int
     p: float
-    trials: int = 0
-    failures: dict[str, int] = field(default_factory=dict)
-    discordant: dict[tuple[str, str], tuple[int, int]] = field(default_factory=dict)
+    algorithms: tuple[str, ...] = ()
+    outcomes: Counter[tuple[bool, ...]] = field(default_factory=Counter)
     records: list[TrialRecord] = field(default_factory=list)
     truncated: bool = False
+
+    @property
+    def trials(self) -> int:
+        return self.outcomes.total()
+
+    def _failed(self, a: str, b: str | None = None) -> int:
+        """Trials in which ``a`` failed, and ``b``, when given, did not."""
+        i = self.algorithms.index(a)
+        j = None if b is None else self.algorithms.index(b)
+        return sum(n for ok, n in self.outcomes.items() if not ok[i] and (j is None or ok[j]))
+
+    @property
+    def failures(self) -> dict[str, int]:
+        return {a: self._failed(a) for a in self.algorithms}
+
+    @property
+    def discordant(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """Per pair (a, b), a listed first: trials only a failed, only b failed."""
+        return {
+            (a, b): (self._failed(a, b), self._failed(b, a))
+            for i, a in enumerate(self.algorithms) for b in self.algorithms[i + 1:]
+        }
 
     def rate(self, algorithm: str) -> float:
         return self.failures[algorithm] / self.trials if self.trials else 0.0
@@ -204,7 +229,6 @@ class _CellSpec:
     cell_index: int
     model: NoiseModel
     sampler: SingleTempConfig | None  # None when beta_bar is undefined (p = 0)
-    temps: np.ndarray | None          # free-energy grid, None when p = 0
 
 
 def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
@@ -241,8 +265,8 @@ def _run_one_trial(spec: _CellSpec, trial: int) -> TrialRecord:
                 )
             else:
                 verdict = decode_free_energy(
-                    layout, syndrome, model, spec.temps, spec.sampler.n_sample, chain_set,
-                    seed_seq, spec.sampler.burn_in,
+                    layout, syndrome, model, cfg.n_temperatures, spec.sampler.n_sample,
+                    chain_set, seed_seq, spec.sampler.burn_in,
                 )
         verdicts[alg] = verdict.cls.label
     successes = {alg: verdicts[alg] == true_cls.label for alg in cfg.algorithms}
@@ -253,34 +277,21 @@ def _run_trial_batch(spec: _CellSpec, start: int, count: int) -> list[TrialRecor
     return [_run_one_trial(spec, t) for t in range(start, start + count)]
 
 
-def _merge_batch(cell: CampaignCell, algs: tuple[str, ...], batch: list[TrialRecord],
-                 keep_trials: bool) -> None:
+def _merge_batch(cell: CampaignCell, batch: list[TrialRecord], keep_trials: bool) -> None:
     for rec in batch:
-        cell.trials += 1
-        for alg in algs:
-            if not rec.successes[alg]:
-                cell.failures[alg] += 1
-        for i, a in enumerate(algs):
-            for b in algs[i + 1:]:
-                fa, fb = cell.discordant[(a, b)]
-                if not rec.successes[a] and rec.successes[b]:
-                    fa += 1
-                elif rec.successes[a] and not rec.successes[b]:
-                    fb += 1
-                cell.discordant[(a, b)] = (fa, fb)
+        cell.outcomes[tuple(rec.successes[a] for a in cell.algorithms)] += 1
         if keep_trials:
             cell.records.append(rec)
 
 
 def _cell_spec(cfg: ExperimentConfig, cell_index: int, L: int, p: float) -> _CellSpec:
     model = make_model(cfg.model_kind, p)
-    sampler = temps = None  # beta_bar is undefined at p = 0
+    sampler = None  # beta_bar is undefined at p = 0
     if p > 0:
         sampler = default_single_temp_config(
             model, build_layout(L), cfg.n_sample, cfg.beta_star_factor, cfg.burn_in,
         )
-        temps = free_energy_temperatures(model, cfg.n_temperatures)
-    return _CellSpec(cfg, L, p, cell_index, model, sampler, temps)
+    return _CellSpec(cfg, L, p, cell_index, model, sampler)
 
 
 def _batch_size(cfg: ExperimentConfig, start: int) -> int:
@@ -329,13 +340,7 @@ def run_campaign(cfg: ExperimentConfig, keep_trials: bool = False) -> CampaignRe
         batch_map = map if pool is None else pool.map
         for cell_index, (L, p) in enumerate(itertools.product(cfg.L_values, cfg.p_values)):
             spec = _cell_spec(cfg, cell_index, L, p)
-            cell = CampaignCell(L=L, p=p)
-            cell.failures = {a: 0 for a in cfg.algorithms}
-            cell.discordant = {
-                (a, b): (0, 0)
-                for i, a in enumerate(cfg.algorithms)
-                for b in cfg.algorithms[i + 1:]
-            }
+            cell = CampaignCell(L=L, p=p, algorithms=cfg.algorithms)
             cells.append(cell)
             try:
                 next_trial = 0
@@ -347,7 +352,7 @@ def run_campaign(cfg: ExperimentConfig, keep_trials: bool = False) -> CampaignRe
                     batches = list(batch_map(_run_trial_batch, itertools.repeat(spec), starts,
                                              sizes))
                     for batch in batches:  # merged in trial-id order
-                        _merge_batch(cell, cfg.algorithms, batch, keep_trials)
+                        _merge_batch(cell, batch, keep_trials)
                         if _stop_reached(cfg, cell):
                             break
             except KeyboardInterrupt:
@@ -373,10 +378,9 @@ def paired_comparison_pvalue(
     returns (chosen reference, exact McNemar p-value).
     """
     ref = min(references, key=lambda a: (cell.failures[a], a))
-    key = (candidate, ref) if (candidate, ref) in cell.discordant else (ref, candidate)
-    a, b = cell.discordant[key]
-    cand_only, ref_only = (a, b) if key[0] == candidate else (b, a)
-    return ref, mcnemar_one_sided_pvalue(n_favor=ref_only, n_against=cand_only)
+    return ref, mcnemar_one_sided_pvalue(
+        n_favor=cell._failed(ref, candidate), n_against=cell._failed(candidate, ref)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +569,20 @@ def oracle_check(
     against a bar of 0.9013 and fails; it is the one failure among seeds
     0-39 at 64 syndromes.  Keep the default of 300 syndromes or more.
 
+    p must lie in (0, 0.75), as for a campaign, and is refused before any
+    decode: at p = 0 beta_bar is undefined, and at 0.75 every class is
+    equally likely, so agreement with the oracle is chance and the check
+    fails a correct program.
+
     The class-forced chain set and the exact verdict are pure functions of
     the syndrome, so a table local to the call keeps both per distinct
     syndrome (at most 2^n_stab entries): ``decode_enhanced`` and
     ``exact_decoder`` run once per distinct syndrome, and the sampler runs on
     every syndrome, on its own stream.  Nothing outlives the call.
     """
+    _check_number("p", p, 0, 0.75, ConfigError)
+    if p == 0:
+        raise ConfigError(f"p must be > 0 for the oracle check, got {p!r}")
     _check_count("n_syndromes", n_syndromes, 1)
     _check_count("n_sample_factor", n_sample_factor, 1)
     _check_count("seed", seed, 0, ConfigError)

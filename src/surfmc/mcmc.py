@@ -57,8 +57,10 @@ one temperature as at many.  A run that finds the feed empty, as every run of
 a class too long for a feed does, prefetches one block at a time; the draws,
 and so every output, are the same either way.  The single-temperature
 decoder samples beta* alone and picks the class with the smallest average
-count; the free-energy variant instead integrates the average count over an
-equidistant temperature grid with Simpson's rule.  A rectangle partition of
+count; the free-energy variant instead integrates the average count with
+Simpson's rule over the equidistant grid of an odd number of temperatures on
+[0, beta_bar], which it takes by its point count and builds, with its Simpson
+weights, once per (model, count).  A rectangle partition of
 the code allows many non-overlapping stabilizers to be probed per step for
 parallel operation; that sweep drives a ``MetropolisChain`` with the
 partition's proposals, drawn per block in numpy and fed to the loop one step
@@ -73,7 +75,7 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -493,11 +495,16 @@ def zero_temperature_score(model: NoiseModel, layout: CodeLayout) -> float:
     return 0.75 * layout.n_qubits
 
 
-def free_energy_temperatures(model: NoiseModel, count: int = 21) -> np.ndarray:
-    """Equidistant inverse-temperature grid on [0, beta_bar], odd point count."""
+def _check_temperature_count(count) -> None:
+    """Refuse a free-energy grid size that is not an odd integer >= 3."""
     _check_count("temperature count", count, 3)
     if count % 2 == 0:
         raise InvalidParameterError(f"temperature count must be odd, got {count!r}")
+
+
+def free_energy_temperatures(model: NoiseModel, count: int = 21) -> np.ndarray:
+    """Equidistant inverse-temperature grid on [0, beta_bar], odd point count."""
+    _check_temperature_count(count)
     return np.linspace(0.0, beta_bar(model), count)
 
 
@@ -508,40 +515,32 @@ class FreeEnergyEstimate:
     ses: np.ndarray
     integral: float
     integral_se: float
-    log_z: float = field(default=math.nan)
+    log_z: float
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_weights(temps: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Check a free-energy temperature grid, and compute once per grid what
-    depends on it alone: its Simpson terms and the Simpson weights of the
-    integral's standard error (all read-only)."""
-    for beta in temps:
-        _check_number("temperature grid entries", beta, 0)
-    grid = np.array(temps)
-    if len(grid) < 3 or len(grid) % 2 == 0:
-        raise InvalidParameterError("temperature grid must have an odd count >= 3")
-    if grid[0] != 0.0:
-        raise InvalidParameterError("temperature grid must start at beta = 0")
-    steps = np.diff(grid)
-    if not np.allclose(steps, steps[0]):
-        raise InvalidParameterError("temperature grid must be equidistant")
-    h = float(steps[0])
-    simpson_coef = np.ones(len(grid))
+def _grid(model: NoiseModel, count: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """The free-energy grid of ``count`` points (``free_energy_temperatures``)
+    and what depends on it alone: its Simpson terms and the Simpson weights of
+    the integral's standard error; computed once per (model, count), all
+    read-only.  Callers check the count first: 21.0 hashes like 21, so a
+    check made only on a cache miss would hand it the stored grid."""
+    betas = free_energy_temperatures(model, count)
+    simpson_coef = np.ones(count)
     simpson_coef[1:-1:2] = 4.0
     simpson_coef[2:-1:2] = 2.0
-    simpson_coef *= h / 3.0
-    terms = simpson_terms(grid)
-    for weights in (*terms, simpson_coef):
+    simpson_coef *= float(betas[1] - betas[0]) / 3.0
+    terms = simpson_terms(betas)
+    for weights in (betas, *terms, simpson_coef):
         weights.setflags(write=False)
-    return terms, simpson_coef
+    return betas, terms, simpson_coef
 
 
 def decode_free_energy(
     layout: CodeLayout,
     syndrome: Syndrome,
     model: NoiseModel,
-    temps: np.ndarray,
+    n_temperatures: int,
     n_sample: int,
     seeds: ClassChainSet,
     seed_seq: np.random.SeedSequence,
@@ -549,28 +548,22 @@ def decode_free_energy(
 ) -> DecoderVerdict:
     """Thermodynamic-integration decoder.
 
-    Samples <n> per class at each positive grid temperature (``burn_in``
-    discarded steps, then n_sample steps, from one chain per class restarted
-    from the class seed at every temperature), substitutes the closed form at
-    beta = 0, integrates with composite Simpson, and corrects per the class
-    with the smallest integral, i.e. the largest log Z = n_stab log 2 -
-    integral.  Per-class estimates are attached as ``detail["free_energy"]``.
+    Samples <n> per class at each positive temperature of the
+    ``n_temperatures``-point grid on [0, beta_bar] (``free_energy_temperatures``;
+    ``burn_in`` discarded steps, then n_sample steps, from one chain per class
+    restarted from the class seed at every temperature), substitutes the
+    closed form at beta = 0, integrates with composite Simpson, and corrects
+    per the class with the smallest integral, i.e. the largest log Z(beta_bar)
+    = n_stab log 2 - integral.  Per-class estimates are attached as
+    ``detail["free_energy"]``; they share the grid, which is built once per
+    (model, count) and read-only.
     """
+    _check_temperature_count(n_temperatures)
     _check_count("n_sample", n_sample, 1)
     _check_count("burn_in", burn_in, 0)
-    if not (isinstance(temps, np.ndarray) and temps.dtype.kind == "f"):
-        # a float array holds reals, which ``_grid_weights`` checks once per grid
-        for beta in np.asarray(temps, dtype=object).flat:
-            _check_number("temperature grid entries", beta, 0)
-    temps = np.asarray(temps, dtype=float)
-    if temps.ndim != 1:
-        raise InvalidParameterError(
-            f"temperature grid must be one-dimensional, got shape {temps.shape}"
-        )
-    betas = temps.tolist()
-    terms, simpson_coef = _grid_weights(tuple(betas))
+    betas, terms, simpson_coef = _grid(model, n_temperatures)
 
-    sampled = _class_means(layout, model, betas[1:], seeds, seed_seq, n_sample, burn_in)
+    sampled = _class_means(layout, model, betas[1:].tolist(), seeds, seed_seq, n_sample, burn_in)
     estimates: dict[EquivalenceClass, FreeEnergyEstimate] = {}
     scores: dict[EquivalenceClass, float] = {}
     for cls, (sampled_means, sampled_ses) in sampled.items():
@@ -580,7 +573,7 @@ def decode_free_energy(
         # NaN as soon as one positive-temperature chain has no standard error
         integral_se = float(np.sqrt(np.sum((simpson_coef * ses) ** 2)))
         log_z = layout.n_stab * math.log(2.0) - integral
-        estimates[cls] = FreeEnergyEstimate(temps, means, ses, integral, integral_se, log_z)
+        estimates[cls] = FreeEnergyEstimate(betas, means, ses, integral, integral_se, log_z)
         scores[cls] = integral
 
     cls = _pick_class(scores)

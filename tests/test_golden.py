@@ -126,7 +126,7 @@ def decoder_results() -> dict:
             syndrome = layout.syndrome_of(frame)
             _, chain_set = decode_enhanced(layout, syndrome, model)
             fe = decode_free_energy(
-                layout, syndrome, model, free_energy_temperatures(model, 11), n_sample,
+                layout, syndrome, model, 11, n_sample,
                 chain_set, np.random.SeedSequence(L),
             )
             cfg = default_single_temp_config(model, layout, n_sample=3 * n_sample, burn_in=64)

@@ -262,10 +262,19 @@ def test_numpy_cell_values_write_python_number_bytes(tmp_path):
 
 
 def test_paired_comparison_pvalue_bookkeeping():
-    cell = CampaignCell(L=3, p=0.1)
-    cell.trials = 100
-    cell.failures = {STANDARD: 30, ENHANCED: 20, SINGLE_TEMP: 10}
-    cell.discordant = {
+    # 100 trials, tallied by success pattern (standard, enhanced, single)
+    cell = CampaignCell(L=3, p=0.1, algorithms=(STANDARD, ENHANCED, SINGLE_TEMP))
+    cell.outcomes.update({
+        (True, True, True): 65,
+        (False, True, True): 11,
+        (False, False, True): 14,
+        (True, False, False): 5,
+        (False, True, False): 4,
+        (False, False, False): 1,
+    })
+    assert cell.trials == 100
+    assert cell.failures == {STANDARD: 30, ENHANCED: 20, SINGLE_TEMP: 10}
+    assert cell.discordant == {
         (STANDARD, ENHANCED): (15, 5),
         (STANDARD, SINGLE_TEMP): (25, 5),
         (ENHANCED, SINGLE_TEMP): (14, 4),
@@ -273,6 +282,18 @@ def test_paired_comparison_pvalue_bookkeeping():
     ref, pv = paired_comparison_pvalue(cell, SINGLE_TEMP, (STANDARD, ENHANCED))
     assert ref == ENHANCED  # the harder (lower-rate) reference
     assert pv == pytest.approx(mcnemar_one_sided_pvalue(14, 4))
+
+
+def test_cell_counts_agree_with_its_records():
+    cfg = tiny_config(algorithms=(STANDARD, ENHANCED, SINGLE_TEMP), max_trials=96)
+    cell = run_campaign(cfg, keep_trials=True).cell(3, 0.1)
+    failed = {a: {r.trial for r in cell.records if not r.successes[a]} for a in cfg.algorithms}
+    assert cell.trials == len(cell.records) == 96
+    assert cell.failures == {a: len(failed[a]) for a in cfg.algorithms}
+    assert cell.discordant == {
+        (a, b): (len(failed[a] - failed[b]), len(failed[b] - failed[a]))
+        for a, b in ((STANDARD, ENHANCED), (STANDARD, SINGLE_TEMP), (ENHANCED, SINGLE_TEMP))
+    }
 
 
 def test_sampler_beats_standard_near_threshold():
@@ -746,6 +767,14 @@ def test_cli_oracle_check_rejects_syndrome_count(capsys, count):
     assert "n_syndromes" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("p", ["0.75", "0", "0.9"])
+def test_cli_oracle_check_refuses_p_outside_the_open_interval(capsys, p):
+    code = cli_main(["oracle-check", "--p", p])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: p must ") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("count", [2.5, 3.0])
 def test_oracle_check_takes_an_integer_syndrome_count(count):
     with pytest.raises(surfmc.InvalidParameterError, match="n_syndromes"):
@@ -760,6 +789,10 @@ def test_oracle_check_takes_an_integer_syndrome_count(count):
         # True would run as factor 1
         (lambda: oracle_check(3, 0.1, 3, n_sample_factor=True), "n_sample_factor"),
         (lambda: oracle_check(3, 0.1, 3, n_sample_factor=0), "n_sample_factor"),
+        # decoded 300 syndromes of the fully depolarizing channel, then failed
+        (lambda: oracle_check(3, 0.75, 300, seed=2024), "p"),
+        (lambda: oracle_check(3, 0.0, 300), "p"),
+        (lambda: oracle_check(3, "0.1", 300), "p"),
         (lambda: scaling_probe(0.1, (3,), seed=1, target_errors=1, max_trials=8,
                                max_n_sample=2.5), "max_n_sample"),
         (lambda: scaling_probe("0.1", (3,), seed=1), "p"),
@@ -773,7 +806,7 @@ def test_oracle_check_takes_an_integer_syndrome_count(count):
         (lambda: fatal_pattern_suite((1,)), "L"),
     ],
     ids=["oracle_seed_1.5", "oracle_seed_true", "oracle_factor_true", "oracle_factor_0",
-         "probe_max_n_sample_2.5", "probe_p_str", "probe_confidence_str",
+         "oracle_p_0.75", "oracle_p_0", "oracle_p_str", "probe_max_n_sample_2.5", "probe_p_str", "probe_confidence_str",
          "probe_confidence_0", "probe_confidence_1", "fatal_p_0.9", "fatal_L_str",
          "fatal_L_1"],
 )

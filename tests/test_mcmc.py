@@ -28,7 +28,7 @@ from surfmc import (
     zero_temperature_score,
 )
 from surfmc import mcmc, noise
-from surfmc.errors import ConfigError, _check_count, _check_number
+from surfmc.errors import ConfigError, _check_anyons, _check_count, _check_number
 from surfmc.mcmc import SweepResult, batch_means_se
 from surfmc.noise import score_delta
 from surfmc.oracle import enumerate_orbit, exact_boltzmann
@@ -89,6 +89,23 @@ def test_check_number():
             _check_number("p", value, 0, below)
     with pytest.raises(ConfigError, match=r"seed must be an integer >= 0, got 1\.5"):
         _check_count("seed", 1.5, 0, ConfigError)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: SingleTempConfig(1.0, np.arange(40)), "n_sample"),
+        (lambda: SingleTempConfig(np.arange(40.0), 10), "beta_star"),
+        (lambda: build_layout(np.arange(40)), "code distance"),
+        (lambda: _check_anyons("p-anyons", np.arange(40.0), 12), "p-anyons"),
+    ],
+    ids=["count", "number", "layout", "anyons"],
+)
+def test_array_arguments_are_refused_on_one_line(call, name):
+    # numpy wraps the repr of an array this long over three lines
+    with pytest.raises(InvalidParameterError) as err:
+        call()
+    assert str(err.value).startswith(f"{name} must ") and "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("beta", [True, "1"])
@@ -285,42 +302,36 @@ def test_chain_run_takes_an_integer_step_count(layout3, n_steps):
     assert chain.step_count == 2
 
 
-def test_free_energy_rejects_bad_grids(layout3, rng):
-    syn, _, chain_set = seeded_chain_set(layout3, rng)
-    with pytest.raises(InvalidParameterError):
-        decode_free_energy(
-            layout3, syn, MODEL, np.linspace(0, BB, 20), 100, chain_set,
-            np.random.SeedSequence(0),
-        )
-    with pytest.raises(InvalidParameterError):
-        decode_free_energy(
-            layout3, syn, MODEL, np.array([0.1, 0.2, 0.3]), 100, chain_set,
-            np.random.SeedSequence(0),
-        )
-    # a column of temperatures ended in a bare TypeError
-    with pytest.raises(InvalidParameterError, match="one-dimensional"):
-        decode_free_energy(
-            layout3, syn, MODEL, free_energy_temperatures(MODEL, 3).reshape(3, 1), 100,
-            chain_set, np.random.SeedSequence(0),
-        )
-
-
 @pytest.mark.parametrize(
-    "temps",
-    [
-        [0.0, "a", 1.0],                   # ended in numpy's bare ValueError
-        [0.0, 1 + 2j, 2.0],                # ended in a bare TypeError
-        [0.0, None, 1.0],                  # was refused as not equidistant
-        [0.0, True, 2.0],                  # ran as 1.0
-        np.array([0.0, math.nan, 1.0]),    # was refused as not equidistant
-        np.array([0.0, -0.5, -1.0]),       # ran on negative temperatures
-    ],
-    ids=repr,
+    "count",
+    [20, 1, 21.0, True, "21", free_energy_temperatures(MODEL, 21)],
+    ids=["20", "1", "21.0", "True", "str", "grid"],
 )
-def test_free_energy_refuses_bad_grid_entries(layout3, rng, temps):
+def test_free_energy_takes_an_odd_temperature_count(layout3, rng, count):
+    # refused on one line before the grid cache is read, as well as after a
+    # 21-point decode has filled it: 21.0 hashes like 21, so a check behind
+    # the cache would hand it the stored grid
     syn, _, chain_set = seeded_chain_set(layout3, rng)
-    with pytest.raises(InvalidParameterError, match="temperature grid entries must be >= 0"):
-        decode_free_energy(layout3, syn, MODEL, temps, 100, chain_set, np.random.SeedSequence(0))
+    mcmc._grid.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InvalidParameterError, match="temperature count") as err:
+            decode_free_energy(
+                layout3, syn, MODEL, count, 100, chain_set, np.random.SeedSequence(0)
+            )
+        assert "\n" not in str(err.value)
+        decode_free_energy(layout3, syn, MODEL, 21, 100, chain_set, np.random.SeedSequence(0))
+
+
+@pytest.mark.parametrize("model", [MODEL, NoiseModel.independent_xz(0.1, 0.1)], ids=["dep", "ind"])
+def test_free_energy_estimates_share_one_read_only_grid(layout3, rng, model):
+    syn, _, chain_set = seeded_chain_set(layout3, rng, model)
+    verdict = decode_free_energy(layout3, syn, model, 5, 100, chain_set, np.random.SeedSequence(0))
+    estimates = list(verdict.detail["free_energy"].values())
+    grid = estimates[0].betas
+    assert _bits(grid) == _bits(free_energy_temperatures(model, 5))
+    assert all(est.betas is grid for est in estimates)
+    with pytest.raises(ValueError, match="read-only"):
+        grid[1] = 0.0
 
 
 @pytest.mark.parametrize("n_sample", [0, -5, 2.5])
@@ -328,7 +339,7 @@ def test_free_energy_rejects_bad_sample_count(layout3, rng, n_sample):
     syn, _, chain_set = seeded_chain_set(layout3, rng)
     with pytest.raises(InvalidParameterError, match="n_sample"):
         decode_free_energy(
-            layout3, syn, MODEL, free_energy_temperatures(MODEL, 3), n_sample, chain_set,
+            layout3, syn, MODEL, 3, n_sample, chain_set,
             np.random.SeedSequence(0),
         )
 
@@ -340,7 +351,7 @@ def test_free_energy_equals_independent_chains(layout3, rng):
     temps = free_energy_temperatures(MODEL, 21)
     n_sample = 3000  # three batches, two full: a finite standard error
     verdict = decode_free_energy(
-        layout3, syn, MODEL, temps, n_sample, chain_set, np.random.SeedSequence(31)
+        layout3, syn, MODEL, 21, n_sample, chain_set, np.random.SeedSequence(31)
     )
     rngs = mcmc._class_chain_rngs(np.random.SeedSequence(31))
     for cls in EQUIV_CLASSES:
@@ -383,13 +394,13 @@ def test_decoders_build_and_run_chains_through_the_traced_methods(layout3, rng, 
     syn, _, chain_set = seeded_chain_set(layout3, rng)
     n_sample = 81
     decode_free_energy(
-        layout3, syn, MODEL, free_energy_temperatures(MODEL, 21), n_sample, chain_set,
+        layout3, syn, MODEL, 21, n_sample, chain_set,
         np.random.SeedSequence(2),
     )
     assert counts == {"chains": 4, "steps": 4 * 20 * n_sample, "verified": 4 * 20}
     counts.update(chains=0, steps=0, verified=0)
     decode_free_energy(
-        layout3, syn, MODEL, free_energy_temperatures(MODEL, 21), n_sample, chain_set,
+        layout3, syn, MODEL, 21, n_sample, chain_set,
         np.random.SeedSequence(2), burn_in=17,
     )
     assert counts == {"chains": 4, "steps": 4 * 20 * (17 + n_sample), "verified": 4 * 20}
@@ -450,7 +461,7 @@ def test_sampler_decodes_equal_chains_run_per_temperature(L, model, burn_in):
             assert _bits(single_cls) == _bits(ref[cls][0] + ref[cls][1])
 
         free = decode_free_energy(
-            layout, syn, model, temps, n_sample, chain_set, np.random.SeedSequence([L, k, 2]),
+            layout, syn, model, 21, n_sample, chain_set, np.random.SeedSequence([L, k, 2]),
             burn_in,
         )
         ref = _per_temperature_means(
@@ -488,7 +499,7 @@ def test_feed_holds_at_most_its_bound(layout3, rng, monkeypatch):
     monkeypatch.setattr(MetropolisChain, "_prefetch", counted)
     syn, _, chain_set = seeded_chain_set(layout3, rng)
     decode_free_energy(
-        layout3, syn, MODEL, free_energy_temperatures(MODEL, 21), 1500, chain_set,
+        layout3, syn, MODEL, 21, 1500, chain_set,
         np.random.SeedSequence(1), burn_in=100,
     )
     per_feed = mcmc._FEED_DRAWS // 1600  # temperatures per feed
@@ -503,7 +514,7 @@ def test_feed_holds_at_most_its_bound(layout3, rng, monkeypatch):
     fed.clear()
     n_sample = mcmc._FEED_DRAWS // 2 + 1  # nine blocks
     decode_free_energy(
-        layout3, syn, MODEL, free_energy_temperatures(MODEL, 3), n_sample, chain_set,
+        layout3, syn, MODEL, 3, n_sample, chain_set,
         np.random.SeedSequence(1),
     )
     assert fed == [(1, 9, n_sample)] * 4 * 2
@@ -551,7 +562,7 @@ def test_free_energy_log_z_matches_oracle(layout3, rng):
     syn, _, chain_set = seeded_chain_set(layout3, rng)
     temps = free_energy_temperatures(MODEL, 21)
     verdict = decode_free_energy(
-        layout3, syn, MODEL, temps, 40_000, chain_set, np.random.SeedSequence(9)
+        layout3, syn, MODEL, 21, 40_000, chain_set, np.random.SeedSequence(9)
     )
     estimates = verdict.detail["free_energy"]
     for cls in EQUIV_CLASSES:
@@ -586,7 +597,7 @@ def test_free_energy_agrees_with_single_temperature(layout5):
         # low-beta tail is large but nearly class-independent, so node noise
         # dominates the integral differences unless it is suppressed
         v_fe = decode_free_energy(
-            layout5, syn, MODEL, temps, 4 * n_sample, chain_set,
+            layout5, syn, MODEL, 21, 4 * n_sample, chain_set,
             np.random.SeedSequence(2900, spawn_key=(i,)),
         )
         agree += v_st.cls == v_fe.cls
@@ -860,8 +871,8 @@ def test_layout_move_cache_shared_by_equal_layouts():
 def test_chain_matches_reference_loop(L, model):
     layout = build_layout(L)
     plan = [("burn", 700), ("step",), ("run", 2500), ("step",), ("step",), ("run", 1500)]
-    # run takes the frame loop below mcmc._FRAME_LOOP_BELOW and the table loop
-    # from it on; steps always take the table loop
+    # run and step take the frame loop below mcmc._FRAME_LOOP_BELOW and the
+    # table loop from it on; step is run's loop on a single proposal
     betas = (0.0, 0.3, 1.0, 1.4, beta_bar(model), math.inf)
     assert mcmc._FRAME_LOOP_BELOW not in betas
     for k, beta in enumerate(betas):
@@ -945,7 +956,7 @@ def test_free_energy_se_nan_with_single_batch_chains(layout5, rng):
     # n_sample = L^4 = 625 is one RNG batch per chain: no batch-means SE exists
     syn, _, chain_set = seeded_chain_set(layout5, rng)
     verdict = decode_free_energy(
-        layout5, syn, MODEL, free_energy_temperatures(MODEL, 3), 625, chain_set,
+        layout5, syn, MODEL, 3, 625, chain_set,
         np.random.SeedSequence(4),
     )
     for est in verdict.detail["free_energy"].values():

@@ -22,7 +22,6 @@ from surfmc import (
     decode_free_energy,
     decode_single_temperature,
     default_single_temp_config,
-    free_energy_temperatures,
     sample_frame,
 )
 
@@ -38,7 +37,6 @@ def main() -> None:
     for L in (3, 5, 7):
         layout = build_layout(L)
         for m, model in enumerate(models):
-            temps = free_energy_temperatures(model, 21)
             for burn_in in (0, 50):
                 cfg = default_single_temp_config(model, layout, burn_in=burn_in)
                 for i in range(SYNDROMES):
@@ -51,7 +49,7 @@ def main() -> None:
                         np.random.SeedSequence([L, m, burn_in, i, 1]),
                     )
                     free = decode_free_energy(
-                        layout, syndrome, model, temps, cfg.n_sample, seeds,
+                        layout, syndrome, model, 21, cfg.n_sample, seeds,
                         np.random.SeedSequence([L, m, burn_in, i, 2]), burn_in,
                     )
                     for cls in EQUIV_CLASSES:
